@@ -23,7 +23,7 @@ from .weber import WeberProblem, WeberSolution, solve_weber
 _RATE_SEARCH_LIMIT = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FleetResult:
     """Outcome of the minimal-fleet search at one hub location.
 
@@ -115,7 +115,7 @@ def min_center_rate(scenario: Scenario, center: Point,
     raise RuntimeError("rate search failed to terminate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacementOutcome:
     """One hub placement with its fleet answer and steady-state figures.
 
@@ -134,7 +134,7 @@ class PlacementOutcome:
         return self.weber.location
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationComparison:
     weighted: PlacementOutcome
     unweighted: PlacementOutcome

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from . import convolution as conv
 from .scenario import Center, Scenario, Warehouse
@@ -57,7 +55,7 @@ def _plain_factors(stations: Sequence[conv.Station], eta: np.ndarray,
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumerationResult:
     states: tuple[tuple[int, ...], ...]
     probabilities: np.ndarray
@@ -109,7 +107,7 @@ def enumerate_product_form(stations: Sequence[conv.Station] | conv.ClosedNetwork
                              norm_constant=total, state_count=count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CtmcResult:
     states: tuple[tuple[int, ...], ...]
     pi: np.ndarray
@@ -123,6 +121,10 @@ def ctmc_throughput(net: conv.ClosedNetwork) -> CtmcResult:
     Station throughputs are completion rates sum_s pi(s) mu_j(n_j); for a
     product-form network they equal eta_j G(N-1)/G(N).
     """
+    # scipy is imported here, not at module load: only this oracle needs it
+    from scipy.sparse import coo_matrix, csr_matrix
+    from scipy.sparse.linalg import spsolve
+
     count = _state_count(net.population, net.num_stations)
     if count > _CTMC_STATE_LIMIT:
         raise ValueError(f"state space too large for CTMC solve ({count} states)")
@@ -244,7 +246,7 @@ class _CallableStream:
         return float(self.fn(self.rng, self.mean))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesEstimate:
     """Replication-averaged simulation estimates with 95% half-widths."""
 
@@ -447,7 +449,7 @@ def random_scenario(rng: np.random.Generator, n_warehouses: int = 2, *,
                     truck_speed_kmh=speed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     passed: bool

@@ -14,7 +14,6 @@ form; the explicit network is kept available for cross-checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ HUB_VISIT_RATIO = 0.25
 POOLED_LANE_VISIT_RATIO = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarNetwork:
     """A scenario pinned to one candidate hub location."""
 
@@ -118,9 +117,8 @@ class AggregatedConvolution:
     """Normalization table of the aggregated star, extensible one truck at a
     time so fleet search reuses all previous work.
 
-    Stations are folded hub first, then docks, then the pooled lane, and the
-    running per-station rows are kept so that extending the population by
-    one costs a single new column.
+    The pooled lane starts the table, the docks follow and the hub is
+    folded last, so the row before it is the table without the hub.
     """
 
     def __init__(self, star: StarNetwork):
@@ -128,107 +126,37 @@ class AggregatedConvolution:
         stations, eta = star.aggregated_stations()
         self.stations = stations
         self.eta = eta
-        self._count = len(stations)
-        self._n = 0
-        cap = 8
-        shape = (self._count, cap)
-        self._g_mant = np.zeros(shape)
-        self._g_exp = np.zeros(shape, dtype=np.int64)
-        self._g_log = np.full(shape, -math.inf)
-        self._row_mant = np.zeros(shape)
-        self._row_exp = np.zeros(shape, dtype=np.int64)
-        self._row_log = np.full(shape, -math.inf)
-        self._g_mant[:, 0], self._g_exp[:, 0], self._g_log[:, 0] = 0.5, 1, 0.0
-        self._row_mant[0, 0], self._row_exp[0, 0] = 0.5, 1
-        self._row_log[0, 0] = 0.0
-        for j in range(1, self._count):
-            self._row_mant[j, 0], self._row_exp[j, 0] = 0.5, 1
-            self._row_log[j, 0] = 0.0
-
-    def _ensure_capacity(self, n: int) -> None:
-        cap = self._g_mant.shape[1]
-        if n < cap:
-            return
-        new_cap = max(n + 1, 2 * cap)
-        def grow(a, fill):
-            out = np.full((self._count, new_cap), fill, dtype=a.dtype)
-            out[:, :cap] = a
-            return out
-        self._g_mant = grow(self._g_mant, 0.0)
-        self._g_exp = grow(self._g_exp, 0)
-        self._g_log = grow(self._g_log, -math.inf)
-        self._row_mant = grow(self._row_mant, 0.0)
-        self._row_exp = grow(self._row_exp, 0)
-        self._row_log = grow(self._row_log, -math.inf)
-
-    def _extend_one(self) -> None:
-        n = self._n + 1
-        self._ensure_capacity(n)
-        for j, st in enumerate(self.stations):
-            mu = st.service_rate(n)
-            ratio = 0.0 if math.isinf(mu) else float(self.eta[j]) / mu
-            prev = self._g_mant[j, n - 1]
-            m = prev * ratio
-            if m == 0.0:
-                self._g_mant[j, n] = 0.0
-                self._g_log[j, n] = -math.inf
-            else:
-                m, de = math.frexp(m)
-                self._g_mant[j, n] = m
-                self._g_exp[j, n] = self._g_exp[j, n - 1] + de
-                self._g_log[j, n] = self._g_log[j, n - 1] + math.log(ratio)
-        # row 0 is just the hub's own factors
-        self._row_mant[0, n] = self._g_mant[0, n]
-        self._row_exp[0, n] = self._g_exp[0, n]
-        self._row_log[0, n] = self._g_log[0, n]
-        for j in range(1, self._count):
-            self._row_mant[j, n], self._row_exp[j, n] = conv._ladder_dot(
-                self._row_mant[j - 1, :n + 1], self._row_exp[j - 1, :n + 1],
-                self._g_mant[j, n::-1], self._g_exp[j, n::-1])
-            self._row_log[j, n] = float(np.logaddexp.reduce(
-                self._row_log[j - 1, :n + 1] + self._g_log[j, n::-1]))
-        self._n = n
+        hub_last = tuple(range(1, len(stations))) + (0,)
+        self._conv = conv.Convolution(stations, eta, hub_last)
 
     def extend_to(self, population: int) -> "AggregatedConvolution":
-        if population < 0:
-            raise ValueError("population must be non-negative")
-        while self._n < population:
-            self._extend_one()
+        self._conv.extend_to(population)
         return self
 
     @property
     def population(self) -> int:
-        return self._n
+        return self._conv.population
 
     def table(self, population: int | None = None) -> conv.ConvolutionTable:
-        n = self._n if population is None else population
+        n = self.population if population is None else population
         self.extend_to(n)
-        last = self._count - 1
-        mant = self._row_mant[last, :n + 1].copy()
-        exp2 = self._row_exp[last, :n + 1].copy()
-        logs = self._row_log[last, :n + 1].copy()
-        conv._verify_table(mant, exp2, logs)
-        for arr in (mant, exp2, logs):
-            arr.flags.writeable = False
-        return conv.ConvolutionTable(mant, exp2, logs,
-                                     tuple(range(self._count)))
+        return self._conv.table(n)
 
     def throughput(self, trucks: int) -> float:
         """Overall TH(N) = G(N-1)/G(N) per hour."""
         if trucks < 1:
             raise ValueError("throughput needs at least one truck")
         self.extend_to(trucks)
-        last = self._count - 1
-        den = self._row_mant[last, trucks]
-        if den == 0.0:
-            raise conv.NumericalRangeError("normalization constant vanished")
-        q = self._row_mant[last, trucks - 1] / den
-        return math.ldexp(q, int(self._row_exp[last, trucks - 1]
-                                 - self._row_exp[last, trucks]))
+        return self._conv.ratio(trucks - 1, trucks)
 
     def warehouse_throughput(self, trucks: int) -> float:
         """Deliveries per hour over all warehouses: TH(N)/4."""
         return HUB_VISIT_RATIO * self.throughput(trucks)
+
+    def hub_busy(self, trucks: int) -> float:
+        """P(hub holds at least one truck) = 1 - G_without_hub(N)/G(N)."""
+        self.extend_to(trucks)
+        return 1.0 - self._conv.ratio(trucks, trucks, num_row=-2)
 
 
 def aggregated_norm_constants(star: StarNetwork, population: int
@@ -237,19 +165,48 @@ def aggregated_norm_constants(star: StarNetwork, population: int
     return AggregatedConvolution(star).table(population)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarAnalysis:
-    """Steady-state figures for a star network with a fixed fleet."""
+    """Steady-state figures for a star network with a fixed fleet.
 
+    Only the scenario, the hub location and scalars are stored; the star,
+    its table, the marginals and the per-warehouse split are rebuilt when
+    read.
+    """
+
+    scenario: Scenario
+    center: Point
     trucks: int
-    table: conv.ConvolutionTable
     throughput: float                 # per hour, all four legs combined
     warehouse_throughput: float       # deliveries per hour, = throughput / 4
-    warehouse_throughputs: np.ndarray  # per warehouse, rho_j * warehouse_throughput
     passage_time_hours: float          # round-trip time 4 N / throughput
     busy_center: float                 # P(hub has at least one truck)
-    marginals: tuple[np.ndarray, ...]  # aggregated stations: hub, docks, pooled lane
-    hours_per_day: float
+
+    @property
+    def star(self) -> StarNetwork:
+        return build_star(self.scenario, self.center)
+
+    @property
+    def hours_per_day(self) -> float:
+        return self.scenario.hours_per_day
+
+    @property
+    def table(self) -> conv.ConvolutionTable:
+        return aggregated_norm_constants(self.star, self.trucks)
+
+    @property
+    def marginals(self) -> tuple[np.ndarray, ...]:
+        """Queue-length distributions at the aggregated stations: hub, docks,
+        pooled lane."""
+        stations, eta = self.star.aggregated_stations()
+        table = self.table
+        return tuple(conv.marginal_distribution(stations, eta, table, i)
+                     for i in range(len(stations)))
+
+    @property
+    def warehouse_throughputs(self) -> np.ndarray:
+        """Per warehouse, rho_j * warehouse_throughput."""
+        return np.asarray(demand_fractions(self.scenario)) * self.warehouse_throughput
 
     @property
     def warehouse_throughput_per_day(self) -> float:
@@ -261,31 +218,23 @@ class StarAnalysis:
 
 
 def analyze(star: StarNetwork, trucks: int) -> StarAnalysis:
-    """Throughputs, passage time, hub busy probability, and marginals."""
+    """Throughputs, passage time and hub busy probability."""
     if trucks < 1:
         raise ValueError("analysis needs at least one truck")
-    stations, eta = star.aggregated_stations()
-    table = aggregated_norm_constants(star, trucks)
-    th = conv.throughput(table)
-    th_w = HUB_VISIT_RATIO * th
-    marginals = tuple(
-        conv.marginal_distribution(stations, eta, table, i)
-        for i in range(len(stations))
-    )
+    agg = AggregatedConvolution(star)
+    th = agg.throughput(trucks)
     return StarAnalysis(
+        scenario=star.scenario,
+        center=star.center,
         trucks=trucks,
-        table=table,
         throughput=th,
-        warehouse_throughput=th_w,
-        warehouse_throughputs=star.rho * th_w,
+        warehouse_throughput=HUB_VISIT_RATIO * th,
         passage_time_hours=4.0 * trucks / th,
-        busy_center=1.0 - float(marginals[0][0]),
-        marginals=marginals,
-        hours_per_day=star.scenario.hours_per_day,
+        busy_center=agg.hub_busy(trucks),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BottleneckReport:
     """Saturation caps as the fleet grows without bound.
 

@@ -10,7 +10,7 @@ a zero distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,14 +50,22 @@ class WeberProblem:
                    metric=scenario.metric)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeberSolution:
+    """``objective_trace`` holds the objective at the start and after every
+    step, as a read-only float64 array."""
+
     location: Point
     objective: float
     iterations: int
     converged: bool
     at_anchor: int | None = None
-    objective_trace: tuple[float, ...] = ()
+    objective_trace: np.ndarray = field(default=(), compare=False)
+
+    def __post_init__(self) -> None:
+        trace = np.array(self.objective_trace, dtype=np.float64)
+        trace.flags.writeable = False
+        object.__setattr__(self, "objective_trace", trace)
 
 
 def weber_objective(problem: WeberProblem, x: Point) -> float:
@@ -130,7 +138,7 @@ def solve_weber(problem: WeberProblem, tol: float = 1e-9,
                 k = int(np.argmin(d))
                 p = (float(a[k, 0]), float(a[k, 1]))
                 return WeberSolution(p, objective(a[k]), it, True, at_anchor=k,
-                                     objective_trace=tuple(trace))
+                                     objective_trace=trace)
             # step off the anchor along the residual pull
             away = d > _SNAP
             inv = w[away] / d[away]
@@ -153,10 +161,10 @@ def solve_weber(problem: WeberProblem, tol: float = 1e-9,
             if float(np.hypot(*Rk)) <= wk:
                 p = (float(a[k, 0]), float(a[k, 1]))
                 return WeberSolution(p, objective(a[k]), it, True, at_anchor=k,
-                                     objective_trace=tuple(trace))
+                                     objective_trace=trace)
     else:
         return WeberSolution((float(x[0]), float(x[1])), objective(x), max_iter,
-                             False, objective_trace=tuple(trace))
+                             False, objective_trace=trace)
 
     return WeberSolution((float(x[0]), float(x[1])), objective(x), it, True,
-                         objective_trace=tuple(trace))
+                         objective_trace=trace)

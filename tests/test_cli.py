@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -211,3 +214,16 @@ def test_sample_instance_shape():
         assert 10.0 <= w.position[0] <= 410.0
         assert 10.0 <= w.position[1] <= 270.0
         assert w.demand_per_day in BLOCKS["III"].demand_choices
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is needed only by the CTMC oracle, which imports it on first use
+    import hubfleet
+    src = str(Path(hubfleet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, hubfleet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

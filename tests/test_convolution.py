@@ -50,13 +50,16 @@ def test_traffic_random_chains_residual():
 
 
 def test_traffic_reducible_rejected():
-    r = np.array([
-        [0.5, 0.5, 0.0],
-        [0.5, 0.5, 0.0],
-        [0.0, 0.5, 0.5],  # state 2 can leave but never be re-entered... reversed
-    ])
-    with pytest.raises(ReducibleRoutingError):
-        solve_traffic(r)
+    for r in (
+        [[0.5, 0.5, 0.0],
+         [0.5, 0.5, 0.0],
+         [0.0, 0.5, 0.5]],   # state 2 reaches 0, but 0 never reaches 2
+        [[0.0, 1.0, 0.0],
+         [0.0, 0.0, 1.0],
+         [0.0, 0.0, 1.0]],   # 0 reaches every state, but 2 never returns
+    ):
+        with pytest.raises(ReducibleRoutingError):
+            solve_traffic(np.array(r))
 
 
 def test_closed_network_validation():
@@ -201,6 +204,11 @@ def test_corrupted_table_detected():
     mant[5] *= 1.0 + 1e-5
     with pytest.raises(NumericalRangeError, match="disagree"):
         _verify_table(mant, np.array(t.exponent), np.array(t.log_values))
+    # a log entry that lost its value entirely must not slip through
+    logs = np.array(t.log_values)
+    logs[5] = -math.inf
+    with pytest.raises(NumericalRangeError, match="disagree"):
+        _verify_table(np.array(t.mantissa), np.array(t.exponent), logs)
 
 
 def test_unholdable_population_raises():

@@ -42,6 +42,14 @@ def test_descent_and_start_dominance(towns_pro):
     assert sol.objective <= trace[0]
 
 
+def test_solution_value_semantics(towns_pro):
+    # the trace array is left out of equality and hashing
+    problem = WeberProblem.from_scenario(towns_pro, weighted=True)
+    a, b = solve_weber(problem), solve_weber(problem)
+    assert a == b and hash(a) == hash(b)
+    assert not a.objective_trace.flags.writeable
+
+
 def test_weight_scaling_invariance(towns_pro):
     base = WeberProblem.from_scenario(towns_pro, weighted=True)
     scaled = WeberProblem(anchors=base.anchors,
