@@ -13,6 +13,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -30,12 +31,26 @@ EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 
 
+def _fail(message: str) -> NoReturn:
+    """Exit 1 with a one-line message on stderr."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(EXIT_INVALID)
+
+
 def _load(path: str) -> Scenario:
     try:
         return load_scenario(path)
     except (ScenarioError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INVALID)
+        _fail(str(exc))
+
+
+def _with_mu1(scenario: Scenario, mu1: float | None) -> Scenario:
+    """The scenario with its hub loading rate overridden by ``--mu1``."""
+    if mu1 is None:
+        return scenario
+    if not mu1 > 0:
+        _fail("--mu1 must be positive")
+    return scenario.with_center_rate(mu1)
 
 
 def _parse_point(text: str | None) -> tuple[float, float] | None:
@@ -45,8 +60,7 @@ def _parse_point(text: str | None) -> tuple[float, float] | None:
         xs, ys = text.split(",")
         return float(xs), float(ys)
     except ValueError:
-        click.echo(f"error: expected --center X,Y, got {text!r}", err=True)
-        sys.exit(EXIT_INVALID)
+        _fail(f"expected --center X,Y, got {text!r}")
 
 
 def _trucks_cell(feasible: bool, trucks: int | None) -> str:
@@ -76,22 +90,13 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
               mu1: float | None, csv_path: str | None, compare: bool,
               busy_decimals: int) -> None:
     """Full pipeline: place the hub, size the fleet, report steady state."""
-    scenario = _load(file)
-    if mu1 is not None:
-        if mu1 <= 0:
-            click.echo("error: --mu1 must be positive", err=True)
-            sys.exit(EXIT_INVALID)
-        scenario = scenario.with_center_rate(mu1)
+    scenario = _with_mu1(_load(file), mu1)
 
     center = _parse_point(center_text) or scenario.center.location
     if compare and center is not None:
-        click.echo("error: --compare solves for hub locations; drop --center",
-                   err=True)
-        sys.exit(EXIT_INVALID)
+        _fail("--compare solves for hub locations; drop --center")
     if compare and trucks is not None:
-        click.echo("error: --compare sizes its own fleets; drop --trucks",
-                   err=True)
-        sys.exit(EXIT_INVALID)
+        _fail("--compare sizes its own fleets; drop --trucks")
 
     if compare:
         comp = compare_locations(scenario)
@@ -113,8 +118,7 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
 
     if trucks is not None:
         if trucks < 1:
-            click.echo("error: --trucks must be at least 1", err=True)
-            sys.exit(EXIT_INVALID)
+            _fail("--trucks must be at least 1")
         n_report = trucks
         feasible = (scenario.truck_capacity
                     * analyze(star, trucks).warehouse_throughput_per_day
@@ -182,9 +186,7 @@ def cmd_weber(file: str) -> None:
 def cmd_fleet(file: str, center_text: str | None, mu1: float | None,
               find_mu1: bool, mu1_step: float) -> None:
     """Minimal fleet size at a hub location."""
-    scenario = _load(file)
-    if mu1 is not None:
-        scenario = scenario.with_center_rate(mu1)
+    scenario = _with_mu1(_load(file), mu1)
     center = _parse_point(center_text) or scenario.center.location
     if center is None:
         center = solve_weber(WeberProblem.from_scenario(scenario, True)).location
@@ -214,19 +216,17 @@ def cmd_fleet(file: str, center_text: str | None, mu1: float | None,
 
 @main.command("grid")
 @click.argument("file", type=click.Path(dir_okay=False))
-@click.option("--around-weber", "around_weber", is_flag=True, default=True,
-              help="Center the grid on the weighted hub point.")
 @click.option("--radius", type=float, required=True, help="Half-width in km.")
 @click.option("--step", type=float, required=True, help="Grid spacing in km.")
 @click.option("--trucks", type=int, default=None,
               help="Fleet size; defaults to the minimal feasible fleet.")
-def cmd_grid(file: str, around_weber: bool, radius: float, step: float,
-             trucks: int | None) -> None:
-    """Throughput on a location grid around the hub point."""
+def cmd_grid(file: str, radius: float, step: float, trucks: int | None) -> None:
+    """Throughput on a location grid around the weighted hub point."""
     scenario = _load(file)
     if radius <= 0 or step <= 0:
-        click.echo("error: --radius and --step must be positive", err=True)
-        sys.exit(EXIT_INVALID)
+        _fail("--radius and --step must be positive")
+    if trucks is not None and trucks < 1:
+        _fail("--trucks must be at least 1")
     sol = solve_weber(WeberProblem.from_scenario(scenario, weighted=True))
     cx, cy = sol.location
     if trucks is None:
@@ -408,8 +408,7 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
     parallelizes the solves without changing it.
     """
     if count < 1:
-        click.echo("error: --count must be at least 1", err=True)
-        sys.exit(EXIT_INVALID)
+        _fail("--count must be at least 1")
     block = BLOCKS[block_name]
     rng = np.random.default_rng(seed)
     scenarios = [sample_instance(rng, block, mu1=mu1, speed=speed)

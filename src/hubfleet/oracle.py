@@ -12,10 +12,12 @@ Plus random instance generation and the validation suite behind the
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from heapq import heapify, heappop, heappush
+from itertools import chain, repeat, starmap
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -190,60 +192,16 @@ def ctmc_throughput(net: conv.ClosedNetwork) -> CtmcResult:
 # discrete-event simulation of the star network
 
 
-class _ExpStream:
-    """Blocked exponential draws from a dedicated generator."""
-
-    def __init__(self, rng: np.random.Generator, mean: float, block: int = 2048):
-        self.rng = rng
-        self.mean = mean
-        self.block = block
-        self.buf = np.empty(0)
-        self.idx = 0
-
-    def next(self) -> float:
-        if self.idx >= len(self.buf):
-            self.buf = self.rng.exponential(self.mean, self.block)
-            self.idx = 0
-        v = self.buf[self.idx]
-        self.idx += 1
-        return float(v)
+_BLOCK = 2048
 
 
-class _ConstStream:
-    def __init__(self, value: float):
-        self.value = value
+def _stream(draw: Callable[[], np.ndarray]) -> Callable[[], float]:
+    """Bound ``__next__`` over the blocks ``draw`` returns, as Python floats.
 
-    def next(self) -> float:
-        return self.value
-
-
-class _UniformStream:
-    """Blocked U(0,1) draws for routing decisions."""
-
-    def __init__(self, rng: np.random.Generator, block: int = 2048):
-        self.rng = rng
-        self.block = block
-        self.buf = np.empty(0)
-        self.idx = 0
-
-    def next(self) -> float:
-        if self.idx >= len(self.buf):
-            self.buf = self.rng.random(self.block)
-            self.idx = 0
-        v = self.buf[self.idx]
-        self.idx += 1
-        return float(v)
-
-
-class _CallableStream:
-    def __init__(self, rng: np.random.Generator, mean: float,
-                 fn: Callable[[np.random.Generator, float], float]):
-        self.rng = rng
-        self.mean = mean
-        self.fn = fn
-
-    def next(self) -> float:
-        return float(self.fn(self.rng, self.mean))
+    A block is drawn only when the previous one runs out, so streams that
+    share a generator take their blocks from it in the order they run dry.
+    """
+    return chain.from_iterable(memoryview(draw()) for _ in repeat(None)).__next__
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,11 +227,24 @@ def simulate(star: StarNetwork, trucks: int, *,
     lanes) and estimate throughput and per-station sojourn times.
 
     The horizon counts processed events per replication; the first
-    ``warmup_fraction`` of them is discarded.  Routing, service, and travel
-    draws come from separate generators spawned from ``seed``, so runs with
-    different travel distributions are common-random-number paired.  Equal
-    seeds give bit-identical results.
+    ``warmup_fraction`` of them is discarded.  Each replication spawns its
+    generators from ``seed``: one for routing, one for each hub or dock's
+    service times, and one shared by all lanes for travel times, so runs
+    with different travel distributions are common-random-number paired.
+    Routing choices, service times and exponential travel times are drawn
+    in blocks of 2048, each block when the previous one runs out, so the
+    lanes take blocks from the shared generator in the order they run dry.
+    A callable ``travel(rng, mean)`` is called once per trip with the shared
+    generator.  Equal seeds give bit-identical results.
     """
+    if trucks < 0:
+        raise ValueError(f"trucks must be non-negative, got {trucks}")
+    if replications < 0:
+        raise ValueError(f"replications must be non-negative, got {replications}")
+    if horizon_events < 1:
+        raise ValueError(f"horizon_events must be at least 1, got {horizon_events}")
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(f"warmup_fraction must lie in [0, 1), got {warmup_fraction}")
     s = star.scenario
     k = len(s.warehouses)
     names = ["center"]
@@ -290,25 +261,21 @@ def simulate(star: StarNetwork, trucks: int, *,
                            z.copy(), z.copy(), replications, horizon_events,
                            travel_label)
 
-    # FCFS server counts; lanes get 0 as a placeholder (never queued)
-    servers = np.zeros(n_st, dtype=int)
-    servers[0] = s.center.servers
-    rho = star.rho
-    cum = np.cumsum(rho).tolist()
-    service_mean = np.zeros(n_st)
-    service_mean[0] = 1.0 / s.center.load_rate_per_hour
-    lane_mean = np.zeros(n_st)
-    kind = np.zeros(n_st, dtype=int)  # 0 hub, 1 lane out, 2 dock, 3 lane back
+    # station 0 is the hub; warehouse i has lane out 1+3i, dock 2+3i and
+    # lane back 3+3i.  kind: 0 hub, 1 lane out, 2 dock, 3 lane back.
+    # servers count only at FCFS stations; lanes never queue.  mean_time is
+    # the mean service time at the hub and docks, the travel time on lanes.
+    kind = [0] + [1, 2, 3] * k
+    servers = [s.center.servers] + [0] * (3 * k)
+    mean_time = [1.0 / s.center.load_rate_per_hour] + [0.0] * (3 * k)
     for i, w in enumerate(s.warehouses):
-        out, dock, back = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
-        kind[out], kind[dock], kind[back] = 1, 2, 3
-        servers[dock] = w.servers
-        service_mean[dock] = 1.0 / w.unload_rate_per_hour
-        lane_mean[out] = lane_mean[back] = float(star.travel_hours[i])
+        servers[2 + 3 * i] = w.servers
+        mean_time[2 + 3 * i] = 1.0 / w.unload_rate_per_hour
+        mean_time[1 + 3 * i] = mean_time[3 + 3 * i] = float(star.travel_hours[i])
+    cum = np.cumsum(star.rho).tolist()
 
     warm_count = int(warmup_fraction * horizon_events)
-    root = np.random.SeedSequence(seed)
-    rep_seeds = root.spawn(replications)
+    rep_seeds = np.random.SeedSequence(seed).spawn(replications)
 
     th_w = np.zeros(replications)
     soj_mean = np.zeros((replications, n_st))
@@ -316,97 +283,84 @@ def simulate(star: StarNetwork, trucks: int, *,
 
     for rep in range(replications):
         route_seq, service_seq, travel_seq = rep_seeds[rep].spawn(3)
-        route_rng = np.random.default_rng(route_seq)
+        route = _stream(partial(np.random.default_rng(route_seq).random, _BLOCK))
         service_rngs = [np.random.default_rng(ss) for ss in service_seq.spawn(n_st)]
         travel_rng = np.random.default_rng(travel_seq)
 
-        svc = [None] * n_st
+        draw = []
         for st in range(n_st):
+            mean = mean_time[st]
             if kind[st] in (0, 2):
-                svc[st] = _ExpStream(service_rngs[st], service_mean[st])
-            elif travel == "exponential":
-                svc[st] = _ExpStream(travel_rng, lane_mean[st]) if lane_mean[st] > 0 \
-                    else _ConstStream(0.0)
-            elif travel == "deterministic":
-                svc[st] = _ConstStream(lane_mean[st])
+                draw.append(_stream(partial(service_rngs[st].exponential, mean, _BLOCK)))
+            elif travel == "exponential" and mean > 0:
+                draw.append(_stream(partial(travel_rng.exponential, mean, _BLOCK)))
+            elif isinstance(travel, str):  # deterministic, or a zero-length lane
+                draw.append(repeat(mean).__next__)
             else:
-                svc[st] = _CallableStream(travel_rng, lane_mean[st], travel)
-        route_stream = _UniformStream(route_rng)
-
-        def next_route() -> int:
-            return bisect_right(cum, route_stream.next())
+                draw.append(map(float, starmap(travel, repeat((travel_rng, mean)))).__next__)
 
         busy = [0] * n_st
         queues: list[list[int]] = [[] for _ in range(n_st)]
         qhead = [0] * n_st
         arr = [0.0] * trucks
-        heap: list[tuple[float, int, int, int]] = []
-        seq = 0
+        completions = [0] * n_st
+        soj_sum = [0.0] * n_st
+        # every truck starts at the hub, the first ones in service; heap
+        # entries are (time, seq, truck, station), seq breaking time ties
+        busy[0] = seq = min(trucks, servers[0])
+        heap = [(draw[0](), truck + 1, truck, 0) for truck in range(seq)]
+        heapify(heap)
+        queues[0].extend(range(seq, trucks))
 
-        def enter_fcfs(st: int, truck: int, now: float) -> None:
-            nonlocal seq
-            arr[truck] = now
-            if busy[st] < servers[st]:
-                busy[st] += 1
-                seq += 1
-                heapq.heappush(heap, (now + svc[st].next(), seq, truck, st))
-            else:
-                queues[st].append(truck)
-
-        def enter_lane(st: int, truck: int, now: float) -> None:
-            nonlocal seq
-            arr[truck] = now
-            seq += 1
-            heapq.heappush(heap, (now + svc[st].next(), seq, truck, st))
-
-        for truck in range(trucks):
-            enter_fcfs(0, truck, 0.0)
-
-        completions = np.zeros(n_st, dtype=np.int64)
-        soj_sum = np.zeros(n_st)
         t_warm = 0.0
         t = 0.0
         pops = 0
         while pops < horizon_events and heap:
-            t, _, truck, st = heapq.heappop(heap)
+            t, _, truck, st = heappop(heap)
             pops += 1
             if pops == warm_count:
                 t_warm = t
-            counted = pops > warm_count
-            if counted:
+            if pops > warm_count:
                 completions[st] += 1
                 soj_sum[st] += t - arr[truck]
+            arr[truck] = t
             ki = kind[st]
-            if ki in (0, 2):
+            if ki == 0 or ki == 2:
+                # a server frees up: start the next queued truck, then the
+                # departing truck takes a lane
                 q = queues[st]
-                if qhead[st] < len(q):
-                    nxt = q[qhead[st]]
-                    qhead[st] += 1
-                    if qhead[st] > 512 and qhead[st] * 2 > len(q):
-                        del q[:qhead[st]]
-                        qhead[st] = 0
+                head = qhead[st]
+                if head < len(q):
+                    waiting = q[head]
+                    head += 1
+                    if head > 512 and head * 2 > len(q):
+                        del q[:head]
+                        head = 0
+                    qhead[st] = head
                     seq += 1
-                    heapq.heappush(heap, (t + svc[st].next(), seq, nxt, st))
+                    heappush(heap, (t + draw[st](), seq, waiting, st))
                 else:
                     busy[st] -= 1
-            if ki == 0:
-                dest = next_route()
-                enter_lane(1 + 3 * dest, truck, t)
-            elif ki == 1:
-                enter_fcfs(st + 1, truck, t)
-            elif ki == 2:
-                enter_lane(st + 1, truck, t)
+                nxt = 1 + 3 * bisect_right(cum, route()) if ki == 0 else st + 1
+                seq += 1
+                heappush(heap, (t + draw[nxt](), seq, truck, nxt))
             else:
-                enter_fcfs(0, truck, t)
+                # a lane ends at a dock (out) or at the hub (back)
+                nxt = st + 1 if ki == 1 else 0
+                if busy[nxt] < servers[nxt]:
+                    busy[nxt] += 1
+                    seq += 1
+                    heappush(heap, (t + draw[nxt](), seq, truck, nxt))
+                else:
+                    queues[nxt].append(truck)
 
         window = t - t_warm
         if window <= 0:
             raise ValueError("horizon too short for the requested warm-up")
-        docks = kind == 2
-        th_w[rep] = completions[docks].sum() / window
-        th_station[rep] = completions / window
-        with np.errstate(invalid="ignore"):
-            soj_mean[rep] = np.where(completions > 0, soj_sum / np.maximum(completions, 1), 0.0)
+        done = np.array(completions, dtype=np.int64)
+        th_w[rep] = done[2::3].sum() / window
+        th_station[rep] = done / window
+        soj_mean[rep] = np.where(done > 0, np.array(soj_sum) / np.maximum(done, 1), 0.0)
 
     mean = float(th_w.mean())
     hw = 0.0 if replications < 2 else \

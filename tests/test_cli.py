@@ -138,6 +138,29 @@ def test_grid_rejects_bad_step(runner, log_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("verb,args", [
+    ("fleet", ["--mu1", "-1"]),
+    ("fleet", ["--mu1", "0"]),
+    ("solve", ["--mu1", "-1"]),
+    ("grid", ["--radius", "10", "--step", "10", "--trucks", "0"]),
+    ("grid", ["--radius", "10", "--step", "10", "--trucks", "-2"]),
+])
+def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
+    res = runner.invoke(main, [verb, log_path, *args])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_grid_has_no_around_weber_flag(runner, log_path):
+    res = runner.invoke(main, ["grid", log_path, "--around-weber",
+                               "--radius", "10", "--step", "10"])
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+
+
 def test_generate_deterministic(runner):
     args = ["generate", "--block", "I", "--count", "3", "--seed", "17"]
     first = runner.invoke(main, args)

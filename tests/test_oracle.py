@@ -55,6 +55,21 @@ def test_des_zero_trucks(toy_star_scenario):
     assert np.all(est.per_replication == 0.0)
 
 
+@pytest.mark.parametrize("trucks,kw,name", [
+    (-1, {}, "trucks"),
+    (2, {"replications": -1}, "replications"),
+    (2, {"horizon_events": 0}, "horizon_events"),
+    (2, {"warmup_fraction": 1.5}, "warmup_fraction"),
+    (2, {"warmup_fraction": 1.0}, "warmup_fraction"),
+    (2, {"warmup_fraction": -0.1}, "warmup_fraction"),
+    (2, {"warmup_fraction": float("nan")}, "warmup_fraction"),
+])
+def test_des_rejects_bad_arguments(toy_star_scenario, trucks, kw, name):
+    star = build_star(toy_star_scenario, (0.0, 0.0))
+    with pytest.raises(ValueError, match=name):
+        simulate(star, trucks, **{"horizon_events": 1000, "replications": 2, **kw})
+
+
 def test_des_bit_identical_reruns(toy_star_scenario):
     star = build_star(toy_star_scenario, (0.0, 0.0))
     a = simulate(star, 2, horizon_events=5000, replications=3, seed=42)
