@@ -44,12 +44,17 @@ def _load(path: str) -> Scenario:
         _fail(str(exc))
 
 
+def _require_positive(value: float | None, option: str) -> None:
+    """Exit 1 unless an option that was given is positive (NaN is not)."""
+    if value is not None and not value > 0:
+        _fail(f"{option} must be positive")
+
+
 def _with_mu1(scenario: Scenario, mu1: float | None) -> Scenario:
     """The scenario with its hub loading rate overridden by ``--mu1``."""
     if mu1 is None:
         return scenario
-    if not mu1 > 0:
-        _fail("--mu1 must be positive")
+    _require_positive(mu1, "--mu1")
     return scenario.with_center_rate(mu1)
 
 
@@ -97,6 +102,8 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
         _fail("--compare solves for hub locations; drop --center")
     if compare and trucks is not None:
         _fail("--compare sizes its own fleets; drop --trucks")
+    if trucks is not None and trucks < 1:
+        _fail("--trucks must be at least 1")
 
     if compare:
         comp = compare_locations(scenario)
@@ -114,19 +121,15 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
         label = "weighted hub point"
     star = build_star(scenario, center)
     bn = bottleneck(star)
-    fleet = min_trucks(scenario, center)
 
     if trucks is not None:
-        if trucks < 1:
-            _fail("--trucks must be at least 1")
-        n_report = trucks
-        feasible = (scenario.truck_capacity
-                    * analyze(star, trucks).warehouse_throughput_per_day
+        ana = analyze(star, trucks)
+        feasible = (scenario.truck_capacity * ana.warehouse_throughput_per_day
                     >= scenario.total_demand_per_day)
     else:
-        n_report = fleet.trucks if fleet.feasible else scenario.max_trucks
+        fleet = min_trucks(scenario, center)
         feasible = fleet.feasible
-    ana = analyze(star, n_report)
+        ana = analyze(star, fleet.trucks if feasible else scenario.max_trucks)
 
     click.echo(f"scenario            {file}")
     click.echo(f"stations            {scenario.num_stations} "
@@ -147,7 +150,7 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
         head = ["x", "y", "trucks", "throughput_per_day", "busy",
                 "round_trip_hours", "feasible"]
         row = [f"{center[0]:.3f}", f"{center[1]:.3f}",
-               _trucks_cell(feasible, n_report if feasible else None),
+               _trucks_cell(feasible, ana.trucks if feasible else None),
                f"{ana.warehouse_throughput_per_day:.3f}",
                f"{ana.busy_center:.{busy_decimals}f}",
                f"{ana.passage_time_hours:.3f}",
@@ -186,6 +189,7 @@ def cmd_weber(file: str) -> None:
 def cmd_fleet(file: str, center_text: str | None, mu1: float | None,
               find_mu1: bool, mu1_step: float) -> None:
     """Minimal fleet size at a hub location."""
+    _require_positive(mu1_step, "--mu1-step")
     scenario = _with_mu1(_load(file), mu1)
     center = _parse_point(center_text) or scenario.center.location
     if center is None:
@@ -409,6 +413,8 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
     """
     if count < 1:
         _fail("--count must be at least 1")
+    _require_positive(mu1, "--mu1")
+    _require_positive(speed, "--speed")
     block = BLOCKS[block_name]
     rng = np.random.default_rng(seed)
     scenarios = [sample_instance(rng, block, mu1=mu1, speed=speed)

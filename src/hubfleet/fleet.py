@@ -138,7 +138,12 @@ class PlacementOutcome:
 class LocationComparison:
     weighted: PlacementOutcome
     unweighted: PlacementOutcome
-    distance_between: float
+
+    @property
+    def distance_between(self) -> float:
+        """Distance between the two hub locations, in km."""
+        (xw, yw), (xu, yu) = self.weighted.location, self.unweighted.location
+        return math.hypot(xw - xu, yw - yu)
 
 
 def solve_at(scenario: Scenario, center: Point, label: str = "fixed",
@@ -170,7 +175,4 @@ def compare_locations(scenario: Scenario, tol: float = 1e-9,
                         tol=tol, max_iter=max_iter)
     out_w = solve_at(scenario, sol_w.location, "weighted", sol_w)
     out_u = solve_at(scenario, sol_u.location, "unweighted", sol_u)
-    dist = math.hypot(sol_w.location[0] - sol_u.location[0],
-                      sol_w.location[1] - sol_u.location[1])
-    return LocationComparison(weighted=out_w, unweighted=out_u,
-                              distance_between=dist)
+    return LocationComparison(weighted=out_w, unweighted=out_u)

@@ -53,7 +53,7 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Warehouse:
     """One delivery destination with its own unloading docks."""
 
@@ -75,7 +75,7 @@ class Warehouse:
                  f"warehouse {self.id}: unload_rate_per_hour must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Center:
     """The loading hub.  ``location`` is fixed only when given; otherwise the
     solver places the hub (Weber point)."""
@@ -91,7 +91,7 @@ class Center:
                  "center: load_rate_per_hour must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """A full problem instance.
 

@@ -69,9 +69,14 @@ def build_star(scenario: Scenario, center: Point) -> StarNetwork:
     travel = d / scenario.truck_speed_kmh
     eta_w = rho * HUB_VISIT_RATIO
     h = float((eta_w * travel).sum())
+    # a point that is already two floats is kept, not copied, so the
+    # analyses built on it share the caller's object
+    if not (type(center) is tuple and len(center) == 2
+            and type(center[0]) is float and type(center[1]) is float):
+        center = (float(center[0]), float(center[1]))
     return StarNetwork(
         scenario=scenario,
-        center=(float(center[0]), float(center[1])),
+        center=center,
         distances=d,
         travel_hours=travel,
         eta_warehouse=eta_w,
@@ -170,8 +175,8 @@ class StarAnalysis:
     """Steady-state figures for a star network with a fixed fleet.
 
     Only the scenario, the hub location and scalars are stored; the star,
-    its table, the marginals and the per-warehouse split are rebuilt when
-    read.
+    its table, the marginals, the per-warehouse split and the passage time
+    are rebuilt when read.
     """
 
     scenario: Scenario
@@ -179,7 +184,6 @@ class StarAnalysis:
     trucks: int
     throughput: float                 # per hour, all four legs combined
     warehouse_throughput: float       # deliveries per hour, = throughput / 4
-    passage_time_hours: float          # round-trip time 4 N / throughput
     busy_center: float                 # P(hub has at least one truck)
 
     @property
@@ -189,6 +193,11 @@ class StarAnalysis:
     @property
     def hours_per_day(self) -> float:
         return self.scenario.hours_per_day
+
+    @property
+    def passage_time_hours(self) -> float:
+        """Round-trip time 4 N / throughput."""
+        return 4.0 * self.trucks / self.throughput
 
     @property
     def table(self) -> conv.ConvolutionTable:
@@ -229,7 +238,6 @@ def analyze(star: StarNetwork, trucks: int) -> StarAnalysis:
         trucks=trucks,
         throughput=th,
         warehouse_throughput=HUB_VISIT_RATIO * th,
-        passage_time_hours=4.0 * trucks / th,
         busy_center=agg.hub_busy(trucks),
     )
 

@@ -10,9 +10,7 @@ a zero distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .scenario import EUCLIDEAN, DistanceMetric, Point, Scenario, demand_fractions
 
@@ -52,20 +50,14 @@ class WeberProblem:
 
 @dataclass(frozen=True, slots=True)
 class WeberSolution:
-    """``objective_trace`` holds the objective at the start and after every
-    step, as a read-only float64 array."""
+    """Scalars only; ``at_anchor`` is the index of the anchor the solution
+    sits on, if any."""
 
     location: Point
     objective: float
     iterations: int
     converged: bool
     at_anchor: int | None = None
-    objective_trace: np.ndarray = field(default=(), compare=False)
-
-    def __post_init__(self) -> None:
-        trace = np.array(self.objective_trace, dtype=np.float64)
-        trace.flags.writeable = False
-        object.__setattr__(self, "objective_trace", trace)
 
 
 def weber_objective(problem: WeberProblem, x: Point) -> float:
@@ -74,31 +66,49 @@ def weber_objective(problem: WeberProblem, x: Point) -> float:
                for a, w in zip(problem.anchors, problem.weights))
 
 
-def _pull(a: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Unit-direction pulls toward anchors away from x.
+# an anchor is an (x, y, weight) triple of floats
+Anchor = tuple[float, float, float]
 
-    Returns (R, w_here, d): R is the summed pull of anchors not coincident
-    with x, w_here the total weight sitting exactly at x, d the distances.
+
+def _objective(anchors: tuple[Anchor, ...], x: float, y: float) -> float:
+    return sum(w * math.hypot(ax - x, ay - y) for ax, ay, w in anchors)
+
+
+def _nearest(anchors: tuple[Anchor, ...], x: float, y: float) -> int:
+    """Index of the anchor closest to (x, y); the first one on a tie."""
+    return min(range(len(anchors)),
+               key=lambda i: math.hypot(anchors[i][0] - x, anchors[i][1] - y))
+
+
+def _pull(anchors: tuple[Anchor, ...], x: float, y: float
+          ) -> tuple[float, float, float]:
+    """Summed unit-direction pull toward the anchors away from (x, y).
+
+    Returns (rx, ry, w_here): the pull of anchors not coincident with the
+    point, and the total weight sitting exactly on it.
     """
-    diff = a - x
-    d = np.hypot(diff[:, 0], diff[:, 1])
-    here = d <= _SNAP
-    w_here = float(w[here].sum())
-    away = ~here
-    R = np.zeros(2)
-    if away.any():
-        R = ((w[away] / d[away])[:, None] * diff[away]).sum(axis=0)
-    return R, w_here, d
+    rx = ry = w_here = 0.0
+    for ax, ay, w in anchors:
+        dx, dy = ax - x, ay - y
+        d = math.hypot(dx, dy)
+        if d <= _SNAP:
+            w_here += w
+        else:
+            s = w / d
+            rx += s * dx
+            ry += s * dy
+    return rx, ry, w_here
 
 
-def _optimality_residual(a: np.ndarray, w: np.ndarray, x: np.ndarray) -> float:
+def _optimality_residual(anchors: tuple[Anchor, ...], x: float, y: float,
+                         total_weight: float) -> float:
     """Scaled first-order residual; zero at the optimum.
 
     Away from anchors this is the gradient norm over the total weight; on an
     anchor it is the excess of the remaining pull over the anchor's weight.
     """
-    R, w_here, _ = _pull(a, w, x)
-    return max(0.0, float(np.hypot(*R)) - w_here) / float(w.sum())
+    rx, ry, w_here = _pull(anchors, x, y)
+    return max(0.0, math.hypot(rx, ry) - w_here) / total_weight
 
 
 def solve_weber(problem: WeberProblem, tol: float = 1e-9,
@@ -115,56 +125,60 @@ def solve_weber(problem: WeberProblem, tol: float = 1e-9,
             "iterative solver supports only the euclidean metric; "
             "use weber_objective to evaluate other metrics")
 
-    a = np.asarray(problem.anchors, dtype=float)
-    w = np.asarray(problem.weights, dtype=float)
-    n = len(a)
+    anchors = tuple((float(ax), float(ay), float(w))
+                    for (ax, ay), w in zip(problem.anchors, problem.weights))
 
-    def objective(x: np.ndarray) -> float:
-        diff = a - x
-        return float((w * np.hypot(diff[:, 0], diff[:, 1])).sum())
+    def at_anchor(k: int, it: int) -> WeberSolution:
+        ax, ay, _ = anchors[k]
+        return WeberSolution((ax, ay), _objective(anchors, ax, ay), it, True,
+                             at_anchor=k)
 
-    if n == 1:
-        p = (float(a[0, 0]), float(a[0, 1]))
-        return WeberSolution(p, 0.0, 0, True, at_anchor=0, objective_trace=(0.0,))
+    if len(anchors) == 1:
+        return WeberSolution(anchors[0][:2], 0.0, 0, True, at_anchor=0)
 
-    x = (w[:, None] * a).sum(axis=0) / w.sum()
-    trace = [objective(x)]
+    total = sum(w for _, _, w in anchors)
+    x = sum(w * ax for ax, _, w in anchors) / total
+    y = sum(w * ay for _, ay, w in anchors) / total
 
     for it in range(1, max_iter + 1):
-        R, w_here, d = _pull(a, w, x)
+        # one pass: the pull, the weight at the iterate, and the Weiszfeld
+        # map over the anchors away from it
+        rx = ry = w_here = num_x = num_y = den = 0.0
+        for ax, ay, w in anchors:
+            dx, dy = ax - x, ay - y
+            d = math.hypot(dx, dy)
+            if d <= _SNAP:
+                w_here += w
+            else:
+                s = w / d
+                rx += s * dx
+                ry += s * dy
+                num_x += s * ax
+                num_y += s * ay
+                den += s
         if w_here > 0.0:
             # iterate sits on an anchor (or a stack of coincident anchors)
-            if float(np.hypot(*R)) <= w_here:
-                k = int(np.argmin(d))
-                p = (float(a[k, 0]), float(a[k, 1]))
-                return WeberSolution(p, objective(a[k]), it, True, at_anchor=k,
-                                     objective_trace=trace)
+            r = math.hypot(rx, ry)
+            if r <= w_here:
+                return at_anchor(_nearest(anchors, x, y), it)
             # step off the anchor along the residual pull
-            away = d > _SNAP
-            inv = w[away] / d[away]
-            t = (inv[:, None] * a[away]).sum(axis=0) / inv.sum()
-            beta = min(1.0, w_here / float(np.hypot(*R)))
-            x_new = (1.0 - beta) * t + beta * x
+            beta = min(1.0, w_here / r)
+            x_new = (1.0 - beta) * (num_x / den) + beta * x
+            y_new = (1.0 - beta) * (num_y / den) + beta * y
         else:
-            inv = w / d
-            x_new = (inv[:, None] * a).sum(axis=0) / inv.sum()
+            x_new, y_new = num_x / den, num_y / den
 
-        move = float(np.hypot(*(x_new - x)))
-        x = x_new
-        trace.append(objective(x))
-        if move <= tol * (1.0 + float(np.hypot(*x))):
-            if _optimality_residual(a, w, x) <= 10.0 * tol:
+        move = math.hypot(x_new - x, y_new - y)
+        x, y = x_new, y_new
+        if move <= tol * (1.0 + math.hypot(x, y)):
+            if _optimality_residual(anchors, x, y, total) <= 10.0 * tol:
                 break
             # stalled against a nearby anchor: accept it only if certified
-            k = int(np.argmin(np.hypot(a[:, 0] - x[0], a[:, 1] - x[1])))
-            Rk, wk, _ = _pull(a, w, a[k])
-            if float(np.hypot(*Rk)) <= wk:
-                p = (float(a[k, 0]), float(a[k, 1]))
-                return WeberSolution(p, objective(a[k]), it, True, at_anchor=k,
-                                     objective_trace=trace)
+            k = _nearest(anchors, x, y)
+            rx, ry, w_k = _pull(anchors, anchors[k][0], anchors[k][1])
+            if math.hypot(rx, ry) <= w_k:
+                return at_anchor(k, it)
     else:
-        return WeberSolution((float(x[0]), float(x[1])), objective(x), max_iter,
-                             False, objective_trace=trace)
+        return WeberSolution((x, y), _objective(anchors, x, y), max_iter, False)
 
-    return WeberSolution((float(x[0]), float(x[1])), objective(x), it, True,
-                         objective_trace=trace)
+    return WeberSolution((x, y), _objective(anchors, x, y), it, True)

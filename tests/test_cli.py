@@ -144,9 +144,16 @@ def test_grid_rejects_bad_step(runner, log_path):
     ("solve", ["--mu1", "-1"]),
     ("grid", ["--radius", "10", "--step", "10", "--trucks", "0"]),
     ("grid", ["--radius", "10", "--step", "10", "--trucks", "-2"]),
+    ("generate", ["--block", "I", "--seed", "1", "--mu1", "-1"]),
+    ("generate", ["--block", "I", "--seed", "1", "--speed", "-5"]),
+    # towns12-log is infeasible at mu1 1, so --find-mu1 would search
+    ("fleet", ["--mu1", "1", "--find-mu1", "--mu1-step", "0"]),
+    ("fleet", ["--mu1", "1", "--find-mu1", "--mu1-step", "-0.01"]),
 ])
 def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
-    res = runner.invoke(main, [verb, log_path, *args])
+    # generate takes no scenario file
+    argv = [verb, *args] if verb == "generate" else [verb, log_path, *args]
+    res = runner.invoke(main, argv)
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.stdout == ""
