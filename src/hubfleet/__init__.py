@@ -20,15 +20,13 @@ from .fleet import (FleetResult, LocationComparison, PlacementOutcome,
 from .oracle import (CheckResult, CtmcResult, DesEstimate, EnumerationResult,
                      ctmc_throughput, enumerate_product_form, random_scenario,
                      run_validation_suite, simulate)
-from .scenario import (Center, DistanceMetric, EUCLIDEAN, Point, Scenario,
-                       ScenarioError, Warehouse, bundled_scenario,
-                       demand_fractions, load_scenario, rate_function,
+from .scenario import (Center, Point, Scenario, ScenarioError, Warehouse,
+                       bundled_scenario, demand_fractions, load_scenario,
                        save_scenario)
 from .star import (AggregatedConvolution, BottleneckReport, StarAnalysis,
                    StarNetwork, aggregated_norm_constants, analyze,
                    bottleneck, build_star, explicit_network,
                    throughput_vs_location)
-from .weber import (UnsupportedMetricError, WeberProblem, WeberSolution,
-                    solve_weber, weber_objective)
+from .weber import WeberProblem, WeberSolution, solve_weber, weber_objective
 
 __version__ = "0.1.0"

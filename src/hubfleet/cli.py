@@ -63,9 +63,12 @@ def _parse_point(text: str | None) -> tuple[float, float] | None:
         return None
     try:
         xs, ys = text.split(",")
-        return float(xs), float(ys)
+        point = float(xs), float(ys)
     except ValueError:
         _fail(f"expected --center X,Y, got {text!r}")
+    if not all(map(math.isfinite, point)):
+        _fail(f"--center must be two finite numbers, got {text!r}")
+    return point
 
 
 def _trucks_cell(feasible: bool, trucks: int | None) -> str:
@@ -285,8 +288,6 @@ def sample_instance(rng: np.random.Generator, block: ExperimentBlock,
                     mu1: float | None = None,
                     speed: float = cal.DEFAULT_TRUCK_SPEED_KMH) -> Scenario:
     """One random instance: 12 single-dock warehouses on an integer lattice."""
-    if not block.demand_choices or any(d <= 0 for d in block.demand_choices):
-        raise ScenarioError("demands must be positive")
     xs = rng.integers(_X_RANGE[0], _X_RANGE[1] + 1, _N_WAREHOUSES)
     ys = rng.integers(_Y_RANGE[0], _Y_RANGE[1] + 1, _N_WAREHOUSES)
     demands = rng.choice(np.asarray(block.demand_choices), _N_WAREHOUSES)
@@ -382,12 +383,8 @@ def _write_csv(path: str, rows: list[ResultRow], busy_decimals: int = 4) -> None
             ])
 
 
-def _evaluate_instance(payload: tuple[int, dict]) -> ResultRow:
-    from .scenario import scenario_from_dict
-    idx, data = payload
-    scenario = scenario_from_dict(data)
-    comp = compare_locations(scenario)
-    return _comparison_row(idx, comp, scenario)
+def _evaluate_instance(idx: int, scenario: Scenario) -> ResultRow:
+    return _comparison_row(idx, compare_locations(scenario), scenario)
 
 
 @main.command("generate")
@@ -415,6 +412,13 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
         _fail("--count must be at least 1")
     _require_positive(mu1, "--mu1")
     _require_positive(speed, "--speed")
+    if math.isinf(speed):
+        _fail("--speed must be finite")
+    jobs_text = os.environ.get("HUBFLEET_JOBS", "1")
+    try:
+        jobs = int(jobs_text)
+    except ValueError:
+        _fail(f"HUBFLEET_JOBS must be an integer, got {jobs_text!r}")
     block = BLOCKS[block_name]
     rng = np.random.default_rng(seed)
     scenarios = [sample_instance(rng, block, mu1=mu1, speed=speed)
@@ -425,14 +429,11 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
             save_scenario(sc, os.path.join(
                 outdir, f"block{block_name}_seed{seed}_{i:03d}.json"))
 
-    from .scenario import scenario_to_dict
-    payloads = [(i, scenario_to_dict(sc)) for i, sc in enumerate(scenarios)]
-    jobs = int(os.environ.get("HUBFLEET_JOBS", "1"))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_evaluate_instance, payloads))
+        with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
+            rows = list(pool.map(_evaluate_instance, range(count), scenarios))
     else:
-        rows = [_evaluate_instance(p) for p in payloads]
+        rows = [_evaluate_instance(i, sc) for i, sc in enumerate(scenarios)]
 
     click.echo(f"block {block_name}: demands from {block.demand_choices}, "
                f"hub rate {mu1 if mu1 is not None else block.mu1}/hour, "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ _LN2 = math.log(2.0)
 _ROW_SUM_TOL = 1e-12
 _TRAFFIC_RESIDUAL_TOL = 1e-10
 _CROSS_CHECK_TOL = 1e-9
-_DIRECT_SOLVE_LIMIT = 1000
 
 
 class ReducibleRoutingError(ValueError):
@@ -44,34 +43,29 @@ class Station:
 
     ``servers`` is an integer for FCFS multi-server exponential stations and
     ``None`` for an infinite-server station, where ``rate`` is 1/mean and the
-    effective rate with n customers is ``n * rate``.  ``rate_fn`` overrides
-    both with an arbitrary non-decreasing load-dependent rate.
+    effective rate with n customers is ``n * rate``.
     """
 
     name: str
     rate: float = 1.0
     servers: int | None = 1
-    rate_fn: Callable[[int], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_fn is None:
-            if not self.rate > 0:
-                raise ValueError(f"station {self.name}: rate must be positive")
-            if self.servers is not None and self.servers < 1:
-                raise ValueError(f"station {self.name}: servers must be >= 1 or None")
+        if not self.rate > 0:
+            raise ValueError(f"station {self.name}: rate must be positive")
+        if self.servers is not None and self.servers < 1:
+            raise ValueError(f"station {self.name}: servers must be >= 1 or None")
 
     def service_rate(self, n: int) -> float:
         if n <= 0:
             return 0.0
-        if self.rate_fn is not None:
-            return float(self.rate_fn(n))
         if self.servers is None:
             return self.rate * n
         return self.rate * min(n, self.servers)
 
     @property
     def is_infinite_server(self) -> bool:
-        return self.servers is None and self.rate_fn is None
+        return self.servers is None
 
 
 def multi_server(name: str, rate: float, servers: int = 1) -> Station:
@@ -144,7 +138,6 @@ class VisitRatios:
     positive rescaling yields the same throughputs."""
 
     eta: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         e = np.asarray(self.eta, dtype=float)
@@ -153,42 +146,23 @@ class VisitRatios:
         e.flags.writeable = False
         object.__setattr__(self, "eta", e)
 
-    def scaled(self, factor: float) -> "VisitRatios":
-        if not factor > 0:
-            raise ValueError("scale factor must be positive")
-        return VisitRatios(self.eta * factor, normalized=False)
-
 
 def solve_traffic(routing: np.ndarray) -> VisitRatios:
-    """Probability-normalized solution of eta = eta R.
-
-    Solves directly for moderate sizes and falls back to power iteration on
-    very large chains; either way the residual is verified.
-    """
+    """The solution of eta = eta R that sums to 1, solved directly, with the
+    residual verified."""
     r = _check_routing(routing)
     n = r.shape[0]
-    if n <= _DIRECT_SOLVE_LIMIT:
-        a = r.T - np.eye(n)
-        a[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        eta = np.linalg.solve(a, b)
-    else:
-        eta = np.full(n, 1.0 / n)
-        for _ in range(200_000):
-            # damped so that periodic chains converge too
-            nxt = 0.5 * (eta + eta @ r)
-            nxt /= nxt.sum()
-            if np.max(np.abs(nxt - eta)) < 1e-15:
-                eta = nxt
-                break
-            eta = nxt
+    a = r.T - np.eye(n)
+    a[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    eta = np.linalg.solve(a, b)
     eta = np.where(np.abs(eta) < 1e-14, 0.0, eta)
     residual = float(np.max(np.abs(eta @ r - eta)))
     if residual >= _TRAFFIC_RESIDUAL_TOL or np.any(eta < 0):
         raise NumericalRangeError(
             f"traffic equations solved with residual {residual:.3e}")
-    return VisitRatios(eta=eta, normalized=True)
+    return VisitRatios(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +202,6 @@ def _log_add(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def _load_factor(station: Station, eta_j: float, n: int) -> float:
-    """g_j(n) / g_j(n-1) = eta_j / mu_j(n), checked."""
-    mu = station.service_rate(n)
-    if not mu > 0:
-        raise ValueError(f"station {station.name}: rate at load {n} must be positive")
-    ratio = 0.0 if math.isinf(mu) else eta_j / mu
-    if not (math.isfinite(ratio) and ratio >= 0):
-        raise NumericalRangeError(
-            f"station {station.name}: invalid load factor at n={n}")
-    return ratio
-
-
 def _station_factors(station: Station, eta_j: float, n_max: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-station factors g_j(n) = prod_{k<=n} eta_j / mu_j(k) in ladder and
@@ -250,7 +212,11 @@ def _station_factors(station: Station, eta_j: float, n_max: int
     mant[0], exp2[0], logs[0] = 0.5, 1, 0.0
     m, e, lg = 0.5, 1, 0.0
     for n in range(1, n_max + 1):
-        ratio = _load_factor(station, eta_j, n)
+        mu = station.service_rate(n)
+        ratio = 0.0 if math.isinf(mu) else eta_j / mu
+        if not math.isfinite(ratio):
+            raise NumericalRangeError(
+                f"station {station.name}: invalid load factor at n={n}")
         if ratio == 0.0:
             break  # g stays zero from here on
         m, e = _mul(m, e, *math.frexp(ratio))
@@ -369,36 +335,13 @@ class _ServerFold(_Row):
         self.push(*_add(am, ae, bm, be), _log_add(al, bl))
 
 
-class _LoadFold(_Row):
-    """A station with a load-dependent ``rate_fn``: the direct O(m) sum
-    G(m) = sum_n g(n) G_prev(m - n) over its factors g."""
-
-    __slots__ = ("station", "eta", "g")
-
-    def __init__(self, station: Station, eta_j: float) -> None:
-        super().__init__()
-        self.station, self.eta = station, eta_j
-        self.g = _Row()
-
-    def extend(self, prev: _Row, m: int) -> None:
-        g = self.g
-        ratio = _load_factor(self.station, self.eta, m)
-        g.push(*_mul(g.mant[-1], g.exp[-1], *_ladder(ratio)), g.log[-1] + _log(ratio))
-        tm, te, tl = 0.0, 0, -math.inf
-        for n in range(m + 1):
-            tm, te = _add(tm, te, *_mul(g.mant[n], g.exp[n],
-                                        prev.mant[m - n], prev.exp[m - n]))
-            tl = _log_add(tl, g.log[n] + prev.log[m - n])
-        self.push(tm, te, tl)
-
-
 class Convolution:
     """Normalization constants G(0..N) of a station set, extended one
     population at a time so that a fleet search reuses all earlier work.
 
     The infinite-server stations pool into the first row; the others are
     folded in ``node_order``, each as one more row, so a column costs O(s)
-    per s-server station and O(m) for a ``rate_fn`` station.  The last row is
+    per s-server station.  The last row is
     the table, and the row before it is the table without the last-folded
     station.  Each new entry of the table is cross-checked ladder against
     log as it is built; a table that failed the check keeps failing.
@@ -418,8 +361,6 @@ class Convolution:
             st, e = stations[idx], float(etas[idx])
             if st.is_infinite_server:
                 kappa += 0.0 if math.isinf(st.rate) else e / st.rate
-            elif st.rate_fn is not None:
-                folds.append(_LoadFold(st, e))
             elif st.servers == 1:
                 folds.append(_BuzenFold(e / st.rate))
             else:

@@ -10,9 +10,8 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 Point = tuple[float, float]
 
@@ -21,36 +20,13 @@ class ScenarioError(ValueError):
     """A scenario file or instance violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class DistanceMetric:
-    """Distance from a warehouse position to a candidate hub location.
-
-    ``euclidean`` is the default.  ``callback`` wraps a user-supplied
-    function d(a, x); it must be convex in x, non-negative, and satisfy
-    d(a, a) = 0, which is the caller's responsibility.
-    """
-
-    kind: str = "euclidean"
-    fn: Callable[[Point, Point], float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("euclidean", "callback"):
-            raise ScenarioError(f"unknown metric kind: {self.kind!r}")
-        if self.kind == "callback" and self.fn is None:
-            raise ScenarioError("callback metric requires a distance function")
-
-    def distance(self, a: Point, x: Point) -> float:
-        if self.kind == "euclidean":
-            return math.hypot(a[0] - x[0], a[1] - x[1])
-        return float(self.fn(a, x))
-
-
-EUCLIDEAN = DistanceMetric()
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ScenarioError(message)
+
+
+def _finite_point(p: Point) -> bool:
+    return len(p) == 2 and all(math.isfinite(c) for c in p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,9 +42,11 @@ class Warehouse:
     def __post_init__(self) -> None:
         _require(isinstance(self.id, int) and self.id >= 2,
                  f"warehouse id must be an integer >= 2, got {self.id!r}")
-        # `not (x > 0)` also rejects NaN
-        _require(self.demand_per_day > 0,
-                 f"warehouse {self.id}: demand must be positive")
+        _require(_finite_point(self.position),
+                 f"warehouse {self.id}: position must be two finite numbers")
+        # every comparison with NaN is false, so NaN fails too
+        _require(0 < self.demand_per_day < math.inf,
+                 f"warehouse {self.id}: demand must be positive and finite")
         _require(isinstance(self.servers, int) and self.servers >= 1,
                  f"warehouse {self.id}: servers must be a positive integer")
         _require(self.unload_rate_per_hour > 0,
@@ -78,7 +56,8 @@ class Warehouse:
 @dataclass(frozen=True, slots=True)
 class Center:
     """The loading hub.  ``location`` is fixed only when given; otherwise the
-    solver places the hub (Weber point)."""
+    solver places the hub (Weber point).  An infinite loading rate is
+    allowed: the hub then never holds a truck."""
 
     servers: int = 1
     load_rate_per_hour: float = 1.0
@@ -89,15 +68,13 @@ class Center:
                  "center: servers must be a positive integer")
         _require(self.load_rate_per_hour > 0,
                  "center: load_rate_per_hour must be positive")
+        _require(self.location is None or _finite_point(self.location),
+                 "center: location must be two finite numbers")
 
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """A full problem instance.
-
-    ``metric`` is a library-level option and is not serialized; scenario
-    files are always Euclidean.
-    """
+    """A full problem instance; distances are Euclidean, in km."""
 
     warehouses: tuple[Warehouse, ...]
     center: Center
@@ -105,15 +82,17 @@ class Scenario:
     truck_capacity: float = 1.0
     hours_per_day: float = 24.0
     max_trucks: int = 100
-    metric: DistanceMetric = EUCLIDEAN
 
     def __post_init__(self) -> None:
         _require(len(self.warehouses) >= 1, "scenario needs at least one warehouse")
         ids = [w.id for w in self.warehouses]
         _require(len(set(ids)) == len(ids), "warehouse ids must be distinct")
-        _require(self.truck_speed_kmh > 0, "truck_speed_kmh must be positive")
-        _require(self.truck_capacity > 0, "truck_capacity must be positive")
-        _require(self.hours_per_day > 0, "hours_per_day must be positive")
+        _require(0 < self.truck_speed_kmh < math.inf,
+                 "truck_speed_kmh must be positive and finite")
+        _require(0 < self.truck_capacity < math.inf,
+                 "truck_capacity must be positive and finite")
+        _require(0 < self.hours_per_day < math.inf,
+                 "hours_per_day must be positive and finite")
         _require(isinstance(self.max_trucks, int) and self.max_trucks >= 1,
                  "max_trucks must be a positive integer")
 
@@ -149,25 +128,6 @@ def demand_fractions(scenario: Scenario) -> list[float]:
     return [w.demand_per_day / total for w in scenario.warehouses]
 
 
-def rate_function(scenario: Scenario, node: int) -> Callable[[int], float]:
-    """Service rate n -> mu_node(n) for the hub (node 1) or a warehouse id.
-
-    The rate saturates at the station's server count: mu * min(n, servers).
-    """
-    if node == 1:
-        rate, servers = scenario.center.load_rate_per_hour, scenario.center.servers
-    else:
-        w = scenario.warehouse_by_id(node)
-        rate, servers = w.unload_rate_per_hour, w.servers
-
-    def mu(n: int) -> float:
-        if n <= 0:
-            return 0.0
-        return rate * min(n, servers)
-
-    return mu
-
-
 def scenario_to_dict(scenario: Scenario) -> dict:
     center: dict = {
         "servers": scenario.center.servers,
@@ -195,49 +155,78 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _number(value: object, what: str, integral: bool = False) -> float:
+    """A JSON number as a float, or as an int when ``integral`` (2 and 2.0
+    pass, 2.7 does not); anything else raises ``ScenarioError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    if integral:
+        if isinstance(value, float) and not value.is_integer():
+            raise ScenarioError(f"{what} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{what} is out of range") from None
+
+
+def _field(raw: dict, key: str, where: str, integral: bool = False,
+           default: float | None = None) -> float:
+    """``raw[key]`` through ``_number``; a missing key takes ``default``,
+    or is an error when there is none."""
+    if key not in raw:
+        if default is None:
+            raise ScenarioError(f"{where}missing field {key!r}")
+        return default
+    return _number(raw[key], f"{where}{key}", integral)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
+    """Build a scenario from parsed JSON; malformed input of any shape raises
+    ``ScenarioError``."""
+    if not isinstance(data, dict):
+        raise ScenarioError("scenario must be a JSON object")
     try:
         raw_whs = data["warehouses"]
         raw_center = data["center"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ScenarioError(f"scenario is missing required section: {exc}") from None
     if not isinstance(raw_whs, list) or not raw_whs:
         raise ScenarioError("warehouses must be a non-empty list")
+    if not isinstance(raw_center, dict):
+        raise ScenarioError("center must be an object")
 
     warehouses = []
     for i, rw in enumerate(raw_whs):
-        try:
-            warehouses.append(
-                Warehouse(
-                    id=int(rw["id"]),
-                    position=(float(rw["x"]), float(rw["y"])),
-                    demand_per_day=float(rw["demand_per_day"]),
-                    servers=int(rw.get("servers", 1)),
-                    unload_rate_per_hour=float(rw["unload_rate_per_hour"]),
-                )
-            )
-        except KeyError as exc:
-            raise ScenarioError(f"warehouse #{i}: missing field {exc}") from None
+        where = f"warehouse #{i}: "
+        if not isinstance(rw, dict):
+            raise ScenarioError(f"{where}must be an object, got {rw!r}")
+        warehouses.append(Warehouse(
+            id=_field(rw, "id", where, integral=True),
+            position=(_field(rw, "x", where), _field(rw, "y", where)),
+            demand_per_day=_field(rw, "demand_per_day", where),
+            servers=_field(rw, "servers", where, integral=True, default=1),
+            unload_rate_per_hour=_field(rw, "unload_rate_per_hour", where),
+        ))
 
     loc = raw_center.get("location")
-    location = (float(loc[0]), float(loc[1])) if loc is not None else None
-    try:
-        center = Center(
-            servers=int(raw_center.get("servers", 1)),
-            load_rate_per_hour=float(raw_center["load_rate_per_hour"]),
-            location=location,
-        )
-        speed = float(data["truck_speed_kmh"])
-    except KeyError as exc:
-        raise ScenarioError(f"missing field {exc}") from None
-
+    if loc is not None:
+        if not (isinstance(loc, list) and len(loc) == 2):
+            raise ScenarioError(f"center: location must be [x, y], got {loc!r}")
+        loc = (_number(loc[0], "center: location x"),
+               _number(loc[1], "center: location y"))
+    center = Center(
+        servers=_field(raw_center, "servers", "center: ", integral=True, default=1),
+        load_rate_per_hour=_field(raw_center, "load_rate_per_hour", "center: "),
+        location=loc,
+    )
     return Scenario(
         warehouses=tuple(warehouses),
         center=center,
-        truck_speed_kmh=speed,
-        truck_capacity=float(data.get("truck_capacity", 1.0)),
-        hours_per_day=float(data.get("hours_per_day", 24.0)),
-        max_trucks=int(data.get("max_trucks", 100)),
+        truck_speed_kmh=_field(data, "truck_speed_kmh", ""),
+        truck_capacity=_field(data, "truck_capacity", "", default=1.0),
+        hours_per_day=_field(data, "hours_per_day", "", default=24.0),
+        max_trucks=_field(data, "max_trucks", "", integral=True, default=100),
     )
 
 
@@ -246,7 +235,7 @@ def load_scenario(path: str | Path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
     return scenario_from_dict(data)
 

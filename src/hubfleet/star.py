@@ -14,6 +14,7 @@ form; the explicit network is kept available for cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,11 @@ class StarNetwork:
 
 def build_star(scenario: Scenario, center: Point) -> StarNetwork:
     rho = np.asarray(demand_fractions(scenario))
-    d = np.asarray([scenario.metric.distance(p, center)
-                    for p in scenario.warehouse_positions])
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise ValueError("distances must be finite and non-negative")
+    cx, cy = center
+    d = np.asarray([math.hypot(ax - cx, ay - cy)
+                    for ax, ay in scenario.warehouse_positions])
+    if not np.all(np.isfinite(d)):
+        raise ValueError("distances must be finite")
     travel = d / scenario.truck_speed_kmh
     eta_w = rho * HUB_VISIT_RATIO
     h = float((eta_w * travel).sum())
@@ -115,7 +117,7 @@ def explicit_network(star: StarNetwork, trucks: int
     eta[0] = HUB_VISIT_RATIO
     for i in range(k):
         eta[1 + 3 * i: 4 + 3 * i] = star.eta_warehouse[i]
-    return net, conv.VisitRatios(eta, normalized=True)
+    return net, conv.VisitRatios(eta)
 
 
 class AggregatedConvolution:

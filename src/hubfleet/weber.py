@@ -12,23 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scenario import EUCLIDEAN, DistanceMetric, Point, Scenario, demand_fractions
+from .scenario import Point, Scenario, demand_fractions
 
 # below this distance an iterate is treated as sitting on an anchor
 _SNAP = 1e-12
 
 
-class UnsupportedMetricError(ValueError):
-    """The iterative solver only handles the Euclidean metric."""
-
-
 @dataclass(frozen=True)
 class WeberProblem:
-    """Anchor points with positive weights, plus the distance metric."""
+    """Anchor points with positive weights; distances are Euclidean."""
 
     anchors: tuple[Point, ...]
     weights: tuple[float, ...]
-    metric: DistanceMetric = EUCLIDEAN
 
     def __post_init__(self) -> None:
         if len(self.anchors) == 0:
@@ -44,8 +39,7 @@ class WeberProblem:
         ones for the unweighted (geometric median) variant."""
         n = len(scenario.warehouses)
         weights = tuple(demand_fractions(scenario)) if weighted else (1.0,) * n
-        return cls(anchors=scenario.warehouse_positions, weights=weights,
-                   metric=scenario.metric)
+        return cls(anchors=scenario.warehouse_positions, weights=weights)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,8 +55,8 @@ class WeberSolution:
 
 
 def weber_objective(problem: WeberProblem, x: Point) -> float:
-    """Sum of weighted distances from x to the anchors (any metric)."""
-    return sum(w * problem.metric.distance(a, x)
+    """Sum of weighted distances from x to the anchors."""
+    return sum(w * math.hypot(a[0] - x[0], a[1] - x[1])
                for a, w in zip(problem.anchors, problem.weights))
 
 
@@ -118,13 +112,8 @@ def solve_weber(problem: WeberProblem, tol: float = 1e-9,
     Convergence requires both a relative movement below ``tol`` and a
     first-order optimality residual below ``10 * tol``.  The returned
     objective never exceeds the objective at the starting point (the
-    weighted centroid).  Non-Euclidean metrics are rejected.
+    weighted centroid).
     """
-    if problem.metric.kind != "euclidean":
-        raise UnsupportedMetricError(
-            "iterative solver supports only the euclidean metric; "
-            "use weber_objective to evaluate other metrics")
-
     anchors = tuple((float(ax), float(ay), float(w))
                     for (ax, ay), w in zip(problem.anchors, problem.weights))
 

@@ -53,12 +53,19 @@ def test_solve_center_flag_overrides(runner, log_path):
     assert "throughput/day      67.841" in res.output
 
 
-def test_solve_rejects_malformed_file(runner, tmp_path):
+def test_solve_rejects_malformed_file(runner, tmp_path, bad_scenarios):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"warehouses": []}))
     res = runner.invoke(main, ["solve", str(bad)])
     assert res.exit_code == 1
     assert "error:" in res.output
+    for data, _ in bad_scenarios:
+        bad.write_text(json.dumps(data))
+        res = runner.invoke(main, ["solve", str(bad)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_solve_missing_file(runner, tmp_path):
@@ -149,6 +156,8 @@ def test_grid_rejects_bad_step(runner, log_path):
     # towns12-log is infeasible at mu1 1, so --find-mu1 would search
     ("fleet", ["--mu1", "1", "--find-mu1", "--mu1-step", "0"]),
     ("fleet", ["--mu1", "1", "--find-mu1", "--mu1-step", "-0.01"]),
+    ("generate", ["--block", "I", "--seed", "1", "--speed", "inf"]),
+    ("solve", ["--center", "nan,1"]),
 ])
 def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
     # generate takes no scenario file
@@ -185,6 +194,11 @@ def test_generate_parallel_identical(runner, monkeypatch):
     monkeypatch.setenv("HUBFLEET_JOBS", "2")
     parallel = runner.invoke(main, args)
     assert parallel.output == serial.output
+    monkeypatch.setenv("HUBFLEET_JOBS", "abc")
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["error: HUBFLEET_JOBS must be an integer, got 'abc'"]
 
 
 def test_generate_csv_and_outdir(runner, tmp_path):

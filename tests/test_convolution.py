@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hubfleet.convolution import (ClosedNetwork, NumericalRangeError,
-                                  ReducibleRoutingError, Station, VisitRatios,
+                                  ReducibleRoutingError, VisitRatios,
                                   buzen_convolve, convolve_stations,
                                   infinite_server, marginal_distribution,
                                   mean_queue_lengths, multi_server,
@@ -22,7 +22,6 @@ def two_node_cycle():
 def test_traffic_two_node_cycle():
     _, routing = two_node_cycle()
     eta = solve_traffic(routing)
-    assert eta.normalized
     assert np.allclose(eta.eta, [0.5, 0.5], atol=1e-12)
 
 
@@ -123,8 +122,7 @@ def test_order_invariance():
 def test_eta_scaling_covariance():
     stations, _ = two_node_cycle()
     eta = VisitRatios(np.array([0.5, 0.5]))
-    scaled = eta.scaled(7.0)
-    assert not scaled.normalized
+    scaled = VisitRatios(eta.eta * 7.0)
     a = convolve_stations(stations, eta, 3)
     b = convolve_stations(stations, scaled, 3)
     # G picks up c**m but throughput ratios rescale consistently
@@ -150,19 +148,6 @@ def test_zero_mean_infinite_server():
     ref = convolve_stations((multi_server("a", 1.0),), [0.5], 3)
     for m in range(4):
         assert t.value(m) == pytest.approx(ref.value(m), rel=1e-14)
-
-
-def test_load_dependent_rate_fn():
-    # rate_fn equal to a 2-server station must reproduce it exactly
-    def rate(n):
-        return 1.5 * min(n, 2)
-
-    a = convolve_stations((Station("x", rate_fn=rate), multi_server("b", 1.0)),
-                          [0.5, 0.5], 5)
-    b = convolve_stations((multi_server("x", 1.5, 2), multi_server("b", 1.0)),
-                          [0.5, 0.5], 5)
-    for m in range(6):
-        assert a.value(m) == pytest.approx(b.value(m), rel=1e-14)
 
 
 def test_enumeration_cross_check_random():

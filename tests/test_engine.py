@@ -101,13 +101,22 @@ def test_engine_properties(seed, docks, hub_servers, trucks):
     rng = np.random.default_rng(seed)
     sc = random_scenario(rng, docks, max_servers=3)
     sc = dataclasses.replace(sc, center=Center(hub_servers, float(rng.uniform(0.5, 4.0))))
-    star = build_star(sc, (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))))
+    center = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+    star = build_star(sc, center)
     agg = AggregatedConvolution(star)
     ths = [agg.throughput(n) for n in range(1, trucks + 1)]
     # throughput never falls as the fleet grows; near saturation two
     # neighbours may differ by less than round-off
     for a, b in zip(ths, ths[1:]):
         assert b >= a * (1.0 - 1e-14)
+    # nor, at a fixed fleet, when the hub loads faster or the trucks drive
+    # faster (less travel burden)
+    faster_hub = sc.with_center_rate(sc.center.load_rate_per_hour * float(rng.uniform(1, 3)))
+    faster_trucks = dataclasses.replace(
+        sc, truck_speed_kmh=sc.truck_speed_kmh * float(rng.uniform(1, 3)))
+    for better in (faster_hub, faster_trucks):
+        th = AggregatedConvolution(build_star(better, center)).throughput(trucks)
+        assert th >= ths[-1] * (1.0 - 1e-14)
     ana = analyze(star, trucks)
     assert 0.0 <= ana.busy_center <= 1.0
     for marginal in ana.marginals:

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hubfleet.scenario import (Center, DistanceMetric, Scenario, ScenarioError,
-                               Warehouse, demand_fractions, load_scenario,
-                               rate_function, save_scenario, scenario_from_dict,
-                               scenario_to_dict)
+from hubfleet.scenario import (Center, Scenario, ScenarioError, Warehouse,
+                               demand_fractions, load_scenario, save_scenario,
+                               scenario_from_dict, scenario_to_dict)
 
 
 def _warehouse(**kw):
@@ -45,32 +45,6 @@ def test_demand_fractions_random_instances():
         )
         sc = Scenario(warehouses=whs, center=Center(1, 1.0), truck_speed_kmh=1.0)
         assert abs(sum(demand_fractions(sc)) - 1.0) <= 1e-12
-
-
-def test_rate_function_saturates(towns_log):
-    mu1 = rate_function(towns_log, 1)
-    assert mu1(0) == 0.0
-    assert mu1(1) == 4.0
-    assert mu1(3) == 4.0  # single loading dock
-    mu2 = rate_function(towns_log, 2)
-    assert mu2(1) == 2.0
-    assert mu2(5) == 2.0
-
-
-def test_rate_function_multi_server():
-    sc = Scenario(
-        warehouses=(_warehouse(servers=3, unload_rate_per_hour=2.0),),
-        center=Center(servers=2, load_rate_per_hour=4.0),
-        truck_speed_kmh=1.0)
-    mu = rate_function(sc, 2)
-    assert [mu(n) for n in range(6)] == [0.0, 2.0, 4.0, 6.0, 6.0, 6.0]
-    mu1 = rate_function(sc, 1)
-    assert [mu1(n) for n in range(4)] == [0.0, 4.0, 8.0, 8.0]
-
-
-def test_rate_function_unknown_node(towns_log):
-    with pytest.raises(ScenarioError, match="unknown node"):
-        rate_function(towns_log, 99)
 
 
 def test_zero_demand_rejected():
@@ -133,7 +107,7 @@ def test_to_dict_schema(towns_log):
     assert "location" not in d["center"]  # only written when set
 
 
-def test_load_errors(tmp_path):
+def test_load_errors(tmp_path, bad_scenarios):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ScenarioError, match="JSON"):
@@ -142,21 +116,74 @@ def test_load_errors(tmp_path):
     empty.write_text(json.dumps({"warehouses": [], "center": {}, "truck_speed_kmh": 1}))
     with pytest.raises(ScenarioError, match="warehouses"):
         load_scenario(empty)
+    for data, match in bad_scenarios:
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match=match):
+            load_scenario(bad)
+    # the hub rate probe of min_center_rate stays legal
+    assert Center(1, math.inf).load_rate_per_hour == math.inf
 
 
-def test_metric_kinds():
-    m = DistanceMetric()
-    assert m.distance((0.0, 0.0), (3.0, 4.0)) == 5.0
-    manhattan = DistanceMetric(kind="callback",
-                               fn=lambda a, x: abs(a[0] - x[0]) + abs(a[1] - x[1]))
-    assert manhattan.distance((0.0, 0.0), (3.0, 4.0)) == 7.0
-    with pytest.raises(ScenarioError, match="metric"):
-        DistanceMetric(kind="chebyshev")
-    with pytest.raises(ScenarioError, match="callback"):
-        DistanceMetric(kind="callback")
+_json_scalar = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_any_json = st.recursive(
+    _json_scalar,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_junk = _json_scalar | _any_json
+_num = st.floats(0.1, 500.0) | st.integers(1, 50)
+_KEYS = ("warehouses", "warehouse", "center", "truck_speed_kmh", "truck_capacity",
+         "hours_per_day", "max_trucks", "id", "x", "y", "demand_per_day",
+         "servers", "unload_rate_per_hour", "load_rate_per_hour", "location")
 
 
-def test_metric_zero_at_anchor():
-    m = DistanceMetric()
-    p = (12.34, -5.6)
-    assert m.distance(p, p) == 0.0
+@st.composite
+def _scenario_json(draw):
+    """A scenario dict of plausible values, except that up to three keys,
+    picked at random, are dropped or hold arbitrary JSON wherever they
+    occur; the key "warehouse" stands for entries of the warehouse list."""
+    junk = draw(st.sets(st.sampled_from(_KEYS), max_size=3))
+
+    def put(obj, key, plausible, optional=False):
+        if key in junk:
+            if draw(st.booleans()):
+                obj[key] = draw(_junk)
+        elif not optional or draw(st.booleans()):
+            obj[key] = draw(plausible)
+
+    warehouses = []
+    for _ in range(draw(st.integers(1, 4))):
+        if "warehouse" in junk and draw(st.booleans()):
+            warehouses.append(draw(_junk))
+            continue
+        w = {}
+        put(w, "id", st.integers(2, 40))
+        for key in ("x", "y", "demand_per_day", "unload_rate_per_hour"):
+            put(w, key, _num)
+        put(w, "servers", st.integers(1, 3), optional=True)
+        warehouses.append(w)
+    center = {}
+    put(center, "load_rate_per_hour", _num)
+    put(center, "servers", st.integers(1, 3), optional=True)
+    put(center, "location", st.lists(_num, min_size=2, max_size=2), optional=True)
+    data = {}
+    put(data, "warehouses", st.just(warehouses))
+    put(data, "center", st.just(center))
+    put(data, "truck_speed_kmh", _num)
+    for key in ("truck_capacity", "hours_per_day"):
+        put(data, key, _num, optional=True)
+    put(data, "max_trucks", st.integers(1, 200), optional=True)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_scenario_json() | _any_json)
+def test_scenario_from_dict_fuzz(data):
+    # any JSON value either loads or raises ScenarioError, and nothing else
+    try:
+        sc = scenario_from_dict(data)
+    except ScenarioError:
+        return
+    assert isinstance(sc, Scenario)
+    assert scenario_from_dict(scenario_to_dict(sc)) == sc
+

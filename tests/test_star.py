@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,8 @@ def test_toy_star_norm_constants(toy_star_scenario):
     # by hand: G(0)=1, G(1)=1/4+1/4+1/2=1, G(2)=3/16+1/4+1/8=9/16
     star = build_star(toy_star_scenario, (0.0, 0.0))
     assert star.h == pytest.approx(0.25)
+    # distances are Euclidean: a 3-4-5 triangle from the warehouse at (1, 0)
+    assert build_star(toy_star_scenario, (4.0, 4.0)).distances.tolist() == [5.0]
     t = aggregated_norm_constants(star, 2)
     assert t.value(0) == pytest.approx(1.0, rel=1e-14)
     assert t.value(1) == pytest.approx(1.0, rel=1e-14)
@@ -159,6 +162,11 @@ def test_center_on_warehouse_is_fine(toy_star_scenario):
     # the dock completes work at the two-node-cycle rate 2/3
     star = build_star(toy_star_scenario, (1.0, 0.0))
     assert star.h == 0.0
+    assert star.distances.tolist() == [0.0]
+    p = (12.34, -5.6)
+    wh = dataclasses.replace(toy_star_scenario.warehouses[0], position=p)
+    moved = dataclasses.replace(toy_star_scenario, warehouses=(wh,))
+    assert build_star(moved, p).distances.tolist() == [0.0]
     ana = analyze(star, 2)
     assert ana.warehouse_throughput == pytest.approx(2.0 / 3.0, rel=1e-12)
 

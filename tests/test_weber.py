@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hubfleet.scenario import DistanceMetric
-from hubfleet.weber import (UnsupportedMetricError, WeberProblem, solve_weber,
-                            weber_objective)
+from hubfleet.weber import WeberProblem, solve_weber, weber_objective
 
 
 def test_published_weighted_point_pro(towns_pro):
@@ -125,17 +123,6 @@ def test_objective_comparison_weighted_vs_unweighted(towns_pro):
     other = solve_weber(WeberProblem.from_scenario(towns_pro, weighted=False))
     assert weber_objective(problem, best.location) < \
         weber_objective(problem, other.location)
-
-
-def test_non_euclidean_rejected():
-    manhattan = DistanceMetric(kind="callback",
-                               fn=lambda a, x: abs(a[0] - x[0]) + abs(a[1] - x[1]))
-    problem = WeberProblem(anchors=((0.0, 0.0), (1.0, 1.0)),
-                           weights=(1.0, 1.0), metric=manhattan)
-    with pytest.raises(UnsupportedMetricError):
-        solve_weber(problem)
-    # evaluation still works
-    assert weber_objective(problem, (0.0, 0.0)) == 2.0
 
 
 def test_weights_must_be_positive():
