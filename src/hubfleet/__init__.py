@@ -9,12 +9,9 @@ until daily demand is covered.
 """
 
 from .calibration import DEFAULT_TRUCK_SPEED_KMH, calibrate_speed
-from .convolution import (ClosedNetwork, ConvolutionTable, NumericalRangeError,
-                          ReducibleRoutingError, Station, VisitRatios,
-                          buzen_convolve, convolve_stations, infinite_server,
-                          marginal_distribution, mean_queue_lengths,
-                          multi_server, node_throughputs, solve_traffic,
-                          throughput)
+from .convolution import (ConvolutionTable, NumericalRangeError, Station,
+                          convolve_stations, infinite_server,
+                          marginal_distribution, multi_server)
 from .fleet import (FleetResult, LocationComparison, PlacementOutcome,
                     compare_locations, min_center_rate, min_trucks, solve_at)
 from .oracle import (CheckResult, CtmcResult, DesEstimate, EnumerationResult,
@@ -25,8 +22,7 @@ from .scenario import (Center, Point, Scenario, ScenarioError, Warehouse,
                        save_scenario)
 from .star import (AggregatedConvolution, BottleneckReport, StarAnalysis,
                    StarNetwork, aggregated_norm_constants, analyze,
-                   bottleneck, build_star, explicit_network,
-                   throughput_vs_location)
+                   bottleneck, build_star, throughput_vs_location)
 from .weber import WeberProblem, WeberSolution, solve_weber, weber_objective
 
 __version__ = "0.1.0"

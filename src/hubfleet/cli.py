@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 
+# grid steps on each side of the hub point: at most a 401 x 401 grid
+_GRID_HALF_STEPS = 200
+
 
 def _fail(message: str) -> NoReturn:
     """Exit 1 with a one-line message on stderr."""
@@ -71,11 +74,27 @@ def _parse_point(text: str | None) -> tuple[float, float] | None:
     return point
 
 
+def _require_decimals(busy_decimals: int) -> None:
+    if busy_decimals < 0:
+        _fail("--busy-decimals must be non-negative")
+
+
 def _trucks_cell(feasible: bool, trucks: int | None) -> str:
     return str(trucks) if feasible and trucks is not None else "--"
 
 
-@click.group()
+class _Main(click.Group):
+    """A bad value that only a verb's own work uncovers (a ``ScenarioError``
+    or ``ValueError``) exits 1 with one line, like a bad option."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:   # ScenarioError is a ValueError
+            _fail(str(exc))
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Hub placement and truck fleet sizing for star-shaped delivery
     networks with loading and unloading congestion."""
@@ -98,6 +117,7 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
               mu1: float | None, csv_path: str | None, compare: bool,
               busy_decimals: int) -> None:
     """Full pipeline: place the hub, size the fleet, report steady state."""
+    _require_decimals(busy_decimals)
     scenario = _with_mu1(_load(file), mu1)
 
     center = _parse_point(center_text) or scenario.center.location
@@ -230,8 +250,10 @@ def cmd_fleet(file: str, center_text: str | None, mu1: float | None,
 def cmd_grid(file: str, radius: float, step: float, trucks: int | None) -> None:
     """Throughput on a location grid around the weighted hub point."""
     scenario = _load(file)
-    if radius <= 0 or step <= 0:
-        _fail("--radius and --step must be positive")
+    if not (0 < radius < math.inf and 0 < step < math.inf):
+        _fail("--radius and --step must be positive and finite")
+    if radius / step + 1e-9 >= _GRID_HALF_STEPS + 1:
+        _fail(f"--radius / --step gives more than {_GRID_HALF_STEPS} steps on each side")
     if trucks is not None and trucks < 1:
         _fail("--trucks must be at least 1")
     sol = solve_weber(WeberProblem.from_scenario(scenario, weighted=True))
@@ -410,6 +432,9 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
     """
     if count < 1:
         _fail("--count must be at least 1")
+    if seed < 0:
+        _fail("--seed must be non-negative")
+    _require_decimals(busy_decimals)
     _require_positive(mu1, "--mu1")
     _require_positive(speed, "--speed")
     if math.isinf(speed):
@@ -460,12 +485,9 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
 @main.command("validate")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--instances", type=int, default=4, show_default=True)
-@click.option("--corrupt-convolution", is_flag=True, default=False, hidden=True)
-def cmd_validate(seed: int, instances: int, corrupt_convolution: bool) -> None:
+def cmd_validate(seed: int, instances: int) -> None:
     """Cross-check the analytic pipeline against the independent oracles."""
-    results = oracle.run_validation_suite(
-        seed=seed, instances=instances,
-        corrupt_convolution=corrupt_convolution)
+    results = oracle.run_validation_suite(seed=seed, instances=instances)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

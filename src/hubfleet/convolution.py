@@ -1,4 +1,4 @@
-"""Product-form machinery for closed exponential queueing networks.
+"""Normalization constants of closed product-form station sets.
 
 Normalization constants G(m) are computed by one incremental engine,
 ``Convolution``: the infinite-server stations pool into a Poisson starting
@@ -24,13 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _LN2 = math.log(2.0)
-_ROW_SUM_TOL = 1e-12
-_TRAFFIC_RESIDUAL_TOL = 1e-10
 _CROSS_CHECK_TOL = 1e-9
-
-
-class ReducibleRoutingError(ValueError):
-    """The routing chain is not irreducible (not strongly connected)."""
 
 
 class NumericalRangeError(ArithmeticError):
@@ -84,87 +78,6 @@ def infinite_server(name: str, mean: float) -> Station:
     return Station(name=name, rate=rate, servers=None)
 
 
-def _check_routing(routing: np.ndarray) -> np.ndarray:
-    r = np.asarray(routing, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError("routing matrix must be square")
-    if np.any(r < 0):
-        raise ValueError("routing probabilities must be non-negative")
-    rows = r.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > _ROW_SUM_TOL:
-        raise ValueError("routing matrix rows must sum to 1")
-    edges = r > 0
-    if not (_reaches_all(edges) and _reaches_all(edges.T)):
-        raise ReducibleRoutingError("routing chain is reducible")
-    return r
-
-
-def _reaches_all(edges: np.ndarray) -> bool:
-    """Breadth-first search: does node 0 reach every node along ``edges``?"""
-    seen = np.zeros(len(edges), dtype=bool)
-    seen[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        frontier = np.flatnonzero(edges[frontier].any(axis=0) & ~seen)
-        seen[frontier] = True
-    return bool(seen.all())
-
-
-@dataclass(frozen=True)
-class ClosedNetwork:
-    """Stations, an irreducible routing matrix, and a fixed population."""
-
-    stations: tuple[Station, ...]
-    routing: np.ndarray
-    population: int
-
-    def __post_init__(self) -> None:
-        r = _check_routing(self.routing)
-        if r.shape[0] != len(self.stations):
-            raise ValueError("routing matrix size must match station count")
-        if not (isinstance(self.population, int) and self.population >= 0):
-            raise ValueError("population must be a non-negative integer")
-        r.flags.writeable = False
-        object.__setattr__(self, "routing", r)
-
-    @property
-    def num_stations(self) -> int:
-        return len(self.stations)
-
-
-@dataclass(frozen=True)
-class VisitRatios:
-    """Relative visit frequencies eta.  Only ratios matter downstream; any
-    positive rescaling yields the same throughputs."""
-
-    eta: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.eta, dtype=float)
-        if np.any(e < 0) or not np.any(e > 0):
-            raise ValueError("visit ratios must be non-negative with at least one positive entry")
-        e.flags.writeable = False
-        object.__setattr__(self, "eta", e)
-
-
-def solve_traffic(routing: np.ndarray) -> VisitRatios:
-    """The solution of eta = eta R that sums to 1, solved directly, with the
-    residual verified."""
-    r = _check_routing(routing)
-    n = r.shape[0]
-    a = r.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    eta = np.linalg.solve(a, b)
-    eta = np.where(np.abs(eta) < 1e-14, 0.0, eta)
-    residual = float(np.max(np.abs(eta @ r - eta)))
-    if residual >= _TRAFFIC_RESIDUAL_TOL or np.any(eta < 0):
-        raise NumericalRangeError(
-            f"traffic equations solved with residual {residual:.3e}")
-    return VisitRatios(eta)
-
-
 # ---------------------------------------------------------------------------
 # extended-range ladder arithmetic: a value is mantissa * 2**exponent with the
 # mantissa in [0.5, 1), or (0.0, 0) for zero
@@ -203,14 +116,11 @@ def _log_add(a: float, b: float) -> float:
 
 
 def _station_factors(station: Station, eta_j: float, n_max: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-station factors g_j(n) = prod_{k<=n} eta_j / mu_j(k) in ladder and
-    log form, for n = 0..n_max."""
-    mant = np.zeros(n_max + 1)
-    exp2 = np.zeros(n_max + 1, dtype=np.int64)
-    logs = np.full(n_max + 1, -math.inf)
-    mant[0], exp2[0], logs[0] = 0.5, 1, 0.0
-    m, e, lg = 0.5, 1, 0.0
+                     ) -> tuple[list[float], list[int]]:
+    """Per-station factors g_j(n) = prod_{k<=n} eta_j / mu_j(k) in ladder
+    form, for n = 0..n_max."""
+    mant, exp2 = [0.5] + [0.0] * n_max, [1] + [0] * n_max
+    m, e = 0.5, 1
     for n in range(1, n_max + 1):
         mu = station.service_rate(n)
         ratio = 0.0 if math.isinf(mu) else eta_j / mu
@@ -220,9 +130,8 @@ def _station_factors(station: Station, eta_j: float, n_max: int
         if ratio == 0.0:
             break  # g stays zero from here on
         m, e = _mul(m, e, *math.frexp(ratio))
-        lg += math.log(ratio)
-        mant[n], exp2[n], logs[n] = m, e, lg
-    return mant, exp2, logs
+        mant[n], exp2[n] = m, e
+    return mant, exp2
 
 
 # ---------------------------------------------------------------------------
@@ -302,31 +211,35 @@ class _ServerFold(_Row):
         A(m) = sum_{n < s} x^n / n! * G_prev(m - n)
         B(m) = x^s / s! * G_prev(m - s) + (x / s) * B(m - 1),   B(s-1) = 0.
 
-    Every term is positive, so nothing cancels; a column costs O(s)."""
+    Every term is positive, so nothing cancels; a column costs O(s).  The
+    factor x^n / n! is built when column n first needs it, so a station
+    with more servers than the table has customers costs no more than one
+    with as many."""
 
-    __slots__ = ("servers", "f", "step", "b")
+    __slots__ = ("servers", "x", "f", "step", "b")
 
     def __init__(self, x: float, servers: int) -> None:
         super().__init__()
         self.servers = servers
-        f = [(0.5, 1, 0.0)]   # x^n / n! for n = 0..s
-        for n in range(1, servers + 1):
-            m, e, lg = f[-1]
-            f.append((*_mul(m, e, *_ladder(x / n)), lg + _log(x / n)))
-        self.f = f
+        self.x = x
+        self.f = [(0.5, 1, 0.0)]   # x^n / n! for n = 0..min(m, s)
         self.step = (*_ladder(x / servers), _log(x / servers))
         self.b = (0.0, 0, -math.inf)   # B(m - 1)
 
     def extend(self, prev: _Row, m: int) -> None:
-        s = self.servers
+        s, f = self.servers, self.f
+        if len(f) <= min(m, s):
+            fm, fe, fl = f[-1]
+            c = self.x / len(f)
+            f.append((*_mul(fm, fe, *_ladder(c)), fl + _log(c)))
         pm, pe, pl = prev.mant, prev.exp, prev.log
         am, ae, al = pm[m], pe[m], pl[m]
         for n in range(1, min(m, s - 1) + 1):
-            fm, fe, fl = self.f[n]
+            fm, fe, fl = f[n]
             am, ae = _add(am, ae, *_mul(fm, fe, pm[m - n], pe[m - n]))
             al = _log_add(al, fl + pl[m - n])
         if m >= s:
-            fm, fe, fl = self.f[s]
+            fm, fe, fl = f[s]
             xm, xe, xl = self.step
             om, oe, ol = self.b
             self.b = (*_add(*_mul(fm, fe, pm[m - s], pe[m - s]), *_mul(om, oe, xm, xe)),
@@ -347,18 +260,16 @@ class Convolution:
     log as it is built; a table that failed the check keeps failing.
     """
 
-    def __init__(self, stations: Sequence[Station],
-                 eta: VisitRatios | Sequence[float] | np.ndarray,
+    def __init__(self, stations: Sequence[Station], eta: Sequence[float],
                  node_order: Iterable[int] | None = None) -> None:
         etas = _as_eta_array(eta, len(stations))
         order = tuple(node_order) if node_order is not None else tuple(range(len(stations)))
         if sorted(order) != list(range(len(stations))):
             raise ValueError("node_order must be a permutation of station indices")
-        self.node_order = order
         kappa = 0.0
         folds: list[_Row] = []
         for idx in order:
-            st, e = stations[idx], float(etas[idx])
+            st, e = stations[idx], etas[idx]
             if st.is_infinite_server:
                 kappa += 0.0 if math.isinf(st.rate) else e / st.rate
             elif st.servers == 1:
@@ -398,16 +309,14 @@ class Convolution:
                           num.exp[m_num] - den.exp[m_den])
 
     def table(self, population: int | None = None) -> "ConvolutionTable":
+        """G(0..population).  Entry 0 is the constant 1 every row starts
+        from, and every later entry passed ``_check_entry`` when it was
+        built, so nothing is checked again here."""
         n = self._n if population is None else population
         self.extend_to(n)
         last = self._rows[-1]
-        mant = np.array(last.mant[:n + 1])
-        exp2 = np.array(last.exp[:n + 1], dtype=np.int64)
-        logs = np.array(last.log[:n + 1])
-        _verify_table(mant, exp2, logs)
-        for arr in (mant, exp2, logs):
-            arr.flags.writeable = False
-        return ConvolutionTable(mant, exp2, logs, self.node_order)
+        return ConvolutionTable(tuple(last.mant[:n + 1]), tuple(last.exp[:n + 1]),
+                                tuple(last.log[:n + 1]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -419,10 +328,9 @@ class ConvolutionTable:
     log-domain companion.
     """
 
-    mantissa: np.ndarray
-    exponent: np.ndarray
-    log_values: np.ndarray
-    node_order: tuple[int, ...]
+    mantissa: tuple[float, ...]
+    exponent: tuple[int, ...]
+    log_values: tuple[float, ...]
 
     @property
     def population(self) -> int:
@@ -431,7 +339,7 @@ class ConvolutionTable:
     def value(self, m: int) -> float:
         """Plain float G(m); may overflow to inf for extreme tables."""
         try:
-            return math.ldexp(self.mantissa[m], int(self.exponent[m]))
+            return math.ldexp(self.mantissa[m], self.exponent[m])
         except OverflowError:
             return math.inf
 
@@ -439,24 +347,23 @@ class ConvolutionTable:
         mant = self.mantissa[m]
         if mant == 0.0:
             return -math.inf
-        return math.log(mant) + _LN2 * float(self.exponent[m])
+        return math.log(mant) + _LN2 * self.exponent[m]
 
     def ratio(self, m_num: int, m_den: int) -> float:
         """G(m_num) / G(m_den) without leaving the double range."""
         if self.mantissa[m_den] == 0.0:
             raise NumericalRangeError("ratio denominator is zero")
         q = self.mantissa[m_num] / self.mantissa[m_den]
-        return math.ldexp(q, int(self.exponent[m_num] - self.exponent[m_den]))
+        return math.ldexp(q, self.exponent[m_num] - self.exponent[m_den])
 
 
-def _as_eta_array(eta: VisitRatios | Sequence[float] | np.ndarray,
-                  count: int) -> np.ndarray:
-    arr = eta.eta if isinstance(eta, VisitRatios) else np.asarray(eta, dtype=float)
-    if arr.shape != (count,):
-        raise ValueError(f"expected {count} visit ratios, got shape {arr.shape}")
-    if np.any(arr < 0) or not np.any(arr > 0):
+def _as_eta_array(eta: Sequence[float], count: int) -> list[float]:
+    etas = [float(e) for e in eta]
+    if len(etas) != count:
+        raise ValueError(f"expected {count} visit ratios, got {len(etas)}")
+    if any(e < 0 for e in etas) or not any(e > 0 for e in etas):
         raise ValueError("visit ratios must be non-negative with at least one positive entry")
-    return np.asarray(arr, dtype=float)
+    return etas
 
 
 def _check_entry(m: int, mant: float, exp2: int, log: float) -> None:
@@ -473,15 +380,7 @@ def _check_entry(m: int, mant: float, exp2: int, log: float) -> None:
             f"{m}: {ladder_log!r} vs {log!r}")
 
 
-def _verify_table(mant: np.ndarray, exp2: np.ndarray, logs: np.ndarray) -> None:
-    if mant[0] != 0.5 or exp2[0] != 1:
-        raise NumericalRangeError("convolution lost the empty-population unit entry")
-    for m, (mv, ev, lv) in enumerate(zip(mant.tolist(), exp2.tolist(), logs.tolist())):
-        _check_entry(m, mv, ev, lv)
-
-
-def convolve_stations(stations: Sequence[Station],
-                      eta: VisitRatios | Sequence[float] | np.ndarray,
+def convolve_stations(stations: Sequence[Station], eta: Sequence[float],
                       population: int,
                       node_order: Iterable[int] | None = None) -> ConvolutionTable:
     """Convolution over an explicit station list (no routing needed)."""
@@ -490,37 +389,8 @@ def convolve_stations(stations: Sequence[Station],
     return Convolution(stations, eta, node_order).table(population)
 
 
-def buzen_convolve(net: ClosedNetwork,
-                   eta: VisitRatios | Sequence[float] | np.ndarray,
-                   node_order: Iterable[int] | None = None) -> ConvolutionTable:
-    """Normalization table for a closed network at its population."""
-    return convolve_stations(net.stations, eta, net.population, node_order)
-
-
-def throughput(table: ConvolutionTable, population: int | None = None) -> float:
-    """Overall throughput TH(N) = G(N-1)/G(N) on the eta scale that built
-    the table."""
-    n = table.population if population is None else population
-    if n < 1:
-        raise ValueError("throughput needs at least one customer")
-    if n > table.population:
-        raise ValueError(f"table only covers populations up to {table.population}")
-    return table.ratio(n - 1, n)
-
-
-def node_throughputs(table: ConvolutionTable,
-                     eta: VisitRatios | Sequence[float] | np.ndarray,
-                     population: int | None = None) -> np.ndarray:
-    """Per-station throughputs TH_j = eta_j * TH for the eta that built the
-    table (any common rescaling of eta cancels in the ratio)."""
-    arr = eta.eta if isinstance(eta, VisitRatios) else np.asarray(eta, dtype=float)
-    return arr * throughput(table, population)
-
-
-def marginal_distribution(stations: Sequence[Station],
-                          eta: VisitRatios | Sequence[float] | np.ndarray,
-                          table: ConvolutionTable,
-                          node: int) -> np.ndarray:
+def marginal_distribution(stations: Sequence[Station], eta: Sequence[float],
+                          table: ConvolutionTable, node: int) -> np.ndarray:
     """Stationary distribution of the queue length at one station.
 
     P(n_node = k) = g_node(k) * G_without_node(N - k) / G(N), with the
@@ -531,33 +401,21 @@ def marginal_distribution(stations: Sequence[Station],
     n = table.population
     if not 0 <= node < len(stations):
         raise ValueError(f"no station with index {node}")
-    tm, te = table.mantissa.tolist(), table.exponent.tolist()
-    gm, ge, _ = _station_factors(stations[node], float(etas[node]), n)
+    tm, te = table.mantissa, table.exponent
+    gm, ge = _station_factors(stations[node], etas[node], n)
     rest = [i for i in range(len(stations)) if i != node]
     if rest:
-        comp = convolve_stations([stations[i] for i in rest], etas[rest], n)
-        cm, ce = comp.mantissa.tolist(), comp.exponent.tolist()
+        comp = convolve_stations([stations[i] for i in rest], [etas[i] for i in rest], n)
+        cm, ce = comp.mantissa, comp.exponent
     else:
         cm, ce = [0.5] + [0.0] * n, [1] + [0] * n
     probs = np.zeros(n + 1)
     for k in range(n + 1):
-        num = float(gm[k]) * cm[n - k]
+        num = gm[k] * cm[n - k]
         if num != 0.0:
-            probs[k] = math.ldexp(num / tm[n], int(ge[k]) + ce[n - k] - te[n])
+            probs[k] = math.ldexp(num / tm[n], ge[k] + ce[n - k] - te[n])
     total = float(probs.sum())
     if not math.isfinite(total) or abs(total - 1.0) > 1e-10:
         raise NumericalRangeError(f"marginal distribution sums to {total!r}")
     probs.flags.writeable = False
     return probs
-
-
-def mean_queue_lengths(stations: Sequence[Station],
-                       eta: VisitRatios | Sequence[float] | np.ndarray,
-                       table: ConvolutionTable) -> np.ndarray:
-    """Expected customers at each station; sums to the population."""
-    n = table.population
-    ks = np.arange(n + 1)
-    return np.array([
-        float((marginal_distribution(stations, eta, table, i) * ks).sum())
-        for i in range(len(stations))
-    ])

@@ -1,10 +1,18 @@
 """Independent cross-checks for the convolution analysis.
 
-Three oracles that share no code with the production path:
+Three oracles work on the explicit star that lane pooling collapses: the
+hub, then per warehouse an outbound lane, the dock and a return lane,
+3J + 1 stations in all, built here by ``_explicit_star``:
 
 * brute-force product-form enumeration over all states,
 * exact CTMC steady state from the generator matrix,
 * a discrete-event simulation of the star network.
+
+They share the model's inputs with the analytic path: ``Station`` and its
+``service_rate``, and the ``StarNetwork`` that ``build_star`` pins to a
+hub location (lane travel times, demand shares, visit ratios).  They share
+none of its arithmetic: no lane pooling, no fold order, no ladder or log
+forms and no cross-check.
 
 Plus random instance generation and the validation suite behind the
 ``validate`` CLI verb.
@@ -24,7 +32,9 @@ import numpy as np
 
 from . import convolution as conv
 from .scenario import Center, Scenario, Warehouse
-from .star import StarNetwork, build_star, explicit_network
+from .star import (AggregatedConvolution, StarNetwork, aggregated_norm_constants,
+                   bottleneck, build_star)
+from .weber import WeberProblem, solve_weber
 
 _ENUM_STATE_LIMIT = 1_000_000
 _CTMC_STATE_LIMIT = 100_000
@@ -43,6 +53,31 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def _state_count(population: int, stations: int) -> int:
     return math.comb(population + stations - 1, stations - 1)
+
+
+def _explicit_star(star: StarNetwork
+                   ) -> tuple[tuple[conv.Station, ...], np.ndarray, np.ndarray]:
+    """Stations, routing matrix and visit ratios of the star before lane
+    pooling: hub 0, then warehouse i's outbound lane 1+3i, dock 2+3i and
+    return lane 3+3i.  The hub has visit ratio 1/4 and each leg of
+    warehouse i rho_i / 4."""
+    s = star.scenario
+    k = len(s.warehouses)
+    stations = [conv.multi_server("center", s.center.load_rate_per_hour, s.center.servers)]
+    for i, w in enumerate(s.warehouses):
+        mean = float(star.travel_hours[i])
+        stations += [conv.infinite_server(f"lane_out_{w.id}", mean),
+                     conv.multi_server(f"warehouse_{w.id}", w.unload_rate_per_hour, w.servers),
+                     conv.infinite_server(f"lane_back_{w.id}", mean)]
+    routing = np.zeros((1 + 3 * k, 1 + 3 * k))
+    eta = np.empty(1 + 3 * k)
+    eta[0] = star.eta_center
+    for i in range(k):
+        out, dock, back = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
+        routing[0, out] = star.rho[i]
+        routing[out, dock] = routing[dock, back] = routing[back, 0] = 1.0
+        eta[out:back + 1] = star.eta_warehouse[i]
+    return tuple(stations), routing, eta
 
 
 def _plain_factors(stations: Sequence[conv.Station], eta: np.ndarray,
@@ -75,19 +110,11 @@ class EnumerationResult:
         return float(sum(s[node] * p for s, p in zip(self.states, self.probabilities)))
 
 
-def enumerate_product_form(stations: Sequence[conv.Station] | conv.ClosedNetwork,
-                           eta: conv.VisitRatios | Sequence[float] | np.ndarray,
-                           population: int | None = None) -> EnumerationResult:
+def enumerate_product_form(stations: Sequence[conv.Station], eta: Sequence[float],
+                           population: int) -> EnumerationResult:
     """Exact normalization constant and state probabilities by enumerating
     every state of a small closed network."""
-    if isinstance(stations, conv.ClosedNetwork):
-        if population is None:
-            population = stations.population
-        stations = stations.stations
-    if population is None:
-        raise ValueError("population required when passing a bare station list")
-    etas = np.asarray(eta.eta if isinstance(eta, conv.VisitRatios) else eta,
-                      dtype=float)
+    etas = np.asarray(eta, dtype=float)
     count = _state_count(population, len(stations))
     if count > _ENUM_STATE_LIMIT:
         raise ValueError(f"state space too large to enumerate ({count} states)")
@@ -117,33 +144,37 @@ class CtmcResult:
     residual: float
 
 
-def ctmc_throughput(net: conv.ClosedNetwork) -> CtmcResult:
+def ctmc_throughput(stations: Sequence[conv.Station], routing: np.ndarray,
+                    population: int) -> CtmcResult:
     """Steady state of the explicit Markov chain, solved from the generator.
 
-    Station throughputs are completion rates sum_s pi(s) mu_j(n_j); for a
-    product-form network they equal eta_j G(N-1)/G(N).
+    ``routing[j, k]`` is the probability that a customer leaving station j
+    goes to station k.  Station throughputs are completion rates
+    sum_s pi(s) mu_j(n_j); for a product-form network they equal
+    eta_j G(N-1)/G(N).
     """
     # scipy is imported here, not at module load: only this oracle needs it
     from scipy.sparse import coo_matrix, csr_matrix
     from scipy.sparse.linalg import spsolve
 
-    count = _state_count(net.population, net.num_stations)
+    width = len(stations)
+    count = _state_count(population, width)
     if count > _CTMC_STATE_LIMIT:
         raise ValueError(f"state space too large for CTMC solve ({count} states)")
-    states = list(_compositions(net.population, net.num_stations))
+    states = list(_compositions(population, width))
     index = {s: i for i, s in enumerate(states)}
-    r = net.routing
+    r = np.asarray(routing, dtype=float)
 
     rows, cols, vals = [], [], []
     diag = np.zeros(count)
     for i, s in enumerate(states):
-        for j in range(net.num_stations):
+        for j in range(width):
             if s[j] == 0:
                 continue
-            mu = net.stations[j].service_rate(s[j])
+            mu = stations[j].service_rate(s[j])
             if math.isinf(mu):
                 raise ValueError("CTMC oracle needs finite service rates")
-            for k in range(net.num_stations):
+            for k in range(width):
                 p = r[j, k]
                 if p == 0.0 or k == j:
                     continue
@@ -179,11 +210,11 @@ def ctmc_throughput(net: conv.ClosedNetwork) -> CtmcResult:
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
 
-    th = np.zeros(net.num_stations)
+    th = np.zeros(width)
     for i, s in enumerate(states):
-        for j in range(net.num_stations):
+        for j in range(width):
             if s[j] > 0:
-                th[j] += pi[i] * net.stations[j].service_rate(s[j])
+                th[j] += pi[i] * stations[j].service_rate(s[j])
     return CtmcResult(states=tuple(states), pi=pi, station_throughput=th,
                       residual=residual)
 
@@ -418,13 +449,9 @@ def _check(name: str, fn: Callable[[], str]) -> CheckResult:
 
 
 def run_validation_suite(seed: int = 0, *, instances: int = 4, trucks: int = 4,
-                         des_events: int = 60_000, des_replications: int = 10,
-                         corrupt_convolution: bool = False) -> list[CheckResult]:
-    """Cross-validate the analytic pipeline against all three oracles.
-
-    ``corrupt_convolution`` is a test hook: it injects a wrong table entry
-    to prove the log/linear agreement check actually fires.
-    """
+                         des_events: int = 60_000, des_replications: int = 10
+                         ) -> list[CheckResult]:
+    """Cross-validate the analytic pipeline against all three oracles."""
     rng = np.random.default_rng(seed)
     results = []
 
@@ -434,12 +461,11 @@ def run_validation_suite(seed: int = 0, *, instances: int = 4, trucks: int = 4,
             sc = random_scenario(rng, int(rng.integers(2, 4)))
             star = build_star(sc, (0.0, 0.0))
             n = int(rng.integers(1, trucks + 1))
-            net, eta = explicit_network(star, n)
-            table = conv.buzen_convolve(net, eta)
-            enum = enumerate_product_form(net, eta)
+            stations, _, eta = _explicit_star(star)
+            table = conv.convolve_stations(stations, eta, n)
+            enum = enumerate_product_form(stations, eta, n)
             rel = abs(table.value(n) - enum.norm_constant) / enum.norm_constant
             worst = max(worst, rel)
-            from .star import aggregated_norm_constants
             agg_tab = aggregated_norm_constants(star, n)
             rel2 = abs(agg_tab.value(n) - enum.norm_constant) / enum.norm_constant
             worst = max(worst, rel2)
@@ -456,10 +482,9 @@ def run_validation_suite(seed: int = 0, *, instances: int = 4, trucks: int = 4,
             sc = random_scenario(rng, 2)
             star = build_star(sc, (0.0, 0.0))
             n = int(rng.integers(1, trucks + 1))
-            net, eta = explicit_network(star, n)
-            table = conv.buzen_convolve(net, eta)
-            th = conv.node_throughputs(table, eta)
-            res = ctmc_throughput(net)
+            stations, routing, eta = _explicit_star(star)
+            th = eta * AggregatedConvolution(star).throughput(n)
+            res = ctmc_throughput(stations, routing, n)
             rel = float(np.max(np.abs(res.station_throughput - th)
                                / np.maximum(th, 1e-300)))
             worst = max(worst, rel)
@@ -470,8 +495,6 @@ def run_validation_suite(seed: int = 0, *, instances: int = 4, trucks: int = 4,
     results.append(_check("ctmc vs convolution", ctmc_check))
 
     def grid_check() -> str:
-        from .star import AggregatedConvolution
-        from .weber import WeberProblem, solve_weber
         violations = 0
         for _ in range(instances):
             sc = random_scenario(rng, 3, radius_range=(2.0, 5.0))
@@ -498,7 +521,6 @@ def run_validation_suite(seed: int = 0, *, instances: int = 4, trucks: int = 4,
     results.append(_check("throughput maximal at the weighted hub point", grid_check))
 
     def monotone_check() -> str:
-        from .star import AggregatedConvolution, bottleneck
         for _ in range(instances):
             sc = random_scenario(rng, 2)
             star = build_star(sc, (0.0, 0.0))
@@ -517,7 +539,6 @@ def run_validation_suite(seed: int = 0, *, instances: int = 4, trucks: int = 4,
     results.append(_check("fleet-size monotonicity", monotone_check))
 
     def insensitivity_check() -> str:
-        from .star import AggregatedConvolution
         sc = random_scenario(rng, 2, radius_range=(1.0, 3.0))
         star = build_star(sc, (0.0, 0.0))
         n = 3
@@ -546,12 +567,8 @@ def run_validation_suite(seed: int = 0, *, instances: int = 4, trucks: int = 4,
     def range_check() -> str:
         sc = random_scenario(rng, 2, rate_range=(0.5, 1.0))
         star = build_star(sc, (0.0, 0.0))
-        table = conv.convolve_stations(*star.aggregated_stations(), 60)
-        mant = np.array(table.mantissa)
-        if corrupt_convolution:
-            mant[37] *= 1.0 + 1e-4  # deliberate corruption, must be caught
-        conv._verify_table(mant, np.array(table.exponent),
-                           np.array(table.log_values))
+        # every entry is cross-checked as it is built; a disagreement raises
+        conv.convolve_stations(*star.aggregated_stations(), 60)
         return "log-domain and extended-range paths agree"
 
     results.append(_check("log/linear convolution agreement", range_check))

@@ -8,8 +8,8 @@ of its two lanes) rho_j / 4.
 Because the lanes are infinite servers, the 3(J-1)+1 station network
 collapses exactly into J+1 stations: hub, the J-1 warehouse docks, and one
 pooled infinite server with visit ratio 1/2 and mean holding time
-sum_j rho_j d_j(x) / S.  All production analysis runs on that aggregated
-form; the explicit network is kept available for cross-checks.
+sum_j rho_j d_j(x) / S.  All analysis runs on that aggregated form; the
+explicit network exists only in the oracles that cross-check it.
 """
 
 from __future__ import annotations
@@ -87,39 +87,6 @@ def build_star(scenario: Scenario, center: Point) -> StarNetwork:
     )
 
 
-def explicit_network(star: StarNetwork, trucks: int
-                     ) -> tuple[conv.ClosedNetwork, conv.VisitRatios]:
-    """The full 3(J-1)+1 station network: hub, then per warehouse an
-    outbound lane, the dock, and a return lane.  Used for validation; the
-    aggregated form is the production path."""
-    s = star.scenario
-    rho = star.rho
-    k = len(s.warehouses)
-    stations: list[conv.Station] = [
-        conv.multi_server("center", s.center.load_rate_per_hour, s.center.servers)]
-    for i, w in enumerate(s.warehouses):
-        mean = float(star.travel_hours[i])
-        stations.append(conv.infinite_server(f"lane_out_{w.id}", mean))
-        stations.append(conv.multi_server(f"warehouse_{w.id}",
-                                          w.unload_rate_per_hour, w.servers))
-        stations.append(conv.infinite_server(f"lane_back_{w.id}", mean))
-
-    n = 1 + 3 * k
-    routing = np.zeros((n, n))
-    for i in range(k):
-        out, dock, back = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
-        routing[0, out] = rho[i]
-        routing[out, dock] = 1.0
-        routing[dock, back] = 1.0
-        routing[back, 0] = 1.0
-    net = conv.ClosedNetwork(tuple(stations), routing, trucks)
-    eta = np.empty(n)
-    eta[0] = HUB_VISIT_RATIO
-    for i in range(k):
-        eta[1 + 3 * i: 4 + 3 * i] = star.eta_warehouse[i]
-    return net, conv.VisitRatios(eta)
-
-
 class AggregatedConvolution:
     """Normalization table of the aggregated star, extensible one truck at a
     time so fleet search reuses all previous work.
@@ -129,10 +96,7 @@ class AggregatedConvolution:
     """
 
     def __init__(self, star: StarNetwork):
-        self.star = star
         stations, eta = star.aggregated_stations()
-        self.stations = stations
-        self.eta = eta
         hub_last = tuple(range(1, len(stations))) + (0,)
         self._conv = conv.Convolution(stations, eta, hub_last)
 
@@ -176,9 +140,8 @@ def aggregated_norm_constants(star: StarNetwork, population: int
 class StarAnalysis:
     """Steady-state figures for a star network with a fixed fleet.
 
-    Only the scenario, the hub location and scalars are stored; the star,
-    its table, the marginals, the per-warehouse split and the passage time
-    are rebuilt when read.
+    Only the scenario, the hub location and scalars are stored; the
+    passage time and the daily throughput are derived when read.
     """
 
     scenario: Scenario
@@ -187,10 +150,6 @@ class StarAnalysis:
     throughput: float                 # per hour, all four legs combined
     warehouse_throughput: float       # deliveries per hour, = throughput / 4
     busy_center: float                 # P(hub has at least one truck)
-
-    @property
-    def star(self) -> StarNetwork:
-        return build_star(self.scenario, self.center)
 
     @property
     def hours_per_day(self) -> float:
@@ -202,30 +161,8 @@ class StarAnalysis:
         return 4.0 * self.trucks / self.throughput
 
     @property
-    def table(self) -> conv.ConvolutionTable:
-        return aggregated_norm_constants(self.star, self.trucks)
-
-    @property
-    def marginals(self) -> tuple[np.ndarray, ...]:
-        """Queue-length distributions at the aggregated stations: hub, docks,
-        pooled lane."""
-        stations, eta = self.star.aggregated_stations()
-        table = self.table
-        return tuple(conv.marginal_distribution(stations, eta, table, i)
-                     for i in range(len(stations)))
-
-    @property
-    def warehouse_throughputs(self) -> np.ndarray:
-        """Per warehouse, rho_j * warehouse_throughput."""
-        return np.asarray(demand_fractions(self.scenario)) * self.warehouse_throughput
-
-    @property
     def warehouse_throughput_per_day(self) -> float:
         return self.warehouse_throughput * self.hours_per_day
-
-    @property
-    def warehouse_throughputs_per_day(self) -> np.ndarray:
-        return self.warehouse_throughputs * self.hours_per_day
 
 
 def analyze(star: StarNetwork, trucks: int) -> StarAnalysis:

@@ -12,11 +12,12 @@ import pytest
 
 from hubfleet.calibration import calibrate_speed
 from hubfleet.cli import BLOCKS, sample_instance
+from hubfleet.convolution import marginal_distribution
 from hubfleet.fleet import compare_locations, min_center_rate, min_trucks
-from hubfleet.oracle import (ctmc_throughput, enumerate_product_form,
+from hubfleet.oracle import (_explicit_star, ctmc_throughput, enumerate_product_form,
                              random_scenario, simulate)
-from hubfleet.star import (AggregatedConvolution, analyze, bottleneck,
-                           build_star, explicit_network)
+from hubfleet.star import (AggregatedConvolution, aggregated_norm_constants,
+                           analyze, bottleneck, build_star)
 from hubfleet.weber import WeberProblem, solve_weber
 
 
@@ -104,13 +105,13 @@ def test_criterion_4_oracle_triple_agreement():
         agg = AggregatedConvolution(star)
         g_agg = agg.table(n).value(n)
 
-        net, eta = explicit_network(star, n)
-        en = enumerate_product_form(net, eta)
+        stations, routing, eta = _explicit_star(star)
+        en = enumerate_product_form(stations, eta, n)
         worst_g = max(worst_g, abs(en.norm_constant - g_agg) / g_agg)
 
-        ct = ctmc_throughput(net)
+        ct = ctmc_throughput(stations, routing, n)
         th = agg.throughput(n)
-        th_ctmc = ct.station_throughput[0] / eta.eta[0]
+        th_ctmc = ct.station_throughput[0] / eta[0]
         worst_th = max(worst_th, abs(th_ctmc - th) / th)
     elapsed = time.perf_counter() - t0
 
@@ -172,7 +173,10 @@ def test_criterion_7_passage_time_identity(toy_star_scenario):
         for n in (1, 3, 8, 20):
             res = analyze(star, n)
             # independent route: population conservation via the marginals
-            total = sum(float(np.arange(len(m)) @ m) for m in res.marginals)
+            table = aggregated_norm_constants(star, n)
+            total = sum(float(np.arange(n + 1) @ marginal_distribution(
+                *star.aggregated_stations(), table, i))
+                for i in range(len(sc.warehouses) + 2))
             z_little = 4.0 * total / res.throughput
             rel = abs(z_little * res.throughput - 4.0 * n) / (4.0 * n)
             worst = max(worst, rel)

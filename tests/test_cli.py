@@ -158,10 +158,18 @@ def test_grid_rejects_bad_step(runner, log_path):
     ("fleet", ["--mu1", "1", "--find-mu1", "--mu1-step", "-0.01"]),
     ("generate", ["--block", "I", "--seed", "1", "--speed", "inf"]),
     ("solve", ["--center", "nan,1"]),
+    ("grid", ["--radius", "inf", "--step", "1"]),
+    ("grid", ["--radius", "10", "--step", "nan"]),
+    ("solve", ["--busy-decimals", "-1"]),
+    ("generate", ["--block", "I", "--seed", "-1"]),
+    # a ScenarioError raised inside the verb, not by an option check
+    ("calibrate", ["--smin", "-5"]),
+    # about 4e18 grid points
+    ("grid", ["--radius", "1", "--step", "1e-9"]),
 ])
 def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
-    # generate takes no scenario file
-    argv = [verb, *args] if verb == "generate" else [verb, log_path, *args]
+    # generate and calibrate take no scenario file
+    argv = [verb, *args] if verb in ("generate", "calibrate") else [verb, log_path, *args]
     res = runner.invoke(main, argv)
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
@@ -224,11 +232,17 @@ def test_validate_passes(runner):
     assert "[FAIL]" not in res.output
 
 
-def test_validate_detects_corruption(runner):
-    res = runner.invoke(main, ["validate", "--seed", "4", "--instances", "2",
-                               "--corrupt-convolution"])
+def test_validate_detects_corruption(runner, monkeypatch):
+    from hubfleet import oracle
+    failing = oracle.CheckResult("log/linear convolution agreement", False,
+                                 "NumericalRangeError: paths disagree")
+    monkeypatch.setattr(oracle, "run_validation_suite", lambda **kw: [failing])
+    res = runner.invoke(main, ["validate", "--seed", "4", "--instances", "2"])
     assert res.exit_code == 1
     assert "[FAIL] log/linear convolution agreement" in res.output
+    res = runner.invoke(main, ["validate", "--corrupt-convolution"])
+    assert res.exit_code == 2
+    assert "No such option" in res.output
 
 
 def test_blocks_match_published_design():

@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hubfleet.convolution import (ClosedNetwork, NumericalRangeError,
-                                  ReducibleRoutingError, VisitRatios,
-                                  buzen_convolve, convolve_stations,
-                                  infinite_server, marginal_distribution,
-                                  mean_queue_lengths, multi_server,
-                                  node_throughputs, solve_traffic, throughput,
-                                  _verify_table)
-from hubfleet.oracle import enumerate_product_form
+from hubfleet.convolution import (NumericalRangeError, _check_entry,
+                                  convolve_stations, infinite_server,
+                                  marginal_distribution, multi_server)
+from hubfleet.oracle import _explicit_star, enumerate_product_form, random_scenario
+from hubfleet.star import AggregatedConvolution, build_star
 
 
 def two_node_cycle():
@@ -19,58 +16,19 @@ def two_node_cycle():
     return stations, routing
 
 
-def test_traffic_two_node_cycle():
-    _, routing = two_node_cycle()
-    eta = solve_traffic(routing)
-    assert np.allclose(eta.eta, [0.5, 0.5], atol=1e-12)
-
-
 def test_traffic_star_routing():
-    # hub feeding three branches with probabilities (.5, .3, .2), each
-    # returning to the hub
-    routing = np.zeros((4, 4))
-    routing[0, 1:] = [0.5, 0.3, 0.2]
-    routing[1:, 0] = 1.0
-    eta = solve_traffic(routing).eta
-    assert eta[0] == pytest.approx(0.5)
-    assert np.allclose(eta[1:], [0.25, 0.15, 0.10], atol=1e-12)
-    assert np.max(np.abs(eta @ routing - eta)) < 1e-10
-
-
-def test_traffic_random_chains_residual():
+    # the oracles' explicit star: the hub feeds warehouse i's outbound lane
+    # with probability rho_i, and its visit ratios solve eta = eta R
     rng = np.random.default_rng(3)
     for _ in range(20):
-        n = int(rng.integers(2, 15))
-        r = rng.uniform(0.05, 1.0, size=(n, n))
-        r /= r.sum(axis=1, keepdims=True)
-        eta = solve_traffic(r).eta
-        assert np.max(np.abs(eta @ r - eta)) < 1e-10
-        assert eta.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_traffic_reducible_rejected():
-    for r in (
-        [[0.5, 0.5, 0.0],
-         [0.5, 0.5, 0.0],
-         [0.0, 0.5, 0.5]],   # state 2 reaches 0, but 0 never reaches 2
-        [[0.0, 1.0, 0.0],
-         [0.0, 0.0, 1.0],
-         [0.0, 0.0, 1.0]],   # 0 reaches every state, but 2 never returns
-    ):
-        with pytest.raises(ReducibleRoutingError):
-            solve_traffic(np.array(r))
-
-
-def test_closed_network_validation():
-    stations, routing = two_node_cycle()
-    net = ClosedNetwork(stations, routing, 2)
-    assert net.num_stations == 2
-    with pytest.raises(ValueError, match="sum to 1"):
-        ClosedNetwork(stations, np.array([[0.0, 0.9], [1.0, 0.0]]), 2)
-    with pytest.raises(ReducibleRoutingError):
-        ClosedNetwork(stations, np.eye(2), 2)
-    with pytest.raises(ValueError, match="population"):
-        ClosedNetwork(stations, routing, -1)
+        sc = random_scenario(rng, int(rng.integers(1, 6)), max_servers=3)
+        star = build_star(sc, (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))))
+        stations, routing, eta = _explicit_star(star)
+        assert len(stations) == routing.shape[0] == routing.shape[1] == len(eta)
+        assert np.allclose(routing.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(routing[0, 1::3], star.rho, rtol=0, atol=1e-15)
+        assert np.max(np.abs(eta @ routing - eta)) < 1e-15
+        assert eta[0] == 0.25 and eta.sum() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_two_station_norm_constants_frozen():
@@ -80,16 +38,16 @@ def test_two_station_norm_constants_frozen():
     assert t.value(0) == pytest.approx(1.0, rel=1e-14)
     assert t.value(1) == pytest.approx(1.0, rel=1e-14)
     assert t.value(2) == pytest.approx(0.75, rel=1e-14)
-    assert throughput(t) == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert t.ratio(1, 2) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
-def test_throughput_n_zero_rejected():
+def test_throughput_n_zero_rejected(toy_star_scenario):
     stations, _ = two_node_cycle()
-    t = convolve_stations(stations, [0.5, 0.5], 2)
-    with pytest.raises(ValueError):
-        throughput(t, 0)
-    with pytest.raises(ValueError):
-        throughput(t, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        convolve_stations(stations, [0.5, 0.5], -1)
+    agg = AggregatedConvolution(build_star(toy_star_scenario, (0.0, 0.0)))
+    with pytest.raises(ValueError, match="at least one truck"):
+        agg.throughput(0)
 
 
 def test_marginal_two_station_uniform():
@@ -98,8 +56,9 @@ def test_marginal_two_station_uniform():
     t = convolve_stations(stations, [0.5, 0.5], 2)
     m = marginal_distribution(stations, [0.5, 0.5], t, 0)
     assert np.allclose(m, [1/3, 1/3, 1/3], atol=1e-14)
-    lengths = mean_queue_lengths(stations, [0.5, 0.5], t)
-    assert lengths.sum() == pytest.approx(2.0, abs=1e-12)
+    lengths = [float(np.arange(3) @ marginal_distribution(stations, [0.5, 0.5], t, i))
+               for i in range(2)]
+    assert sum(lengths) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_order_invariance():
@@ -121,15 +80,15 @@ def test_order_invariance():
 
 def test_eta_scaling_covariance():
     stations, _ = two_node_cycle()
-    eta = VisitRatios(np.array([0.5, 0.5]))
-    scaled = VisitRatios(eta.eta * 7.0)
+    eta = np.array([0.5, 0.5])
+    scaled = eta * 7.0
     a = convolve_stations(stations, eta, 3)
     b = convolve_stations(stations, scaled, 3)
     # G picks up c**m but throughput ratios rescale consistently
     for m in range(4):
         assert b.value(m) == pytest.approx(7.0 ** m * a.value(m), rel=1e-12)
-    th_a = node_throughputs(a, eta)
-    th_b = node_throughputs(b, scaled)
+    th_a = eta * a.ratio(2, 3)
+    th_b = scaled * b.ratio(2, 3)
     assert np.allclose(th_a, th_b, rtol=1e-12)
 
 
@@ -176,7 +135,7 @@ def test_extreme_rates_stay_finite():
                 infinite_server("lane", 3.0))
     t = convolve_stations(stations, [0.4, 0.3, 0.3], 120)
     assert np.all(np.isfinite(t.mantissa))
-    th = throughput(t)
+    th = t.ratio(119, 120)
     assert math.isfinite(th) and th > 0
     # log companion agrees even though plain floats would have overflowed
     assert t.log_value(120) == pytest.approx(float(t.log_values[120]), abs=1e-9)
@@ -185,15 +144,19 @@ def test_extreme_rates_stay_finite():
 def test_corrupted_table_detected():
     stations, _ = two_node_cycle()
     t = convolve_stations(stations, [0.5, 0.5], 8)
-    mant = np.array(t.mantissa)
-    mant[5] *= 1.0 + 1e-5
+    for m in range(9):
+        _check_entry(m, t.mantissa[m], t.exponent[m], t.log_values[m])
+    # a wrong mantissa, and a log entry that lost its value entirely, must
+    # not slip through
     with pytest.raises(NumericalRangeError, match="disagree"):
-        _verify_table(mant, np.array(t.exponent), np.array(t.log_values))
-    # a log entry that lost its value entirely must not slip through
-    logs = np.array(t.log_values)
-    logs[5] = -math.inf
+        _check_entry(5, t.mantissa[5] * (1.0 + 1e-5), t.exponent[5], t.log_values[5])
     with pytest.raises(NumericalRangeError, match="disagree"):
-        _verify_table(np.array(t.mantissa), np.array(t.exponent), logs)
+        _check_entry(5, t.mantissa[5], t.exponent[5], -math.inf)
+    # entry 37 of a 60-truck star table, off by 1e-4
+    sc = random_scenario(np.random.default_rng(2), 2, rate_range=(0.5, 1.0))
+    t = convolve_stations(*build_star(sc, (0.0, 0.0)).aggregated_stations(), 60)
+    with pytest.raises(NumericalRangeError, match="disagree at population 37"):
+        _check_entry(37, t.mantissa[37] * (1.0 + 1e-4), t.exponent[37], t.log_values[37])
 
 
 def test_unholdable_population_raises():
@@ -204,9 +167,10 @@ def test_unholdable_population_raises():
 
 
 def test_buzen_on_closed_network():
+    # the two-node cycle at its visit ratios, which solve eta = eta R
     stations, routing = two_node_cycle()
-    net = ClosedNetwork(stations, routing, 2)
-    eta = solve_traffic(routing)
-    t = buzen_convolve(net, eta)
+    eta = np.array([0.5, 0.5])
+    assert np.array_equal(eta @ routing, eta)
+    t = convolve_stations(stations, eta, 2)
     assert t.population == 2
-    assert throughput(t) == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert t.ratio(1, 2) == pytest.approx(4.0 / 3.0, rel=1e-14)

@@ -3,16 +3,27 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hubfleet.oracle import ctmc_throughput, enumerate_product_form, random_scenario
+from hubfleet.convolution import marginal_distribution
+from hubfleet.oracle import (_explicit_star, ctmc_throughput, enumerate_product_form,
+                             random_scenario)
 from hubfleet.scenario import Center
-from hubfleet.star import (AggregatedConvolution, analyze, build_star,
-                           explicit_network)
+from hubfleet.star import (AggregatedConvolution, aggregated_norm_constants,
+                           analyze, build_star)
 from hubfleet.weber import WeberProblem, solve_weber
+
+
+def _marginals(star, n: int) -> list[np.ndarray]:
+    """Queue-length distributions at the aggregated stations: hub, docks,
+    pooled lane."""
+    table = aggregated_norm_constants(star, n)
+    return [marginal_distribution(*star.aggregated_stations(), table, i)
+            for i in range(len(star.scenario.warehouses) + 2)]
 
 
 def _log_space_throughput(star, n: int) -> float:
@@ -44,10 +55,10 @@ def test_slow_trucks_deep_table(towns_log):
     assert th == pytest.approx(_log_space_throughput(star, 400), rel=1e-10)
 
 
-def _lane_marginal(enum, net) -> np.ndarray:
+def _lane_marginal(enum, stations, n: int) -> np.ndarray:
     """Distribution of the total number of trucks on all lanes."""
-    lanes = [j for j, s in enumerate(net.stations) if s.is_infinite_server]
-    out = np.zeros(net.population + 1)
+    lanes = [j for j, s in enumerate(stations) if s.is_infinite_server]
+    out = np.zeros(n + 1)
     for state, p in zip(enum.states, enum.probabilities):
         out[sum(state[j] for j in lanes)] += p
     return out
@@ -62,20 +73,21 @@ def test_multi_server_hubs_and_docks_match_oracles():
             hub_servers, float(rng.uniform(0.5, 4.0))))
         star = build_star(sc, (0.0, 0.0))
         n = int(rng.integers(1, 6))
-        net, eta = explicit_network(star, n)
-        enum = enumerate_product_form(net, eta)
-        ctmc = ctmc_throughput(net)
+        stations, routing, eta = _explicit_star(star)
+        enum = enumerate_product_form(stations, eta, n)
+        ctmc = ctmc_throughput(stations, routing, n)
         ana = analyze(star, n)
 
-        assert ana.table.value(n) == pytest.approx(enum.norm_constant, rel=1e-12)
+        assert aggregated_norm_constants(star, n).value(n) == pytest.approx(
+            enum.norm_constant, rel=1e-12)
         assert ana.throughput == pytest.approx(
-            ctmc.station_throughput[0] / eta.eta[0], rel=1e-9)
+            ctmc.station_throughput[0] / eta[0], rel=1e-9)
         assert ana.busy_center == pytest.approx(1.0 - enum.marginal(0)[0], abs=1e-12)
         # hub, then dock j at explicit index 2 + 3j, then the pooled lanes
         expected = [enum.marginal(0)]
         expected += [enum.marginal(2 + 3 * j) for j in range(len(sc.warehouses))]
-        expected.append(_lane_marginal(enum, net))
-        for got, want in zip(ana.marginals, expected, strict=True):
+        expected.append(_lane_marginal(enum, stations, n))
+        for got, want in zip(_marginals(star, n), expected, strict=True):
             assert np.allclose(got, want, atol=1e-12)
 
 
@@ -85,13 +97,14 @@ def test_single_server_marginals_match_enumeration():
         sc = random_scenario(rng, int(rng.integers(2, 4)))
         star = build_star(sc, (0.0, 0.0))
         n = int(rng.integers(1, 7))
-        net, eta = explicit_network(star, n)
-        enum = enumerate_product_form(net, eta)
+        stations, _, eta = _explicit_star(star)
+        enum = enumerate_product_form(stations, eta, n)
         ana = analyze(star, n)
+        marginals = _marginals(star, n)
         assert ana.busy_center == pytest.approx(1.0 - enum.marginal(0)[0], abs=1e-12)
-        assert np.allclose(ana.marginals[0], enum.marginal(0), atol=1e-12)
+        assert np.allclose(marginals[0], enum.marginal(0), atol=1e-12)
         for j in range(len(sc.warehouses)):
-            assert np.allclose(ana.marginals[1 + j], enum.marginal(2 + 3 * j), atol=1e-12)
+            assert np.allclose(marginals[1 + j], enum.marginal(2 + 3 * j), atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,6 +132,21 @@ def test_engine_properties(seed, docks, hub_servers, trucks):
         assert th >= ths[-1] * (1.0 - 1e-14)
     ana = analyze(star, trucks)
     assert 0.0 <= ana.busy_center <= 1.0
-    for marginal in ana.marginals:
+    for marginal in _marginals(star, trucks):
         assert np.all(marginal >= 0.0)
         assert float(marginal.sum()) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_huge_server_count_costs_what_the_population_needs(towns_log):
+    # a hub with more servers than trucks behaves exactly like one with a
+    # server per truck, and its table costs no more to build
+    n = 30
+    center = (179.756, 155.904)
+    tables = {}
+    for servers in (n + 1, 10**9):
+        sc = dataclasses.replace(towns_log, center=Center(servers, 3.0))
+        t0 = time.perf_counter()
+        tables[servers] = aggregated_norm_constants(build_star(sc, center), n)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 0.5
+    assert tables[10**9] == tables[n + 1]

@@ -4,6 +4,7 @@ Only that it runs and that every answer checks out is asserted: timings
 vary too much from machine to machine to gate on here.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -29,3 +30,38 @@ def test_regimes_timed_run_is_correct():
     assert result["attempted"] > 0
     # the timed mode keeps no state; only --trace 1 records spans and counts
     assert _state_files() == before
+
+
+def _hubfleet_namespaces() -> dict:
+    """Every hubfleet module's attributes, and AggregatedConvolution's."""
+    from hubfleet.star import AggregatedConvolution
+    out = {name: dict(vars(mod)) for name, mod in sys.modules.items()
+           if name.partition(".")[0] == "hubfleet"}
+    out["AggregatedConvolution"] = dict(vars(AggregatedConvolution))
+    return out
+
+
+def test_tracer_patches_and_restores_the_layers(towns_log):
+    # the traced benchmark finds each layer by name; a renamed one would
+    # go unnoticed until a traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from hubfleet import fleet
+    compare_locations = fleet.compare_locations
+    before, files = _hubfleet_namespaces(), _state_files()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert fleet.min_trucks is not before["hubfleet.fleet"]["min_trucks"]
+        tracer.run_op(0, compare_locations, towns_log)
+    finally:
+        tracer.restore()
+    names = {span[0] for span in tracer.spans}
+    assert {"fleet.min_trucks", "star.table", "weber.solve"} <= names
+    after = _hubfleet_namespaces()
+    for owner, attrs in before.items():
+        for attr, original in attrs.items():
+            assert after[owner][attr] is original, f"{owner}.{attr}"
+    assert _state_files() == files

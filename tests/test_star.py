@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from hubfleet.convolution import buzen_convolve, throughput
-from hubfleet.oracle import enumerate_product_form, random_scenario
+from hubfleet.convolution import convolve_stations, marginal_distribution
+from hubfleet.oracle import _explicit_star, enumerate_product_form, random_scenario
 from hubfleet.scenario import Center, Scenario, Warehouse, demand_fractions
 from hubfleet.star import (AggregatedConvolution, aggregated_norm_constants,
-                           analyze, bottleneck, build_star, explicit_network,
-                           throughput_vs_location)
+                           analyze, bottleneck, build_star, throughput_vs_location)
 from hubfleet.weber import WeberProblem, solve_weber
 
 
@@ -39,8 +38,8 @@ def test_toy_star_norm_constants(toy_star_scenario):
     assert t.value(1) == pytest.approx(1.0, rel=1e-14)
     assert t.value(2) == pytest.approx(9.0 / 16.0, rel=1e-14)
     # enumeration of the full four-station network confirms the values
-    net, eta = explicit_network(star, 2)
-    en = enumerate_product_form(net, eta)
+    stations, _, eta = _explicit_star(star)
+    en = enumerate_product_form(stations, eta, 2)
     assert en.norm_constant == pytest.approx(9.0 / 16.0, rel=1e-12)
 
 
@@ -62,23 +61,25 @@ def test_aggregation_equals_explicit_network():
         sc = random_scenario(rng, int(rng.integers(2, 4)), max_servers=2)
         star = build_star(sc, (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))))
         n = int(rng.integers(1, 9))
-        net, eta = explicit_network(star, n)
-        explicit = buzen_convolve(net, eta)
+        stations, _, eta = _explicit_star(star)
+        explicit = convolve_stations(stations, eta, n)
         agg = aggregated_norm_constants(star, n)
         for m in range(n + 1):
             assert agg.value(m) == pytest.approx(explicit.value(m), rel=1e-10)
-        assert throughput(agg) == pytest.approx(throughput(explicit), rel=1e-10)
+        assert agg.ratio(n - 1, n) == pytest.approx(explicit.ratio(n - 1, n), rel=1e-10)
 
 
 def test_marginals_match_enumeration(toy_star_scenario):
     star = build_star(toy_star_scenario, (0.0, 0.0))
-    ana = analyze(star, 3)
-    net, eta = explicit_network(star, 3)
-    en = enumerate_product_form(net, eta)
+    table = aggregated_norm_constants(star, 3)
+    marginals = [marginal_distribution(*star.aggregated_stations(), table, i)
+                 for i in range(3)]
+    stations, _, eta = _explicit_star(star)
+    en = enumerate_product_form(stations, eta, 3)
     # hub and dock marginals carry over from the explicit network
-    assert np.allclose(ana.marginals[0], en.marginal(0), atol=1e-12)
-    assert np.allclose(ana.marginals[1], en.marginal(2), atol=1e-12)
-    for m in ana.marginals:
+    assert np.allclose(marginals[0], en.marginal(0), atol=1e-12)
+    assert np.allclose(marginals[1], en.marginal(2), atol=1e-12)
+    for m in marginals:
         assert m.sum() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -89,21 +90,6 @@ def test_passage_time_identity(towns_log):
         ana = analyze(star, n)
         assert ana.passage_time_hours * ana.throughput == pytest.approx(
             4.0 * n, rel=1e-12)
-
-
-def test_per_warehouse_throughput_split(towns_log):
-    sol = solve_weber(WeberProblem.from_scenario(towns_log, weighted=True))
-    star = build_star(towns_log, sol.location)
-    ana = analyze(star, 10)
-    rho = np.asarray(demand_fractions(towns_log))
-    assert np.allclose(ana.warehouse_throughputs,
-                       rho * ana.warehouse_throughput, rtol=1e-12)
-    assert ana.warehouse_throughputs.sum() == pytest.approx(
-        ana.warehouse_throughput, rel=1e-12)
-    # covering total demand covers every warehouse proportionally
-    need = rho * towns_log.total_demand_per_day
-    scale = ana.warehouse_throughput_per_day / towns_log.total_demand_per_day
-    assert np.allclose(ana.warehouse_throughputs_per_day, need * scale, rtol=1e-12)
 
 
 def test_bottleneck_report(towns_pro):
