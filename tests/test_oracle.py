@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hubfleet import convolution as conv
 from hubfleet.convolution import convolve_stations, multi_server
 from hubfleet.oracle import (_explicit_star, ctmc_throughput, enumerate_product_form,
                              random_scenario, run_validation_suite, simulate)
@@ -151,3 +152,22 @@ def test_validation_suite_passes():
     assert "enumeration vs convolution" in names
     assert "ctmc vs convolution" in names
     assert "travel-time insensitivity (DES)" in names
+
+
+def test_validation_suite_corruption_detected(monkeypatch):
+    # entry 37 of the 60-truck table reaches the build-time check off by
+    # 1e-4; the suite must report exactly that one check as failed
+    check = conv._check_entry
+
+    def corrupted(m, mant, exp2, log):
+        if m == 37:
+            mant *= 1.0 + 1e-4
+        check(m, mant, exp2, log)
+
+    monkeypatch.setattr(conv, "_check_entry", corrupted)
+    results = run_validation_suite(seed=2, instances=2, des_events=20_000,
+                                   des_replications=4)
+    bad = [r for r in results if not r.passed]
+    assert len(bad) == 1
+    assert bad[0].name == "log/linear convolution agreement"
+    assert "disagree" in bad[0].detail
