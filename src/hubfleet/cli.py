@@ -487,6 +487,10 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
 @click.option("--instances", type=int, default=4, show_default=True)
 def cmd_validate(seed: int, instances: int) -> None:
     """Cross-check the analytic pipeline against the independent oracles."""
+    if seed < 0:
+        _fail("--seed must be non-negative")
+    if instances < 1:
+        _fail("--instances must be at least 1")
     results = oracle.run_validation_suite(seed=seed, instances=instances)
     failed = 0
     for r in results:
@@ -506,6 +510,8 @@ def cmd_validate(seed: int, instances: int) -> None:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def cmd_calibrate(smin: float, smax: float, out_path: str | None) -> None:
     """Recover the truck speed consistent with the bundled reference tables."""
+    if not smin < smax:
+        _fail("--smin must be below --smax")
     report = cal.calibrate_speed(smin, smax)
     text = report.render()
     click.echo(text)

@@ -13,14 +13,13 @@ whose demand sits at or above the ceiling is infeasible outright.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .scenario import Point, Scenario
 from .star import (AggregatedConvolution, BottleneckReport, StarAnalysis,
                    analyze, bottleneck, build_star)
 from .weber import WeberProblem, WeberSolution, solve_weber
-
-_RATE_SEARCH_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +85,9 @@ def min_center_rate(scenario: Scenario, center: Point,
 
     Returns the rate together with the fleet result at that rate.  If even
     an infinitely fast hub cannot meet demand (a warehouse or the fleet cap
-    binds), returns ``(None, result-at-infinite-rate)``.
+    binds), returns ``(None, result-at-infinite-rate)``.  Raises
+    ``RuntimeError`` if an infinitely fast hub meets demand but no finite
+    rate does.
     """
     if not rate_step > 0:
         raise ValueError("rate_step must be positive")
@@ -98,21 +99,36 @@ def min_center_rate(scenario: Scenario, center: Point,
     if not probe.feasible:
         return None, probe
 
+    # Feasibility is monotone in the hub rate, so the answer is the first
+    # feasible grid index above both the demand bound and the scenario's own
+    # (infeasible) rate: double the index until a probe is feasible, then
+    # bisect between the last infeasible index and the first feasible one.
     # demand / (capacity * s_1 * hours) bounds the workable hub rate from below
     demand = scenario.total_demand_per_day
     lb = demand / (scenario.truck_capacity * scenario.center.servers
                    * scenario.hours_per_day)
-    k = math.floor(lb / rate_step) + 1
-    known_bad = scenario.center.load_rate_per_hour
-    while k * rate_step <= known_bad:
-        k += 1
-    for _ in range(_RATE_SEARCH_LIMIT):
-        rate = k * rate_step
-        res = min_trucks(scenario.with_center_rate(rate), center)
+    # floor(own / step) may round to a grid point at or below the own rate;
+    # that point is infeasible too, so starting there is safe
+    k = max(math.floor(lb / rate_step) + 1,
+            math.floor(scenario.center.load_rate_per_hour / rate_step))
+    bad = k - 1  # not a candidate: at or below the bound or the own rate
+    while True:
+        res = min_trucks(scenario.with_center_rate(k * rate_step), center)
         if res.feasible:
-            return rate, res
-        k += 1
-    raise RuntimeError("rate search failed to terminate")
+            break
+        bad, k = k, 2 * k
+        # k itself must convert to a float before k * rate_step can be formed
+        if k > sys.float_info.max or math.isinf(k * rate_step):
+            raise RuntimeError("only an infinitely fast hub meets demand")
+    good, good_res = k, res
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        res = min_trucks(scenario.with_center_rate(mid * rate_step), center)
+        if res.feasible:
+            good, good_res = mid, res
+        else:
+            bad = mid
+    return good * rate_step, good_res
 
 
 @dataclass(frozen=True, slots=True)

@@ -166,16 +166,25 @@ def test_grid_rejects_bad_step(runner, log_path):
     ("calibrate", ["--smin", "-5"]),
     # about 4e18 grid points
     ("grid", ["--radius", "1", "--step", "1e-9"]),
+    # zero instances would run every per-instance check zero times
+    ("validate", ["--instances", "0"]),
+    ("validate", ["--instances", "-1"]),
+    ("validate", ["--seed", "-1"]),
+    ("calibrate", ["--smin", "50", "--smax", "30"]),
+    ("calibrate", ["--smin", "50", "--smax", "50"]),
 ])
 def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
-    # generate and calibrate take no scenario file
-    argv = [verb, *args] if verb in ("generate", "calibrate") else [verb, log_path, *args]
+    # generate, calibrate and validate take no scenario file
+    argv = ([verb, *args] if verb in ("generate", "calibrate", "validate")
+            else [verb, log_path, *args])
     res = runner.invoke(main, argv)
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if verb == "validate":
+        assert args[0] in lines[0]   # the message names the option
 
 
 def test_grid_has_no_around_weber_flag(runner, log_path):

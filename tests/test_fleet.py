@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from hubfleet import cli, fleet
 from hubfleet.fleet import (compare_locations, min_center_rate, min_trucks,
                             solve_at)
 from hubfleet.oracle import random_scenario
@@ -97,6 +99,92 @@ def test_min_center_rate_search(towns_pro):
     rate2, res2 = min_center_rate(towns_pro, sol.location)
     assert rate2 == towns_pro.center.load_rate_per_hour
     assert res2.trucks == res2.iterations
+
+
+def _linear_rate_scan(scenario, center, rate_step):
+    """Reference: the first feasible grid rate above the demand bound and
+    the scenario's own rate, one grid step at a time."""
+    base = min_trucks(scenario, center)
+    if base.feasible:
+        return scenario.center.load_rate_per_hour, base
+    probe = min_trucks(scenario.with_center_rate(math.inf), center)
+    if not probe.feasible:
+        return None, probe
+    lb = scenario.total_demand_per_day / (
+        scenario.truck_capacity * scenario.center.servers * scenario.hours_per_day)
+    k = math.floor(lb / rate_step) + 1
+    while k * rate_step <= scenario.center.load_rate_per_hour:
+        k += 1
+    while True:
+        res = min_trucks(scenario.with_center_rate(k * rate_step), center)
+        if res.feasible:
+            return k * rate_step, res
+        k += 1
+
+
+def test_rate_bisection_picks_the_linear_scans_grid_point(towns_pro):
+    # hubs as the benchmark's hub_rate ops build them: rate lb/2, fleet cap
+    # 3 above what an infinitely fast hub needs, step lb/200
+    rng = np.random.default_rng(7)
+    cases = []
+    for i in range(18):
+        base = cli.sample_instance(rng, cli.BLOCKS["I"])
+        servers = 1 + i % 3
+        lb = base.total_demand_per_day / (
+            base.truck_capacity * servers * base.hours_per_day)
+        w = np.array([wh.demand_per_day for wh in base.warehouses])
+        center = tuple(w @ np.array(base.warehouse_positions) / w.sum())
+        fast = dataclasses.replace(base, center=Center(servers, math.inf),
+                                   max_trucks=200)
+        cap = min_trucks(fast, center).trucks + 3
+        sc = dataclasses.replace(base, center=Center(servers, lb / 2),
+                                 max_trucks=cap)
+        rate, _ = _linear_rate_scan(sc, center, lb / 200)
+        # own rate above the bound, below the answer: infeasible, off the grid
+        above = sc.with_center_rate((lb + rate) / 2)
+        assert not min_trucks(above, center).feasible
+        cases += [(sc, center, lb / 200), (above, center, lb / 200)]
+    # towns12-pro: demand bound 3.375, own rate 3.377 infeasible at 45 trucks
+    sol = solve_weber(WeberProblem.from_scenario(towns_pro, weighted=True))
+    sc = dataclasses.replace(towns_pro.with_center_rate(3.377), max_trucks=45)
+    cases.append((sc, sol.location, 1e-4))
+    for sc, center, step in cases:
+        assert min_center_rate(sc, center, step) == _linear_rate_scan(sc, center, step)
+
+
+def test_fine_rate_step_takes_few_probes(towns_pro, monkeypatch):
+    sol = solve_weber(WeberProblem.from_scenario(towns_pro, weighted=True))
+    sc = dataclasses.replace(towns_pro.with_center_rate(3.0), max_trucks=45)
+    probes = []
+
+    def counting(scenario, center):
+        probes.append(scenario.center.load_rate_per_hour)
+        return min_trucks(scenario, center)
+
+    monkeypatch.setattr(fleet, "min_trucks", counting)
+    step = 1e-9
+    rate, res = min_center_rate(sc, sol.location, step)
+    assert len(probes) <= 40   # a linear scan takes about 2.5 million
+    assert res.feasible and res.trucks == 45
+    assert min_trucks(sc.with_center_rate(rate), sol.location).feasible
+    k = round(rate / step)
+    assert not min_trucks(sc.with_center_rate((k - 1) * step), sol.location).feasible
+
+
+@pytest.mark.parametrize("step", [0.01, 1e10])
+def test_rate_search_fails_when_only_an_infinite_hub_works(towns_pro, monkeypatch, step):
+    sc = towns_pro.with_center_rate(3.0)
+    center = (288.156, 112.283)
+    stuck = min_trucks(sc, center)
+
+    def finite_rates_fail(scenario, c):
+        if math.isinf(scenario.center.load_rate_per_hour):
+            return min_trucks(scenario, c)
+        return stuck
+
+    monkeypatch.setattr(fleet, "min_trucks", finite_rates_fail)
+    with pytest.raises(RuntimeError, match="infinitely fast hub"):
+        min_center_rate(sc, center, step)
 
 
 def test_min_center_rate_warehouse_bound():
