@@ -13,6 +13,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from typing import NoReturn
 
 import click
@@ -143,7 +144,7 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
         center = sol.location
         label = "weighted hub point"
     star = build_star(scenario, center)
-    bn = bottleneck(star)
+    bn = bottleneck(scenario)
 
     if trucks is not None:
         ana = analyze(star, trucks)
@@ -212,17 +213,19 @@ def cmd_weber(file: str) -> None:
 def cmd_fleet(file: str, center_text: str | None, mu1: float | None,
               find_mu1: bool, mu1_step: float) -> None:
     """Minimal fleet size at a hub location."""
-    _require_positive(mu1_step, "--mu1-step")
+    if not 0 < mu1_step < math.inf:
+        _fail("--mu1-step must be positive and finite")
     scenario = _with_mu1(_load(file), mu1)
     center = _parse_point(center_text) or scenario.center.location
     if center is None:
         center = solve_weber(WeberProblem.from_scenario(scenario, True)).location
 
     res = min_trucks(scenario, center)
+    bn = bottleneck(scenario)
     click.echo(f"hub location        ({center[0]:.3f}, {center[1]:.3f})")
-    click.echo(f"demand/day          {res.demand_per_day:.3f}")
-    click.echo(f"saturation ceiling  {res.ceiling_per_day:.3f}/day "
-               f"(binding node {res.binding_node})")
+    click.echo(f"demand/day          {scenario.total_demand_per_day:.3f}")
+    click.echo(f"saturation ceiling  {bn.ceiling_per_day:.3f}/day "
+               f"(binding node {bn.binding_node})")
     if res.feasible:
         click.echo(f"fleet size          {res.trucks}")
         click.echo(f"throughput/day      {res.throughput_per_day:.3f}")
@@ -236,7 +239,10 @@ def cmd_fleet(file: str, center_text: str | None, mu1: float | None,
         if rate is None:
             click.echo("minimal hub rate    none (warehouses or fleet cap bind)")
         else:
-            click.echo(f"minimal hub rate    {rate:.2f}/hour "
+            # as many decimals as the step has, so the printed rate is the
+            # grid point the fleet size belongs to
+            decimals = max(2, -Decimal(repr(mu1_step)).as_tuple().exponent)
+            click.echo(f"minimal hub rate    {rate:.{decimals}f}/hour "
                        f"(fleet size {rate_res.trucks})")
     sys.exit(EXIT_INFEASIBLE)
 

@@ -252,31 +252,19 @@ class Convolution:
     """Normalization constants G(0..N) of a station set, extended one
     population at a time so that a fleet search reuses all earlier work.
 
-    The infinite-server stations pool into the first row; the others are
-    folded in ``node_order``, each as one more row, so a column costs O(s)
-    per s-server station.  The last row is
-    the table, and the row before it is the table without the last-folded
-    station.  Each new entry of the table is cross-checked ladder against
-    log as it is built; a table that failed the check keeps failing.
+    ``kappa`` is the summed load of the infinite-server stations, which
+    pool into the first row.  ``loads`` holds (load, servers) for the
+    other stations in fold order, each folded in as one more row, so a
+    column costs O(s) per s-server station.  The last row is the table,
+    and the row before it is the table without the last-folded station.
+    Each new entry of the table is cross-checked ladder against log as it
+    is built; a table that failed the check keeps failing.
     """
 
-    def __init__(self, stations: Sequence[Station], eta: Sequence[float],
-                 node_order: Iterable[int] | None = None) -> None:
-        etas = _as_eta_array(eta, len(stations))
-        order = tuple(node_order) if node_order is not None else tuple(range(len(stations)))
-        if sorted(order) != list(range(len(stations))):
-            raise ValueError("node_order must be a permutation of station indices")
-        kappa = 0.0
-        folds: list[_Row] = []
-        for idx in order:
-            st, e = stations[idx], etas[idx]
-            if st.is_infinite_server:
-                kappa += 0.0 if math.isinf(st.rate) else e / st.rate
-            elif st.servers == 1:
-                folds.append(_BuzenFold(e / st.rate))
-            else:
-                folds.append(_ServerFold(e / st.rate, st.servers))
-        self._rows: list = [_PooledLane(kappa)] + folds
+    def __init__(self, kappa: float, loads: Iterable[tuple[float, int]]) -> None:
+        self._rows: list = [_PooledLane(kappa)] + [
+            _BuzenFold(x) if servers == 1 else _ServerFold(x, servers)
+            for x, servers in loads]
         self._n = 0
         self._error: Exception | None = None
 
@@ -381,12 +369,18 @@ def _check_entry(m: int, mant: float, exp2: int, log: float) -> None:
 
 
 def convolve_stations(stations: Sequence[Station], eta: Sequence[float],
-                      population: int,
-                      node_order: Iterable[int] | None = None) -> ConvolutionTable:
-    """Convolution over an explicit station list (no routing needed)."""
-    if population < 0:
-        raise ValueError("population must be non-negative")
-    return Convolution(stations, eta, node_order).table(population)
+                      population: int) -> ConvolutionTable:
+    """Convolution over an explicit station list (no routing needed): the
+    infinite-server stations pool into one load, and the others fold in
+    list order."""
+    kappa = 0.0
+    loads = []
+    for st, e in zip(stations, _as_eta_array(eta, len(stations))):
+        if st.is_infinite_server:
+            kappa += 0.0 if math.isinf(st.rate) else e / st.rate
+        else:
+            loads.append((e / st.rate, st.servers))
+    return Convolution(kappa, loads).table(population)
 
 
 def marginal_distribution(stations: Sequence[Station], eta: Sequence[float],

@@ -17,9 +17,8 @@ import sys
 from dataclasses import dataclass
 
 from .scenario import Point, Scenario
-from .star import (AggregatedConvolution, BottleneckReport, StarAnalysis,
-                   analyze, bottleneck, build_star)
-from .weber import WeberProblem, WeberSolution, solve_weber
+from .star import AggregatedConvolution, StarAnalysis, analyze, bottleneck, build_star
+from .weber import WeberProblem, WeberSolution, solve_weber, weber_objective
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,15 +27,13 @@ class FleetResult:
 
     ``throughput_per_day`` is TH_w * hours_per_day at the chosen fleet; for
     a ceiling-infeasible scenario no fleet was evaluated and it is NaN, for
-    a fleet-cap-infeasible one it is the value at max_trucks.
+    a fleet-cap-infeasible one it is the value at max_trucks.  Demand and
+    the saturation ceiling belong to the scenario: see ``bottleneck``.
     """
 
     feasible: bool
     trucks: int | None
     throughput_per_day: float
-    demand_per_day: float
-    ceiling_per_day: float
-    binding_node: int
     iterations: int
     infeasibility_reason: str | None = None  # "ceiling" | "max_trucks"
 
@@ -49,17 +46,13 @@ def min_trucks(scenario: Scenario, center: Point) -> FleetResult:
     is at or above the saturation ceiling the search is skipped entirely.
     """
     star = build_star(scenario, center)
-    bn = bottleneck(star)
     cap = scenario.truck_capacity
     demand = scenario.total_demand_per_day
-    ceiling_day = bn.ceiling_per_day
 
-    if cap * ceiling_day <= demand:
+    if cap * bottleneck(scenario).ceiling_per_day <= demand:
         return FleetResult(
             feasible=False, trucks=None, throughput_per_day=math.nan,
-            demand_per_day=demand, ceiling_per_day=ceiling_day,
-            binding_node=bn.binding_node, iterations=0,
-            infeasibility_reason="ceiling")
+            iterations=0, infeasibility_reason="ceiling")
 
     agg = AggregatedConvolution(star)
     hours = scenario.hours_per_day
@@ -67,14 +60,10 @@ def min_trucks(scenario: Scenario, center: Point) -> FleetResult:
         th_day = agg.warehouse_throughput(n) * hours
         if cap * th_day >= demand:
             return FleetResult(
-                feasible=True, trucks=n, throughput_per_day=th_day,
-                demand_per_day=demand, ceiling_per_day=ceiling_day,
-                binding_node=bn.binding_node, iterations=n)
+                feasible=True, trucks=n, throughput_per_day=th_day, iterations=n)
     return FleetResult(
         feasible=False, trucks=None, throughput_per_day=th_day,
-        demand_per_day=demand, ceiling_per_day=ceiling_day,
-        binding_node=bn.binding_node, iterations=scenario.max_trucks,
-        infeasibility_reason="max_trucks")
+        iterations=scenario.max_trucks, infeasibility_reason="max_trucks")
 
 
 def min_center_rate(scenario: Scenario, center: Point,
@@ -87,10 +76,11 @@ def min_center_rate(scenario: Scenario, center: Point,
     an infinitely fast hub cannot meet demand (a warehouse or the fleet cap
     binds), returns ``(None, result-at-infinite-rate)``.  Raises
     ``RuntimeError`` if an infinitely fast hub meets demand but no finite
-    rate does.
+    rate does, and ``ValueError`` unless ``rate_step`` is positive and
+    finite.
     """
-    if not rate_step > 0:
-        raise ValueError("rate_step must be positive")
+    if not 0 < rate_step < math.inf:
+        raise ValueError("rate_step must be positive and finite")
     base = min_trucks(scenario, center)
     if base.feasible:
         return scenario.center.load_rate_per_hour, base
@@ -171,15 +161,11 @@ def solve_at(scenario: Scenario, center: Point, label: str = "fixed",
     if weber_solution is None:
         weber_solution = WeberSolution(
             location=(float(center[0]), float(center[1])),
-            objective=weber_objective_at(scenario, center),
+            objective=weber_objective(
+                WeberProblem.from_scenario(scenario, weighted=True), center),
             iterations=0, converged=True)
     return PlacementOutcome(label=label, weber=weber_solution, fleet=fleet,
                             analysis=analyze(star, n_report))
-
-
-def weber_objective_at(scenario: Scenario, center: Point) -> float:
-    from .weber import weber_objective
-    return weber_objective(WeberProblem.from_scenario(scenario, weighted=True), center)
 
 
 def compare_locations(scenario: Scenario, tol: float = 1e-9,

@@ -8,11 +8,13 @@ hub, then per warehouse an outbound lane, the dock and a return lane,
 * exact CTMC steady state from the generator matrix,
 * a discrete-event simulation of the star network.
 
-They share the model's inputs with the analytic path: ``Station`` and its
-``service_rate``, and the ``StarNetwork`` that ``build_star`` pins to a
-hub location (lane travel times, demand shares, visit ratios).  They share
-none of its arithmetic: no lane pooling, no fold order, no ladder or log
-forms and no cross-check.
+They share only the model's inputs with the analytic path: ``Station`` and
+its ``service_rate``, and the scenario and hub location of a
+``StarNetwork``, from which they compute lane travel times, demand shares
+and visit ratios themselves.  They share none of its arithmetic: no lane
+pooling, no fold order, no ladder or log forms and no cross-check.
+``aggregated_stations`` lists the pooled J+1 station form as stations, for
+``convolve_stations`` and ``marginal_distribution``.
 
 Plus random instance generation and the validation suite behind the
 ``validate`` CLI verb.
@@ -31,9 +33,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import convolution as conv
-from .scenario import Center, Scenario, Warehouse
-from .star import (AggregatedConvolution, StarNetwork, aggregated_norm_constants,
-                   bottleneck, build_star)
+from .scenario import Center, Scenario, Warehouse, demand_fractions
+from .star import (HUB_VISIT_RATIO, AggregatedConvolution, StarNetwork,
+                   aggregated_norm_constants, bottleneck, build_star)
 from .weber import WeberProblem, solve_weber
 
 _ENUM_STATE_LIMIT = 1_000_000
@@ -55,6 +57,14 @@ def _state_count(population: int, stations: int) -> int:
     return math.comb(population + stations - 1, stations - 1)
 
 
+def _lane_hours(star: StarNetwork) -> list[float]:
+    """One-way travel time d_j / S to each warehouse, in warehouse order."""
+    cx, cy = star.center
+    speed = star.scenario.truck_speed_kmh
+    return [math.hypot(ax - cx, ay - cy) / speed
+            for ax, ay in star.scenario.warehouse_positions]
+
+
 def _explicit_star(star: StarNetwork
                    ) -> tuple[tuple[conv.Station, ...], np.ndarray, np.ndarray]:
     """Stations, routing matrix and visit ratios of the star before lane
@@ -64,20 +74,36 @@ def _explicit_star(star: StarNetwork
     s = star.scenario
     k = len(s.warehouses)
     stations = [conv.multi_server("center", s.center.load_rate_per_hour, s.center.servers)]
-    for i, w in enumerate(s.warehouses):
-        mean = float(star.travel_hours[i])
+    for w, mean in zip(s.warehouses, _lane_hours(star)):
         stations += [conv.infinite_server(f"lane_out_{w.id}", mean),
                      conv.multi_server(f"warehouse_{w.id}", w.unload_rate_per_hour, w.servers),
                      conv.infinite_server(f"lane_back_{w.id}", mean)]
     routing = np.zeros((1 + 3 * k, 1 + 3 * k))
     eta = np.empty(1 + 3 * k)
-    eta[0] = star.eta_center
-    for i in range(k):
+    eta[0] = HUB_VISIT_RATIO
+    for i, rho in enumerate(demand_fractions(s)):
         out, dock, back = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
-        routing[0, out] = star.rho[i]
+        routing[0, out] = rho
         routing[out, dock] = routing[dock, back] = routing[back, 0] = 1.0
-        eta[out:back + 1] = star.eta_warehouse[i]
+        eta[out:back + 1] = rho * HUB_VISIT_RATIO
     return tuple(stations), routing, eta
+
+
+def aggregated_stations(star: StarNetwork) -> tuple[tuple[conv.Station, ...], list[float]]:
+    """Hub, warehouse docks and the pooled lane station, with visit ratios:
+    the J+1 station form that ``AggregatedConvolution`` folds, for
+    ``convolve_stations`` and ``marginal_distribution``.  The pooled lane
+    has visit ratio 1/2 and mean holding time 4 h."""
+    s = star.scenario
+    stations = [conv.multi_server("center", s.center.load_rate_per_hour,
+                                  s.center.servers)]
+    stations += [
+        conv.multi_server(f"warehouse_{w.id}", w.unload_rate_per_hour, w.servers)
+        for w in s.warehouses
+    ]
+    stations.append(conv.infinite_server("lanes", 4.0 * star.h))
+    eta = [HUB_VISIT_RATIO, *(rho * HUB_VISIT_RATIO for rho in demand_fractions(s)), 0.5]
+    return tuple(stations), eta
 
 
 def _plain_factors(stations: Sequence[conv.Station], eta: np.ndarray,
@@ -299,11 +325,11 @@ def simulate(star: StarNetwork, trucks: int, *,
     kind = [0] + [1, 2, 3] * k
     servers = [s.center.servers] + [0] * (3 * k)
     mean_time = [1.0 / s.center.load_rate_per_hour] + [0.0] * (3 * k)
-    for i, w in enumerate(s.warehouses):
+    for i, (w, lane) in enumerate(zip(s.warehouses, _lane_hours(star))):
         servers[2 + 3 * i] = w.servers
         mean_time[2 + 3 * i] = 1.0 / w.unload_rate_per_hour
-        mean_time[1 + 3 * i] = mean_time[3 + 3 * i] = float(star.travel_hours[i])
-    cum = np.cumsum(star.rho).tolist()
+        mean_time[1 + 3 * i] = mean_time[3 + 3 * i] = lane
+    cum = np.cumsum(demand_fractions(s)).tolist()
 
     warm_count = int(warmup_fraction * horizon_events)
     rep_seeds = np.random.SeedSequence(seed).spawn(replications)
@@ -525,7 +551,7 @@ def run_validation_suite(seed: int = 0, *, instances: int = 4, trucks: int = 4,
             sc = random_scenario(rng, 2)
             star = build_star(sc, (0.0, 0.0))
             agg = AggregatedConvolution(star)
-            ceiling = bottleneck(star).ceiling_per_hour
+            ceiling = bottleneck(sc).ceiling_per_hour
             prev = 0.0
             for n in range(1, 16):
                 th = agg.warehouse_throughput(n)
@@ -568,7 +594,7 @@ def run_validation_suite(seed: int = 0, *, instances: int = 4, trucks: int = 4,
         sc = random_scenario(rng, 2, rate_range=(0.5, 1.0))
         star = build_star(sc, (0.0, 0.0))
         # every entry is cross-checked as it is built; a disagreement raises
-        conv.convolve_stations(*star.aggregated_stations(), 60)
+        conv.convolve_stations(*aggregated_stations(star), 60)
         return "log-domain and extended-range paths agree"
 
     results.append(_check("log/linear convolution agreement", range_check))

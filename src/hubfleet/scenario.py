@@ -109,12 +109,6 @@ class Scenario:
     def warehouse_positions(self) -> tuple[Point, ...]:
         return tuple(w.position for w in self.warehouses)
 
-    def warehouse_by_id(self, node: int) -> Warehouse:
-        for w in self.warehouses:
-            if w.id == node:
-                return w
-        raise ScenarioError(f"unknown node index {node}")
-
     def with_center_rate(self, rate: float) -> "Scenario":
         return replace(self, center=replace(self.center, load_rate_per_hour=rate))
 

@@ -8,8 +8,12 @@ of its two lanes) rho_j / 4.
 Because the lanes are infinite servers, the 3(J-1)+1 station network
 collapses exactly into J+1 stations: hub, the J-1 warehouse docks, and one
 pooled infinite server with visit ratio 1/2 and mean holding time
-sum_j rho_j d_j(x) / S.  All analysis runs on that aggregated form; the
-explicit network exists only in the oracles that cross-check it.
+sum_j rho_j d_j(x) / S.  The hub location x therefore reaches the analysis
+only through the pooled-lane load kappa = 2 h = W(x) / (2 S), where W is the
+demand-weighted Weber objective; a ``StarNetwork`` holds nothing else that
+depends on x.  The hub and dock loads and the saturation ceiling depend on
+the scenario alone.  The oracles rebuild the explicit network from the
+scenario and the hub location themselves.
 """
 
 from __future__ import annotations
@@ -17,13 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import convolution as conv
 from .scenario import Point, Scenario, demand_fractions
 
 HUB_VISIT_RATIO = 0.25
-POOLED_LANE_VISIT_RATIO = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,59 +33,25 @@ class StarNetwork:
 
     scenario: Scenario
     center: Point
-    distances: np.ndarray        # km, warehouse order
-    travel_hours: np.ndarray     # one-way lane time d_j / S
-    eta_warehouse: np.ndarray    # rho_j / 4
     h: float                     # sum_j (rho_j / 4) * d_j / S, hours
     kappa: float                 # 2 h, the pooled-lane load factor
 
-    @property
-    def eta_center(self) -> float:
-        return HUB_VISIT_RATIO
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.eta_warehouse / HUB_VISIT_RATIO
-
-    def aggregated_stations(self) -> tuple[tuple[conv.Station, ...], np.ndarray]:
-        """Hub, warehouse docks, pooled lane station, with visit ratios."""
-        s = self.scenario
-        stations = [conv.multi_server("center", s.center.load_rate_per_hour,
-                                      s.center.servers)]
-        stations += [
-            conv.multi_server(f"warehouse_{w.id}", w.unload_rate_per_hour, w.servers)
-            for w in s.warehouses
-        ]
-        stations.append(conv.infinite_server("lanes", 4.0 * self.h))
-        eta = np.concatenate((
-            [HUB_VISIT_RATIO], self.eta_warehouse, [POOLED_LANE_VISIT_RATIO]))
-        return tuple(stations), eta
-
 
 def build_star(scenario: Scenario, center: Point) -> StarNetwork:
-    rho = np.asarray(demand_fractions(scenario))
     cx, cy = center
-    d = np.asarray([math.hypot(ax - cx, ay - cy)
-                    for ax, ay in scenario.warehouse_positions])
-    if not np.all(np.isfinite(d)):
+    speed = scenario.truck_speed_kmh
+    h = math.fsum(
+        (rho * HUB_VISIT_RATIO) * (math.hypot(ax - cx, ay - cy) / speed)
+        for rho, (ax, ay) in zip(demand_fractions(scenario),
+                                 scenario.warehouse_positions))
+    if not math.isfinite(h):
         raise ValueError("distances must be finite")
-    travel = d / scenario.truck_speed_kmh
-    eta_w = rho * HUB_VISIT_RATIO
-    h = float((eta_w * travel).sum())
     # a point that is already two floats is kept, not copied, so the
     # analyses built on it share the caller's object
     if not (type(center) is tuple and len(center) == 2
             and type(center[0]) is float and type(center[1]) is float):
         center = (float(center[0]), float(center[1]))
-    return StarNetwork(
-        scenario=scenario,
-        center=center,
-        distances=d,
-        travel_hours=travel,
-        eta_warehouse=eta_w,
-        h=h,
-        kappa=2.0 * h,
-    )
+    return StarNetwork(scenario=scenario, center=center, h=h, kappa=2.0 * h)
 
 
 class AggregatedConvolution:
@@ -96,9 +63,11 @@ class AggregatedConvolution:
     """
 
     def __init__(self, star: StarNetwork):
-        stations, eta = star.aggregated_stations()
-        hub_last = tuple(range(1, len(stations))) + (0,)
-        self._conv = conv.Convolution(stations, eta, hub_last)
+        s = star.scenario
+        loads = [(rho * HUB_VISIT_RATIO / w.unload_rate_per_hour, w.servers)
+                 for rho, w in zip(demand_fractions(s), s.warehouses)]
+        loads.append((HUB_VISIT_RATIO / s.center.load_rate_per_hour, s.center.servers))
+        self._conv = conv.Convolution(star.kappa, loads)
 
     def extend_to(self, population: int) -> "AggregatedConvolution":
         self._conv.extend_to(population)
@@ -183,15 +152,10 @@ def analyze(star: StarNetwork, trucks: int) -> StarAnalysis:
 
 @dataclass(frozen=True, slots=True)
 class BottleneckReport:
-    """Saturation caps as the fleet grows without bound.
+    """Saturation ceiling as the fleet grows without bound, in deliveries
+    per hour: min(mu_1 s_1, min_j mu_j s_j / rho_j).  Infinite-server lanes
+    never bind, so the ceiling does not depend on the hub location."""
 
-    ``overall_caps`` are per-station limits mu s / eta on the combined
-    throughput scale (hub first, then warehouses; infinite-server lanes
-    never bind).  ``ceiling_per_hour`` is the same limit expressed as
-    deliveries per hour: min(mu_1 s_1, min_j mu_j s_j / rho_j).
-    """
-
-    overall_caps: np.ndarray
     binding_node: int              # 1 for the hub, else the warehouse id
     ceiling_per_hour: float
     hours_per_day: float
@@ -201,23 +165,15 @@ class BottleneckReport:
         return self.ceiling_per_hour * self.hours_per_day
 
 
-def bottleneck(star: StarNetwork) -> BottleneckReport:
-    s = star.scenario
-    rho = star.rho
-    caps_w = [s.center.load_rate_per_hour * s.center.servers]
-    caps_w += [
-        w.unload_rate_per_hour * w.servers / rho[i]
-        for i, w in enumerate(s.warehouses)
-    ]
-    caps_w = np.asarray(caps_w)
-    idx = int(np.argmin(caps_w))
-    binding = 1 if idx == 0 else s.warehouses[idx - 1].id
-    return BottleneckReport(
-        overall_caps=caps_w * 4.0,
-        binding_node=binding,
-        ceiling_per_hour=float(caps_w[idx]),
-        hours_per_day=s.hours_per_day,
-    )
+def bottleneck(scenario: Scenario) -> BottleneckReport:
+    center = scenario.center
+    caps = [(center.load_rate_per_hour * center.servers, 1)]
+    caps += [(w.unload_rate_per_hour * w.servers / rho, w.id)
+             for rho, w in zip(demand_fractions(scenario), scenario.warehouses)]
+    # the first of equal caps binds, the hub before any warehouse
+    ceiling, binding = min(caps, key=lambda cap: cap[0])
+    return BottleneckReport(binding_node=binding, ceiling_per_hour=ceiling,
+                            hours_per_day=scenario.hours_per_day)
 
 
 def throughput_vs_location(scenario: Scenario, trucks: int,

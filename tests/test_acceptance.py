@@ -14,8 +14,8 @@ from hubfleet.calibration import calibrate_speed
 from hubfleet.cli import BLOCKS, sample_instance
 from hubfleet.convolution import marginal_distribution
 from hubfleet.fleet import compare_locations, min_center_rate, min_trucks
-from hubfleet.oracle import (_explicit_star, ctmc_throughput, enumerate_product_form,
-                             random_scenario, simulate)
+from hubfleet.oracle import (_explicit_star, aggregated_stations, ctmc_throughput,
+                             enumerate_product_form, random_scenario, simulate)
 from hubfleet.star import (AggregatedConvolution, aggregated_norm_constants,
                            analyze, bottleneck, build_star)
 from hubfleet.weber import WeberProblem, solve_weber
@@ -54,8 +54,9 @@ def test_criterion_2_bottleneck_cap_and_rate_search(towns_pro):
     res = min_trucks(scenario, center)
     assert not res.feasible
     assert res.infeasibility_reason == "ceiling"
-    assert res.ceiling_per_day == 72.0
-    assert res.binding_node == 1
+    bn = bottleneck(scenario)
+    assert bn.ceiling_per_day == 72.0
+    assert bn.binding_node == 1
 
     lower_bound = scenario.total_demand_per_day / (
         scenario.truck_capacity * scenario.center.servers
@@ -154,7 +155,7 @@ def test_criterion_6_monotone_in_fleet_size():
     for _ in range(10):
         sc = random_scenario(rng, int(rng.integers(2, 5)))
         star = build_star(sc, (0.0, 0.0))
-        cap = bottleneck(star).ceiling_per_hour
+        cap = bottleneck(sc).ceiling_per_hour
         agg = AggregatedConvolution(star)
         tw = [agg.warehouse_throughput(n) for n in range(1, 32)]
         for a, b in zip(tw, tw[1:]):
@@ -175,7 +176,7 @@ def test_criterion_7_passage_time_identity(toy_star_scenario):
             # independent route: population conservation via the marginals
             table = aggregated_norm_constants(star, n)
             total = sum(float(np.arange(n + 1) @ marginal_distribution(
-                *star.aggregated_stations(), table, i))
+                *aggregated_stations(star), table, i))
                 for i in range(len(sc.warehouses) + 2))
             z_little = 4.0 * total / res.throughput
             rel = abs(z_little * res.throughput - 4.0 * n) / (4.0 * n)

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
 from hubfleet.cli import BLOCKS, ExperimentBlock, main, sample_instance
-from hubfleet.scenario import ScenarioError, bundled_scenario
+from hubfleet.scenario import ScenarioError, bundled_scenario, scenario_from_dict
+from test_scenario import _scenario_json
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +174,8 @@ def test_grid_rejects_bad_step(runner, log_path):
     ("validate", ["--seed", "-1"]),
     ("calibrate", ["--smin", "50", "--smax", "30"]),
     ("calibrate", ["--smin", "50", "--smax", "50"]),
+    # an infinite step would report the grid point 1 * inf as the answer
+    ("fleet", ["--mu1", "1", "--find-mu1", "--mu1-step", "inf"]),
 ])
 def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
     # generate, calibrate and validate take no scenario file
@@ -185,6 +189,31 @@ def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if verb == "validate":
         assert args[0] in lines[0]   # the message names the option
+
+
+_FUZZ_VERBS = (["solve"], ["solve", "--compare"], ["weber"], ["fleet", "--find-mu1"],
+               ["grid", "--radius", "1", "--step", "1"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_scenario_json())
+def test_verbs_on_fuzzed_scenarios_exit_cleanly(runner, tmp_path_factory, data):
+    # every scenario the loader accepts runs through each verb to an exit
+    # code, never to a traceback
+    try:
+        scenario_from_dict(data)
+    except ScenarioError:
+        return
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(data))
+    for verb, *args in _FUZZ_VERBS:
+        res = runner.invoke(main, [verb, str(path), *args])
+        assert res.exit_code in (0, 1, 2), (verb, args, data, res.exception)
+        assert res.exception is None or isinstance(res.exception, SystemExit), \
+            (verb, args, data, res.exception)
+        if res.exit_code == 1:
+            lines = res.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (verb, args, data)
 
 
 def test_grid_has_no_around_weber_flag(runner, log_path):

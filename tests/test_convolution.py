@@ -6,7 +6,9 @@ import pytest
 from hubfleet.convolution import (NumericalRangeError, _check_entry,
                                   convolve_stations, infinite_server,
                                   marginal_distribution, multi_server)
-from hubfleet.oracle import _explicit_star, enumerate_product_form, random_scenario
+from hubfleet.oracle import (_explicit_star, aggregated_stations, enumerate_product_form,
+                             random_scenario)
+from hubfleet.scenario import demand_fractions
 from hubfleet.star import AggregatedConvolution, build_star
 
 
@@ -26,7 +28,7 @@ def test_traffic_star_routing():
         stations, routing, eta = _explicit_star(star)
         assert len(stations) == routing.shape[0] == routing.shape[1] == len(eta)
         assert np.allclose(routing.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-        assert np.allclose(routing[0, 1::3], star.rho, rtol=0, atol=1e-15)
+        assert np.allclose(routing[0, 1::3], demand_fractions(sc), rtol=0, atol=1e-15)
         assert np.max(np.abs(eta @ routing - eta)) < 1e-15
         assert eta[0] == 0.25 and eta.sum() == pytest.approx(1.0, rel=1e-14)
 
@@ -73,7 +75,7 @@ def test_order_invariance():
     base = convolve_stations(stations, eta, n)
     for _ in range(6):
         order = rng.permutation(5).tolist()
-        perm = convolve_stations(stations, eta, n, node_order=order)
+        perm = convolve_stations([stations[i] for i in order], eta[order], n)
         for m in range(n + 1):
             assert perm.value(m) == pytest.approx(base.value(m), rel=1e-10)
 
@@ -154,7 +156,7 @@ def test_corrupted_table_detected():
         _check_entry(5, t.mantissa[5], t.exponent[5], -math.inf)
     # entry 37 of a 60-truck star table, off by 1e-4
     sc = random_scenario(np.random.default_rng(2), 2, rate_range=(0.5, 1.0))
-    t = convolve_stations(*build_star(sc, (0.0, 0.0)).aggregated_stations(), 60)
+    t = convolve_stations(*aggregated_stations(build_star(sc, (0.0, 0.0))), 60)
     with pytest.raises(NumericalRangeError, match="disagree at population 37"):
         _check_entry(37, t.mantissa[37] * (1.0 + 1e-4), t.exponent[37], t.log_values[37])
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hubfleet.convolution import marginal_distribution
-from hubfleet.oracle import (_explicit_star, ctmc_throughput, enumerate_product_form,
-                             random_scenario)
-from hubfleet.scenario import Center
+from hubfleet.oracle import (_explicit_star, aggregated_stations, ctmc_throughput,
+                             enumerate_product_form, random_scenario)
+from hubfleet.scenario import Center, demand_fractions
 from hubfleet.star import (AggregatedConvolution, aggregated_norm_constants,
                            analyze, build_star)
 from hubfleet.weber import WeberProblem, solve_weber
@@ -22,7 +22,7 @@ def _marginals(star, n: int) -> list[np.ndarray]:
     """Queue-length distributions at the aggregated stations: hub, docks,
     pooled lane."""
     table = aggregated_norm_constants(star, n)
-    return [marginal_distribution(*star.aggregated_stations(), table, i)
+    return [marginal_distribution(*aggregated_stations(star), table, i)
             for i in range(len(star.scenario.warehouses) + 2)]
 
 
@@ -33,9 +33,9 @@ def _log_space_throughput(star, n: int) -> float:
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(m[1:]))))
     logg = m * math.log(star.kappa) - log_fact
     sc = star.scenario
-    loads = [(e / w.unload_rate_per_hour, w.servers)
-             for e, w in zip(star.eta_warehouse, sc.warehouses)]
-    loads.append((star.eta_center / sc.center.load_rate_per_hour, sc.center.servers))
+    loads = [(rho / 4.0 / w.unload_rate_per_hour, w.servers)
+             for rho, w in zip(demand_fractions(sc), sc.warehouses)]
+    loads.append((0.25 / sc.center.load_rate_per_hour, sc.center.servers))
     for x, servers in loads:
         log_beta = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(m[1:], servers)))))
         logf = m * math.log(x) - log_beta

@@ -9,7 +9,7 @@ from hubfleet.fleet import (compare_locations, min_center_rate, min_trucks,
                             solve_at)
 from hubfleet.oracle import random_scenario
 from hubfleet.scenario import Center, Scenario, Warehouse
-from hubfleet.star import AggregatedConvolution, analyze, build_star
+from hubfleet.star import AggregatedConvolution, analyze, bottleneck, build_star
 from hubfleet.weber import WeberProblem, solve_weber
 
 
@@ -19,7 +19,7 @@ def test_toy_single_truck_suffices(toy_star_scenario):
     assert res.feasible
     assert res.trucks == 1
     assert res.throughput_per_day == pytest.approx(6.0, rel=1e-14)
-    assert res.ceiling_per_day == pytest.approx(24.0)
+    assert bottleneck(toy_star_scenario).ceiling_per_day == pytest.approx(24.0)
     assert res.iterations == 1
 
 
@@ -57,8 +57,9 @@ def test_ceiling_precheck_skips_search(towns_pro):
     assert not res.feasible
     assert res.infeasibility_reason == "ceiling"
     assert res.iterations == 0  # returned without iterating
-    assert res.ceiling_per_day == pytest.approx(72.0)
-    assert res.binding_node == 1
+    bn = bottleneck(sc)
+    assert bn.ceiling_per_day == pytest.approx(72.0)
+    assert bn.binding_node == 1
     assert math.isnan(res.throughput_per_day)
 
 
@@ -99,6 +100,13 @@ def test_min_center_rate_search(towns_pro):
     rate2, res2 = min_center_rate(towns_pro, sol.location)
     assert rate2 == towns_pro.center.load_rate_per_hour
     assert res2.trucks == res2.iterations
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, math.inf, math.nan])
+def test_rate_search_rejects_a_step_that_is_not_positive_and_finite(towns_pro, step):
+    # an infinite step would report the grid point 1 * inf as the answer
+    with pytest.raises(ValueError, match="rate_step"):
+        min_center_rate(towns_pro.with_center_rate(3.0), (288.156, 112.283), step)
 
 
 def _linear_rate_scan(scenario, center, rate_step):
@@ -199,7 +207,8 @@ def test_min_center_rate_warehouse_bound():
     assert rate is None
     assert not res.feasible
     assert res.infeasibility_reason == "ceiling"
-    assert res.binding_node == 2
+    # the result belongs to the infinitely fast hub, where the dock binds
+    assert bottleneck(sc.with_center_rate(math.inf)).binding_node == 2
 
 
 def test_solve_at_reports_saturated_when_infeasible(towns_pro):

@@ -28,6 +28,9 @@ CASES = [
     ("solve_compare_pro", ["solve", "towns12-pro.json", "--compare"], 0),
     ("fleet_log", ["fleet", "towns12-log.json"], 0),
     ("fleet_pro_find_mu1", ["fleet", "towns12-pro.json", "--mu1", "3", "--find-mu1"], 2),
+    # the rate prints at the step's resolution: 3.376, not 3.38
+    ("fleet_pro_find_mu1_step_0.001",
+     ["fleet", "towns12-pro.json", "--mu1", "3", "--find-mu1", "--mu1-step", "0.001"], 2),
     ("grid_log", ["grid", "towns12-log.json", "--radius", "10", "--step", "10"], 0),
     ("generate_IV", ["generate", "--block", "IV", "--count", "20", "--seed", "1"], 0),
     ("solve_multi", ["solve", "towns12-log-multi.json"], 0),

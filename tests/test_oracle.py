@@ -7,6 +7,7 @@ from hubfleet import convolution as conv
 from hubfleet.convolution import convolve_stations, multi_server
 from hubfleet.oracle import (_explicit_star, ctmc_throughput, enumerate_product_form,
                              random_scenario, run_validation_suite, simulate)
+from hubfleet.scenario import demand_fractions
 from hubfleet.star import AggregatedConvolution, build_star
 from hubfleet.weber import WeberProblem, solve_weber
 
@@ -127,7 +128,7 @@ def test_des_little_law_closure():
     est = simulate(star, n, horizon_events=200_000, replications=6, seed=11)
     # visit ratios over the explicit stations: hub 1/4, each warehouse leg rho/4
     eta = [0.25]
-    for r in star.rho:
+    for r in demand_fractions(sc):
         eta += [r / 4.0, r / 4.0, r / 4.0]
     th_overall = 4.0 * est.warehouse_throughput
     lhs = float(np.dot(eta, est.station_sojourn))

@@ -3,28 +3,56 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hubfleet.convolution import convolve_stations, marginal_distribution
-from hubfleet.oracle import _explicit_star, enumerate_product_form, random_scenario
+from hubfleet.oracle import (_explicit_star, aggregated_stations,
+                             enumerate_product_form, random_scenario)
 from hubfleet.scenario import Center, Scenario, Warehouse, demand_fractions
-from hubfleet.star import (AggregatedConvolution, aggregated_norm_constants,
+from hubfleet.star import (AggregatedConvolution, StarNetwork, aggregated_norm_constants,
                            analyze, bottleneck, build_star, throughput_vs_location)
-from hubfleet.weber import WeberProblem, solve_weber
+from hubfleet.weber import WeberProblem, solve_weber, weber_objective
 
 
 def test_visit_ratios_and_h(towns_log):
     sol = solve_weber(WeberProblem.from_scenario(towns_log, weighted=True))
     star = build_star(towns_log, sol.location)
+    # the location reaches the analysis only through h and kappa
+    assert [f.name for f in dataclasses.fields(StarNetwork)] == [
+        "scenario", "center", "h", "kappa"]
     rho = np.asarray(demand_fractions(towns_log))
-    assert star.eta_center == 0.25
-    assert np.allclose(star.eta_warehouse, rho / 4.0, atol=1e-15)
-    assert star.eta_center + star.eta_warehouse.sum() == pytest.approx(0.5)
+    _, eta = aggregated_stations(star)
+    assert eta[0] == 0.25 and eta[-1] == 0.5
+    assert np.allclose(eta[1:-1], rho / 4.0, atol=1e-15)
+    assert sum(eta[:-1]) == pytest.approx(0.5)
     # direct evaluation of the travel burden
     d = np.asarray([math.hypot(p[0] - sol.location[0], p[1] - sol.location[1])
                     for p in towns_log.warehouse_positions])
     h_direct = float((rho / 4.0 * d / towns_log.truck_speed_kmh).sum())
     assert star.h == pytest.approx(h_direct, rel=1e-14)
     assert star.kappa == pytest.approx(2.0 * h_direct, rel=1e-14)
+    # kappa = W(x) / (2 S), W the demand-weighted Weber objective
+    w = weber_objective(WeberProblem.from_scenario(towns_log, weighted=True), sol.location)
+    assert star.kappa == pytest.approx(w / (2.0 * towns_log.truck_speed_kmh), rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), docks=st.integers(1, 4))
+def test_location_enters_only_through_kappa(seed, docks):
+    # TH(N) at site x with speed S equals TH(N) at site y with speed
+    # S * W(y) / W(x): both give the same pooled-lane load W / (2 S)
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, docks, max_servers=3)
+    problem = WeberProblem.from_scenario(sc, weighted=True)
+    x, y = [(float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6))) for _ in range(2)]
+    speed = float(rng.uniform(0.2, 5.0))
+    at_x = dataclasses.replace(sc, truck_speed_kmh=speed)
+    at_y = dataclasses.replace(
+        sc, truck_speed_kmh=speed * weber_objective(problem, y) / weber_objective(problem, x))
+    agg_x = AggregatedConvolution(build_star(at_x, x))
+    agg_y = AggregatedConvolution(build_star(at_y, y))
+    for n in (1, 2, 5, 12, 30):
+        assert agg_y.throughput(n) == pytest.approx(agg_x.throughput(n), rel=1e-12, abs=0)
 
 
 def test_toy_star_norm_constants(toy_star_scenario):
@@ -32,7 +60,7 @@ def test_toy_star_norm_constants(toy_star_scenario):
     star = build_star(toy_star_scenario, (0.0, 0.0))
     assert star.h == pytest.approx(0.25)
     # distances are Euclidean: a 3-4-5 triangle from the warehouse at (1, 0)
-    assert build_star(toy_star_scenario, (4.0, 4.0)).distances.tolist() == [5.0]
+    assert build_star(toy_star_scenario, (4.0, 4.0)).h == 5.0 / 4.0
     t = aggregated_norm_constants(star, 2)
     assert t.value(0) == pytest.approx(1.0, rel=1e-14)
     assert t.value(1) == pytest.approx(1.0, rel=1e-14)
@@ -72,7 +100,7 @@ def test_aggregation_equals_explicit_network():
 def test_marginals_match_enumeration(toy_star_scenario):
     star = build_star(toy_star_scenario, (0.0, 0.0))
     table = aggregated_norm_constants(star, 3)
-    marginals = [marginal_distribution(*star.aggregated_stations(), table, i)
+    marginals = [marginal_distribution(*aggregated_stations(star), table, i)
                  for i in range(3)]
     stations, _, eta = _explicit_star(star)
     en = enumerate_product_form(stations, eta, 3)
@@ -93,13 +121,17 @@ def test_passage_time_identity(towns_log):
 
 
 def test_bottleneck_report(towns_pro):
-    star = build_star(towns_pro.with_center_rate(3.0), (288.156, 112.283))
-    bn = bottleneck(star)
+    bn = bottleneck(towns_pro.with_center_rate(3.0))
     assert bn.ceiling_per_hour == pytest.approx(3.0)
     assert bn.ceiling_per_day == pytest.approx(72.0)
     assert bn.binding_node == 1  # the hub
-    # largest warehouse share is 36/81; its cap 2/(36/81) = 4.5 beats 3.0
-    assert min(bn.overall_caps[1:]) == pytest.approx(4.0 * 4.5, rel=1e-12)
+    # largest warehouse share is 36/81; its cap 2/(36/81) = 4.5 beats 3.0,
+    # and binds once the hub is faster
+    busiest = max(towns_pro.warehouses, key=lambda w: w.demand_per_day)
+    assert busiest.demand_per_day == 36.0
+    fast = bottleneck(towns_pro.with_center_rate(5.0))
+    assert fast.binding_node == busiest.id
+    assert fast.ceiling_per_hour == pytest.approx(4.5, rel=1e-12)
 
 
 def test_bottleneck_warehouse_binding():
@@ -112,7 +144,7 @@ def test_bottleneck_warehouse_binding():
         ),
         center=Center(servers=4, load_rate_per_hour=10.0),
         truck_speed_kmh=1.0)
-    bn = bottleneck(build_star(sc, (0.0, 0.0)))
+    bn = bottleneck(sc)
     # warehouse 2: mu s / rho = 1 / 0.9; hub cap is 40
     assert bn.binding_node == 2
     assert bn.ceiling_per_hour == pytest.approx(1.0 / 0.9, rel=1e-12)
@@ -148,11 +180,10 @@ def test_center_on_warehouse_is_fine(toy_star_scenario):
     # the dock completes work at the two-node-cycle rate 2/3
     star = build_star(toy_star_scenario, (1.0, 0.0))
     assert star.h == 0.0
-    assert star.distances.tolist() == [0.0]
     p = (12.34, -5.6)
     wh = dataclasses.replace(toy_star_scenario.warehouses[0], position=p)
     moved = dataclasses.replace(toy_star_scenario, warehouses=(wh,))
-    assert build_star(moved, p).distances.tolist() == [0.0]
+    assert build_star(moved, p).h == 0.0
     ana = analyze(star, 2)
     assert ana.warehouse_throughput == pytest.approx(2.0 / 3.0, rel=1e-12)
 
