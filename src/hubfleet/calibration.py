@@ -10,12 +10,11 @@ intervals and reports whether a single speed reproduces every table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
-from .fleet import min_trucks
+from .fleet import min_trucks, solve_at
 from .scenario import Scenario, bundled_scenario
-from .star import AggregatedConvolution, analyze, build_star
+from .star import AggregatedConvolution, build_star
 from .weber import WeberProblem, solve_weber
 
 # Speed that the calibration below recovers; bundled scenarios and the
@@ -168,49 +167,46 @@ def _bisect_speed(pred, lo: float, hi: float) -> float:
     return hi
 
 
+def _interval(enter, leave, s_lo: float, s_hi: float) -> tuple[float, float] | None:
+    """Speeds in [s_lo, s_hi] where ``enter`` holds and ``leave`` does not.
+
+    Both predicates are monotone, turning true as speed rises, and ``leave``
+    never holds before ``enter``, so those speeds form an interval found by
+    two bisections.
+    """
+    if not enter(s_hi) or leave(s_lo):
+        return None
+    lo = s_lo if enter(s_lo) else _bisect_speed(enter, s_lo, s_hi)
+    hi = s_hi if not leave(s_hi) else _bisect_speed(leave, lo, s_hi)
+    return (lo, hi)
+
+
 def _trucks_interval(br: _Branches, row: ReferenceRow, branch: str,
                      s_lo: float, s_hi: float) -> tuple[float, float] | None:
-    """Speeds at which the minimal fleet equals the reference count.
-
-    Fleet size is non-increasing in speed, so the matching speeds form an
-    interval found by two bisections.
-    """
+    """Speeds at which the minimal fleet equals the reference count; fleet
+    size is non-increasing in speed."""
     target = row.trucks[0 if branch == "weighted" else 1]
-
-    def feasible_small_enough(s: float) -> bool:
-        t = _trucks_at(br, row, branch, s)
-        return t is not None and t <= target
-
-    def strictly_smaller(s: float) -> bool:
-        t = _trucks_at(br, row, branch, s)
-        return t is not None and t <= target - 1
-
     if target is None:
         # reference says infeasible; that is speed-independent (hub-bound)
         if _trucks_at(br, row, branch, s_lo) is None \
                 and _trucks_at(br, row, branch, s_hi) is None:
             return (s_lo, s_hi)
         return None
-    if not feasible_small_enough(s_hi) or strictly_smaller(s_lo):
-        return None
-    lo = s_lo if feasible_small_enough(s_lo) else _bisect_speed(
-        feasible_small_enough, s_lo, s_hi)
-    hi = s_hi if not strictly_smaller(s_hi) else _bisect_speed(
-        strictly_smaller, lo, s_hi)
-    return (lo, hi)
+
+    def at_most(limit: int):
+        def pred(s: float) -> bool:
+            t = _trucks_at(br, row, branch, s)
+            return t is not None and t <= limit
+        return pred
+
+    return _interval(at_most(target), at_most(target - 1), s_lo, s_hi)
 
 
 def _value_interval(value_at, target: float, tol: float,
                     s_lo: float, s_hi: float) -> tuple[float, float] | None:
     """Speeds keeping a strictly increasing quantity within target +- tol."""
-    lo_v, hi_v = value_at(s_lo), value_at(s_hi)
-    if hi_v < target - tol or lo_v > target + tol:
-        return None
-    lo = s_lo if lo_v >= target - tol else _bisect_speed(
-        lambda s: value_at(s) >= target - tol, s_lo, s_hi)
-    hi = s_hi if hi_v <= target + tol else _bisect_speed(
-        lambda s: value_at(s) > target + tol, lo, s_hi)
-    return (lo, hi)
+    return _interval(lambda s: value_at(s) >= target - tol,
+                     lambda s: value_at(s) > target + tol, s_lo, s_hi)
 
 
 def _intersect(a: tuple[float, float] | None,
@@ -269,11 +265,9 @@ def calibrate_speed(s_lo: float = 20.0, s_hi: float = 90.0,
         for row in rows:
             br = branches[row.demands]
             for bi, branch in enumerate(("weighted", "unweighted")):
-                sc = _with(br.scenario, row.mu1, speed)
-                res = min_trucks(sc, br.location(branch))
-                n_eval = res.trucks if res.feasible else sc.max_trucks
-                ana = analyze(build_star(sc, br.location(branch)), n_eval)
-                got_trucks = res.trucks if res.feasible else None
+                out = solve_at(_with(br.scenario, row.mu1, speed),
+                               br.location(branch))
+                got_trucks, ana = out.fleet.trucks, out.analysis
                 ok = got_trucks == row.trucks[bi]
                 if row.strict:
                     ok = ok and abs(ana.warehouse_throughput_per_day

@@ -12,7 +12,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import NoReturn
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import calibration as cal
 from . import oracle
-from .fleet import LocationComparison, compare_locations, min_center_rate, min_trucks
+from .fleet import _center_rate_from, compare_locations, min_trucks, solve_at
 from .scenario import (Center, Scenario, ScenarioError, Warehouse,
                        load_scenario, save_scenario)
 from .star import analyze, bottleneck, build_star, throughput_vs_location
@@ -80,8 +80,9 @@ def _require_decimals(busy_decimals: int) -> None:
         _fail("--busy-decimals must be non-negative")
 
 
-def _trucks_cell(feasible: bool, trucks: int | None) -> str:
-    return str(trucks) if feasible and trucks is not None else "--"
+def _trucks_cell(trucks: int | None) -> str:
+    """A fleet size, or ``--`` where no fleet meets demand."""
+    return "--" if trucks is None else str(trucks)
 
 
 class _Main(click.Group):
@@ -130,30 +131,26 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
         _fail("--trucks must be at least 1")
 
     if compare:
-        comp = compare_locations(scenario)
-        row = _comparison_row(0, comp, scenario)
-        _echo_comparison_header(busy_decimals=busy_decimals)
-        click.echo(_format_comparison_row(row, busy_decimals=busy_decimals))
+        row = _evaluate_instance(0, scenario)
+        _echo_rows([row], busy_decimals)
         if csv_path:
-            _write_csv(csv_path, [row], busy_decimals=busy_decimals)
-        sys.exit(EXIT_OK if comp.weighted.fleet.feasible else EXIT_INFEASIBLE)
+            _write_csv(csv_path, [row], busy_decimals)
+        sys.exit(EXIT_OK if row.trucks_weighted is not None else EXIT_INFEASIBLE)
 
     label = "fixed"
     if center is None:
         sol = solve_weber(WeberProblem.from_scenario(scenario, weighted=True))
         center = sol.location
         label = "weighted hub point"
-    star = build_star(scenario, center)
     bn = bottleneck(scenario)
 
     if trucks is not None:
-        ana = analyze(star, trucks)
+        ana = analyze(build_star(scenario, center), trucks)
         feasible = (scenario.truck_capacity * ana.warehouse_throughput_per_day
                     >= scenario.total_demand_per_day)
     else:
-        fleet = min_trucks(scenario, center)
-        feasible = fleet.feasible
-        ana = analyze(star, fleet.trucks if feasible else scenario.max_trucks)
+        out = solve_at(scenario, center)
+        feasible, ana = out.fleet.feasible, out.analysis
 
     click.echo(f"scenario            {file}")
     click.echo(f"stations            {scenario.num_stations} "
@@ -163,7 +160,7 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
     click.echo(f"saturation ceiling  {bn.ceiling_per_day:.3f}/day "
                f"(binding node {bn.binding_node})")
     if trucks is None:
-        click.echo(f"fleet size          {_trucks_cell(fleet.feasible, fleet.trucks)}")
+        click.echo(f"fleet size          {_trucks_cell(out.fleet.trucks)}")
     else:
         click.echo(f"fleet size          {trucks} (fixed)")
     click.echo(f"throughput/day      {ana.warehouse_throughput_per_day:.3f}")
@@ -174,7 +171,7 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
         head = ["x", "y", "trucks", "throughput_per_day", "busy",
                 "round_trip_hours", "feasible"]
         row = [f"{center[0]:.3f}", f"{center[1]:.3f}",
-               _trucks_cell(feasible, ana.trucks if feasible else None),
+               _trucks_cell(ana.trucks if feasible else None),
                f"{ana.warehouse_throughput_per_day:.3f}",
                f"{ana.busy_center:.{busy_decimals}f}",
                f"{ana.passage_time_hours:.3f}",
@@ -235,7 +232,7 @@ def cmd_fleet(file: str, center_text: str | None, mu1: float | None,
         click.echo(f"throughput/day      {res.throughput_per_day:.3f} "
                    f"(at {scenario.max_trucks} trucks)")
     if find_mu1:
-        rate, rate_res = min_center_rate(scenario, center, rate_step=mu1_step)
+        rate, rate_res = _center_rate_from(scenario, center, mu1_step, res)
         if rate is None:
             click.echo("minimal hub rate    none (warehouses or fleet cap bind)")
         else:
@@ -347,72 +344,62 @@ class ResultRow:
     busy_unweighted: float
 
 
-def _comparison_row(idx: int, comp: LocationComparison,
-                    scenario: Scenario) -> ResultRow:
-    demands = [w.demand_per_day for w in scenario.warehouses]
-
-    def cells(out):
-        return (out.fleet.trucks if out.fleet.feasible else None,
-                out.analysis.warehouse_throughput_per_day,
-                out.analysis.busy_center)
-
-    tw, thw, bw = cells(comp.weighted)
-    tu, thu, bu = cells(comp.unweighted)
-    return ResultRow(
-        instance=idx, dist_loc=comp.distance_between,
-        demand_total=sum(demands), demand_min=min(demands),
-        demand_max=max(demands), trucks_weighted=tw, trucks_unweighted=tu,
-        throughput_weighted=thw, throughput_unweighted=thu,
-        busy_weighted=bw, busy_unweighted=bu)
+def _columns(busy_decimals: int) -> tuple[tuple[str, str, str, int | None], ...]:
+    """ResultRow's fields in order, each with its header, fixed-width
+    alignment and width, and decimals (None for an integer column)."""
+    busy = (f">{busy_decimals + 4}", busy_decimals)
+    return (("instance", "#", "<4", None),
+            ("dist_loc", "DistLoc", ">9", 3),
+            ("demand_total", "Demand", ">8", 0),
+            ("demand_min", "DMin", ">6", 0),
+            ("demand_max", "DMax", ">6", 0),
+            ("trucks_weighted", "TrW", ">4", None),
+            ("trucks_unweighted", "TrU", ">4", None),
+            ("throughput_weighted", "ThW/day", ">10", 3),
+            ("throughput_unweighted", "ThU/day", ">10", 3),
+            ("busy_weighted", "BusyW", *busy),
+            ("busy_unweighted", "BusyU", *busy))
 
 
-def _format_comparison_row(row: ResultRow, busy_decimals: int = 4) -> str:
-    cells = [
-        f"{row.instance:<4d}",
-        f"{row.dist_loc:>9.3f}",
-        f"{row.demand_total:>8.0f}",
-        f"{row.demand_min:>6.0f}",
-        f"{row.demand_max:>6.0f}",
-        f"{_trucks_cell(row.trucks_weighted is not None, row.trucks_weighted):>4s}",
-        f"{_trucks_cell(row.trucks_unweighted is not None, row.trucks_unweighted):>4s}",
-        f"{row.throughput_weighted:>10.3f}",
-        f"{row.throughput_unweighted:>10.3f}",
-        f"{row.busy_weighted:>{busy_decimals + 4}.{busy_decimals}f}",
-        f"{row.busy_unweighted:>{busy_decimals + 4}.{busy_decimals}f}",
-    ]
-    return " ".join(cells)
+def _cells(row: ResultRow, columns) -> list[str]:
+    """The row's text, one cell per column; an integer column shows ``--``
+    where no fleet meets demand."""
+    return [_trucks_cell(getattr(row, name)) if decimals is None
+            else f"{getattr(row, name):.{decimals}f}"
+            for name, _, _, decimals in columns]
 
 
-def _echo_comparison_header(busy_decimals: int = 4) -> None:
-    click.echo(" ".join([
-        f"{'#':<4s}", f"{'DistLoc':>9s}", f"{'Demand':>8s}", f"{'DMin':>6s}",
-        f"{'DMax':>6s}", f"{'TrW':>4s}", f"{'TrU':>4s}", f"{'ThW/day':>10s}",
-        f"{'ThU/day':>10s}", f"{'BusyW':>{busy_decimals + 4}s}",
-        f"{'BusyU':>{busy_decimals + 4}s}"]))
+def _echo_rows(rows: list[ResultRow], busy_decimals: int) -> None:
+    """The comparison rows as fixed-width text under a header line."""
+    columns = _columns(busy_decimals)
+    specs = [spec for _, _, spec, _ in columns]
+    click.echo(" ".join(f"{head:{spec}}" for _, head, spec, _ in columns))
+    for row in rows:
+        click.echo(" ".join(f"{cell:{spec}}"
+                            for cell, spec in zip(_cells(row, columns), specs)))
 
 
-def _write_csv(path: str, rows: list[ResultRow], busy_decimals: int = 4) -> None:
+def _write_csv(path: str, rows: list[ResultRow], busy_decimals: int) -> None:
+    columns = _columns(busy_decimals)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow([f.name for f in fields(ResultRow)])
-        for r in rows:
-            w.writerow([
-                r.instance,
-                f"{r.dist_loc:.3f}",
-                f"{r.demand_total:.0f}",
-                f"{r.demand_min:.0f}",
-                f"{r.demand_max:.0f}",
-                _trucks_cell(r.trucks_weighted is not None, r.trucks_weighted),
-                _trucks_cell(r.trucks_unweighted is not None, r.trucks_unweighted),
-                f"{r.throughput_weighted:.3f}",
-                f"{r.throughput_unweighted:.3f}",
-                f"{r.busy_weighted:.{busy_decimals}f}",
-                f"{r.busy_unweighted:.{busy_decimals}f}",
-            ])
+        w.writerow([name for name, _, _, _ in columns])
+        w.writerows(_cells(row, columns) for row in rows)
 
 
 def _evaluate_instance(idx: int, scenario: Scenario) -> ResultRow:
-    return _comparison_row(idx, compare_locations(scenario), scenario)
+    """Place the hub both ways and size each fleet: one comparison row."""
+    comp = compare_locations(scenario)
+    w, u = comp.weighted, comp.unweighted
+    demands = [wh.demand_per_day for wh in scenario.warehouses]
+    return ResultRow(
+        instance=idx, dist_loc=comp.distance_between,
+        demand_total=sum(demands), demand_min=min(demands),
+        demand_max=max(demands), trucks_weighted=w.fleet.trucks,
+        trucks_unweighted=u.fleet.trucks,
+        throughput_weighted=w.analysis.warehouse_throughput_per_day,
+        throughput_unweighted=u.analysis.warehouse_throughput_per_day,
+        busy_weighted=w.analysis.busy_center, busy_unweighted=u.analysis.busy_center)
 
 
 @main.command("generate")
@@ -469,9 +456,7 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
     click.echo(f"block {block_name}: demands from {block.demand_choices}, "
                f"hub rate {mu1 if mu1 is not None else block.mu1}/hour, "
                f"speed {speed} km/h, seed {seed}")
-    _echo_comparison_header(busy_decimals=busy_decimals)
-    for row in rows:
-        click.echo(_format_comparison_row(row, busy_decimals=busy_decimals))
+    _echo_rows(rows, busy_decimals)
 
     feasible = [r for r in rows if r.trucks_weighted is not None]
     click.echo("")
@@ -484,7 +469,7 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
     click.echo(f"feasible (weighted)  {len(feasible)}")
     click.echo(f"infeasible           {count - len(feasible)}")
     if csv_path:
-        _write_csv(csv_path, rows, busy_decimals=busy_decimals)
+        _write_csv(csv_path, rows, busy_decimals)
     sys.exit(EXIT_OK)
 
 

@@ -81,7 +81,14 @@ def min_center_rate(scenario: Scenario, center: Point,
     """
     if not 0 < rate_step < math.inf:
         raise ValueError("rate_step must be positive and finite")
-    base = min_trucks(scenario, center)
+    return _center_rate_from(scenario, center, rate_step,
+                             min_trucks(scenario, center))
+
+
+def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
+                      base: FleetResult) -> tuple[float | None, FleetResult]:
+    """``min_center_rate`` given ``base``, the fleet result at the
+    scenario's own hub rate."""
     if base.feasible:
         return scenario.center.load_rate_per_hour, base
 

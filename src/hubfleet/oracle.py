@@ -39,8 +39,7 @@ from .star import (HUB_VISIT_RATIO, AggregatedConvolution, StarNetwork,
 from .weber import WeberProblem, solve_weber
 
 _ENUM_STATE_LIMIT = 1_000_000
-_CTMC_STATE_LIMIT = 100_000
-_DENSE_SOLVE_LIMIT = 3_000
+_CTMC_STATE_LIMIT = 3_000
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -132,9 +131,6 @@ class EnumerationResult:
             out[s[node]] += p
         return out
 
-    def mean_queue_length(self, node: int) -> float:
-        return float(sum(s[node] * p for s, p in zip(self.states, self.probabilities)))
-
 
 def enumerate_product_form(stations: Sequence[conv.Station], eta: Sequence[float],
                            population: int) -> EnumerationResult:
@@ -179,10 +175,6 @@ def ctmc_throughput(stations: Sequence[conv.Station], routing: np.ndarray,
     sum_s pi(s) mu_j(n_j); for a product-form network they equal
     eta_j G(N-1)/G(N).
     """
-    # scipy is imported here, not at module load: only this oracle needs it
-    from scipy.sparse import coo_matrix, csr_matrix
-    from scipy.sparse.linalg import spsolve
-
     width = len(stations)
     count = _state_count(population, width)
     if count > _CTMC_STATE_LIMIT:
@@ -191,8 +183,7 @@ def ctmc_throughput(stations: Sequence[conv.Station], routing: np.ndarray,
     index = {s: i for i, s in enumerate(states)}
     r = np.asarray(routing, dtype=float)
 
-    rows, cols, vals = [], [], []
-    diag = np.zeros(count)
+    q = np.zeros((count, count))
     for i, s in enumerate(states):
         for j in range(width):
             if s[j] == 0:
@@ -207,30 +198,15 @@ def ctmc_throughput(stations: Sequence[conv.Station], routing: np.ndarray,
                 t = list(s)
                 t[j] -= 1
                 t[k] += 1
-                rows.append(i)
-                cols.append(index[tuple(t)])
-                vals.append(mu * p)
-                diag[i] -= mu * p
-    rows.extend(range(count))
-    cols.extend(range(count))
-    vals.extend(diag)
-    q = coo_matrix((vals, (rows, cols)), shape=(count, count)).tocsr()
+                q[i, index[tuple(t)]] = mu * p
+                q[i, i] -= mu * p
 
-    if count <= _DENSE_SOLVE_LIMIT:
-        a = q.toarray().T
-        a[-1, :] = 1.0
-        b = np.zeros(count)
-        b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
-    else:
-        a = q.T.tolil()
-        a[-1, :] = 1.0
-        b = np.zeros(count)
-        b[-1] = 1.0
-        pi = spsolve(csr_matrix(a), b)
-
-    residual = float(np.max(np.abs(pi @ q.toarray()))) if count <= _DENSE_SOLVE_LIMIT \
-        else float(np.max(np.abs(q.T @ pi)))
+    a = q.T.copy()
+    a[-1, :] = 1.0
+    b = np.zeros(count)
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
+    residual = float(np.max(np.abs(pi @ q)))
     if residual >= 1e-10 or np.any(pi < -1e-12):
         raise conv.NumericalRangeError(f"CTMC solve residual {residual:.3e}")
     pi = np.clip(pi, 0.0, None)
@@ -263,12 +239,15 @@ def _stream(draw: Callable[[], np.ndarray]) -> Callable[[], float]:
 
 @dataclass(frozen=True, slots=True)
 class DesEstimate:
-    """Replication-averaged simulation estimates with 95% half-widths."""
+    """Replication-averaged simulation estimates with 95% half-widths.
+
+    Station arrays hold the hub, then each warehouse's lane out, dock and
+    lane back.
+    """
 
     warehouse_throughput: float       # deliveries per hour
     warehouse_throughput_hw: float
     per_replication: np.ndarray
-    station_names: tuple[str, ...]
     station_sojourn: np.ndarray       # mean time in station per visit, hours
     station_throughput: np.ndarray    # completions per hour
     replications: int
@@ -304,9 +283,6 @@ def simulate(star: StarNetwork, trucks: int, *,
         raise ValueError(f"warmup_fraction must lie in [0, 1), got {warmup_fraction}")
     s = star.scenario
     k = len(s.warehouses)
-    names = ["center"]
-    for w in s.warehouses:
-        names += [f"lane_out_{w.id}", f"warehouse_{w.id}", f"lane_back_{w.id}"]
     n_st = 1 + 3 * k
     travel_label = travel if isinstance(travel, str) else "callable"
     if isinstance(travel, str) and travel not in ("exponential", "deterministic"):
@@ -314,7 +290,7 @@ def simulate(star: StarNetwork, trucks: int, *,
 
     if trucks == 0 or replications == 0:
         z = np.zeros(n_st)
-        return DesEstimate(0.0, 0.0, np.zeros(replications), tuple(names),
+        return DesEstimate(0.0, 0.0, np.zeros(replications),
                            z.copy(), z.copy(), replications, horizon_events,
                            travel_label)
 
@@ -424,7 +400,7 @@ def simulate(star: StarNetwork, trucks: int, *,
         1.96 * float(th_w.std(ddof=1)) / math.sqrt(replications)
     return DesEstimate(
         warehouse_throughput=mean, warehouse_throughput_hw=hw,
-        per_replication=th_w, station_names=tuple(names),
+        per_replication=th_w,
         station_sojourn=soj_mean.mean(axis=0),
         station_throughput=th_station.mean(axis=0),
         replications=replications, horizon_events=horizon_events,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 
+from hubfleet import cli, fleet
 from hubfleet.cli import BLOCKS, ExperimentBlock, main, sample_instance
 from hubfleet.scenario import ScenarioError, bundled_scenario, scenario_from_dict
 from test_scenario import _scenario_json
@@ -130,6 +132,21 @@ def test_fleet_find_mu1(runner, pro_path):
     assert "minimal hub rate    3.38/hour (fleet size 43)" in res.output
 
 
+def test_fleet_find_mu1_probes_the_base_rate_once(runner, pro_path, monkeypatch):
+    probes = []
+    min_trucks = fleet.min_trucks
+
+    def counting(scenario, center):
+        probes.append(scenario.center.load_rate_per_hour)
+        return min_trucks(scenario, center)
+
+    monkeypatch.setattr(fleet, "min_trucks", counting)
+    monkeypatch.setattr(cli, "min_trucks", counting)
+    res = runner.invoke(main, ["fleet", pro_path, "--mu1", "3", "--find-mu1"])
+    assert res.exit_code == 2
+    assert probes == [3.0, math.inf, pytest.approx(3.38)]
+
+
 def test_grid_verb(runner, log_path):
     res = runner.invoke(main, ["grid", log_path, "--radius", "10",
                                "--step", "10"])
@@ -176,6 +193,8 @@ def test_grid_rejects_bad_step(runner, log_path):
     ("calibrate", ["--smin", "50", "--smax", "50"]),
     # an infinite step would report the grid point 1 * inf as the answer
     ("fleet", ["--mu1", "1", "--find-mu1", "--mu1-step", "inf"]),
+    ("solve", ["--trucks", "0"]),
+    ("generate", ["--block", "I", "--seed", "1", "--count", "0"]),
 ])
 def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
     # generate, calibrate and validate take no scenario file
@@ -313,7 +332,7 @@ def test_sample_instance_shape():
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy is needed only by the CTMC oracle, which imports it on first use
+    # hubfleet needs no scipy; a stray import would slow every verb's start-up
     import hubfleet
     src = str(Path(hubfleet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

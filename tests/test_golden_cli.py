@@ -2,7 +2,8 @@
 
 The files under ``golden/`` hold the stdout of each command below, run in
 a directory holding the scenario files, and the expected exit code sits
-next to the command.  Any change to the normalization engine that moves a
+next to the command.  A case may name, fourth, a file the command writes;
+that file must match the golden file of the same name.  Any change to the normalization engine that moves a
 printed digit or a fleet decision fails here.  ``towns12-log-multi.json``
 is towns12-log with a two-dock hub and three two-dock warehouses.
 """
@@ -19,12 +20,14 @@ from hubfleet.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
-    ("solve_log", ["solve", "towns12-log.json"], 0),
+    ("solve_log", ["solve", "towns12-log.json", "--csv", "solve_log.csv"], 0,
+     "solve_log.csv"),
     ("solve_pro", ["solve", "towns12-pro.json"], 0),
     ("solve_pro_mu1_3", ["solve", "towns12-pro.json", "--mu1", "3"], 2),
     ("solve_pro_mu1_3.38", ["solve", "towns12-pro.json", "--mu1", "3.38"], 0),
     ("solve_log_trucks_25", ["solve", "towns12-log.json", "--trucks", "25"], 0),
-    ("solve_compare_log", ["solve", "towns12-log.json", "--compare"], 0),
+    ("solve_compare_log", ["solve", "towns12-log.json", "--compare",
+                           "--csv", "solve_compare_log.csv"], 0, "solve_compare_log.csv"),
     ("solve_compare_pro", ["solve", "towns12-pro.json", "--compare"], 0),
     ("fleet_log", ["fleet", "towns12-log.json"], 0),
     ("fleet_pro_find_mu1", ["fleet", "towns12-pro.json", "--mu1", "3", "--find-mu1"], 2),
@@ -32,11 +35,13 @@ CASES = [
     ("fleet_pro_find_mu1_step_0.001",
      ["fleet", "towns12-pro.json", "--mu1", "3", "--find-mu1", "--mu1-step", "0.001"], 2),
     ("grid_log", ["grid", "towns12-log.json", "--radius", "10", "--step", "10"], 0),
-    ("generate_IV", ["generate", "--block", "IV", "--count", "20", "--seed", "1"], 0),
+    ("generate_IV", ["generate", "--block", "IV", "--count", "20", "--seed", "1",
+                     "--csv", "generate_IV.csv"], 0, "generate_IV.csv"),
     ("solve_multi", ["solve", "towns12-log-multi.json"], 0),
     ("solve_compare_multi", ["solve", "towns12-log-multi.json", "--compare"], 0),
     ("fleet_multi_find_mu1",
      ["fleet", "towns12-log-multi.json", "--mu1", "1.3", "--find-mu1"], 2),
+    ("calibrate", ["calibrate"], 0),
 ]
 
 
@@ -49,9 +54,14 @@ def scenario_dir(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("name,args,exit_code", CASES, ids=[c[0] for c in CASES])
-def test_cli_output_matches_golden(name, args, exit_code, scenario_dir, monkeypatch):
+@pytest.mark.parametrize("name,args,exit_code,written",
+                         [(*case, None)[:4] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_cli_output_matches_golden(name, args, exit_code, written, scenario_dir,
+                                   monkeypatch):
     monkeypatch.chdir(scenario_dir)
     res = CliRunner().invoke(main, args)
     assert res.exit_code == exit_code, res.output
     assert res.stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    if written is not None:
+        assert (scenario_dir / written).read_bytes() == (GOLDEN / written).read_bytes()

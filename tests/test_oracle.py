@@ -5,6 +5,7 @@ import pytest
 
 from hubfleet import convolution as conv
 from hubfleet.convolution import convolve_stations, multi_server
+from hubfleet import oracle
 from hubfleet.oracle import (_explicit_star, ctmc_throughput, enumerate_product_form,
                              random_scenario, run_validation_suite, simulate)
 from hubfleet.scenario import demand_fractions
@@ -33,6 +34,14 @@ def test_ctmc_two_station_uniform():
     assert res.residual < 1e-10
     assert np.allclose(res.pi, [1/3, 1/3, 1/3], atol=1e-12)
     assert np.allclose(res.station_throughput, [2/3, 2/3], atol=1e-12)
+
+
+def test_ctmc_state_space_guard():
+    # two stations and 3000 trucks: one state above the limit
+    stations = (multi_server("a", 1.0), multi_server("b", 1.0))
+    assert oracle._state_count(3000, 2) == oracle._CTMC_STATE_LIMIT + 1
+    with pytest.raises(ValueError, match="too large for CTMC"):
+        ctmc_throughput(stations, np.array([[0.0, 1.0], [1.0, 0.0]]), 3000)
 
 
 def test_triple_agreement_star(toy_star_scenario):
