@@ -171,7 +171,7 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
         head = ["x", "y", "trucks", "throughput_per_day", "busy",
                 "round_trip_hours", "feasible"]
         row = [f"{center[0]:.3f}", f"{center[1]:.3f}",
-               _trucks_cell(ana.trucks if feasible else None),
+               str(ana.trucks),   # the fleet the figures describe
                f"{ana.warehouse_throughput_per_day:.3f}",
                f"{ana.busy_center:.{busy_decimals}f}",
                f"{ana.passage_time_hours:.3f}",

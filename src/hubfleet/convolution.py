@@ -258,7 +258,8 @@ class Convolution:
     column costs O(s) per s-server station.  The last row is the table,
     and the row before it is the table without the last-folded station.
     Each new entry of the table is cross-checked ladder against log as it
-    is built; a table that failed the check keeps failing.
+    is built.  A table that failed the check still serves the entries that
+    passed, and fails for every population beyond them.
     """
 
     def __init__(self, kappa: float, loads: Iterable[tuple[float, int]]) -> None:
@@ -272,9 +273,16 @@ class Convolution:
     def population(self) -> int:
         return self._n
 
+    @property
+    def error(self) -> Exception | None:
+        """What stopped the table growing, or None."""
+        return self._error
+
     def extend_to(self, population: int) -> None:
         if population < 0:
             raise ValueError("population must be non-negative")
+        if population <= self._n:
+            return
         if self._error is not None:
             raise self._error
         try:

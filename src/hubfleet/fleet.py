@@ -31,11 +31,14 @@ class FleetResult:
     the saturation ceiling belong to the scenario: see ``bottleneck``.
     """
 
-    feasible: bool
     trucks: int | None
     throughput_per_day: float
     iterations: int
     infeasibility_reason: str | None = None  # "ceiling" | "max_trucks"
+
+    @property
+    def feasible(self) -> bool:
+        return self.infeasibility_reason is None
 
 
 def min_trucks(scenario: Scenario, center: Point) -> FleetResult:
@@ -50,20 +53,17 @@ def min_trucks(scenario: Scenario, center: Point) -> FleetResult:
     demand = scenario.total_demand_per_day
 
     if cap * bottleneck(scenario).ceiling_per_day <= demand:
-        return FleetResult(
-            feasible=False, trucks=None, throughput_per_day=math.nan,
-            iterations=0, infeasibility_reason="ceiling")
+        return FleetResult(trucks=None, throughput_per_day=math.nan, iterations=0,
+                           infeasibility_reason="ceiling")
 
     agg = AggregatedConvolution(star)
     hours = scenario.hours_per_day
     for n in range(1, scenario.max_trucks + 1):
         th_day = agg.warehouse_throughput(n) * hours
         if cap * th_day >= demand:
-            return FleetResult(
-                feasible=True, trucks=n, throughput_per_day=th_day, iterations=n)
-    return FleetResult(
-        feasible=False, trucks=None, throughput_per_day=th_day,
-        iterations=scenario.max_trucks, infeasibility_reason="max_trucks")
+            return FleetResult(trucks=n, throughput_per_day=th_day, iterations=n)
+    return FleetResult(trucks=None, throughput_per_day=th_day,
+                       iterations=scenario.max_trucks, infeasibility_reason="max_trucks")
 
 
 def min_center_rate(scenario: Scenario, center: Point,
@@ -167,7 +167,7 @@ def solve_at(scenario: Scenario, center: Point, label: str = "fixed",
     n_report = fleet.trucks if fleet.feasible else scenario.max_trucks
     if weber_solution is None:
         weber_solution = WeberSolution(
-            location=(float(center[0]), float(center[1])),
+            x=float(center[0]), y=float(center[1]),
             objective=weber_objective(
                 WeberProblem.from_scenario(scenario, weighted=True), center),
             iterations=0, converged=True)

@@ -46,12 +46,37 @@ def build_star(scenario: Scenario, center: Point) -> StarNetwork:
                                  scenario.warehouse_positions))
     if not math.isfinite(h):
         raise ValueError("distances must be finite")
-    # a point that is already two floats is kept, not copied, so the
-    # analyses built on it share the caller's object
-    if not (type(center) is tuple and len(center) == 2
-            and type(center[0]) is float and type(center[1]) is float):
-        center = (float(center[0]), float(center[1]))
-    return StarNetwork(scenario=scenario, center=center, h=h, kappa=2.0 * h)
+    return StarNetwork(scenario=scenario, center=(float(cx), float(cy)), h=h,
+                       kappa=2.0 * h)
+
+
+def station_loads(scenario: Scenario) -> tuple[tuple[float, int], ...]:
+    """(load, servers) of every dock, then of the hub, in fold order: the
+    part of the aggregated star that does not depend on the hub location."""
+    loads = [(rho * HUB_VISIT_RATIO / w.unload_rate_per_hour, w.servers)
+             for rho, w in zip(demand_fractions(scenario), scenario.warehouses)]
+    loads.append((HUB_VISIT_RATIO / scenario.center.load_rate_per_hour,
+                   scenario.center.servers))
+    return tuple(loads)
+
+
+# The engine of the last table requested, under exactly its inputs
+# (kappa, loads).  Entry m of a table depends only on those and m, so a
+# request with the same key continues the held engine and gets the floats
+# a fresh one would build.  The dict is emptied and refilled in place,
+# never rebound.
+_LAST_ENGINE: dict[tuple, conv.Convolution] = {}
+
+
+def _engine(kappa: float, loads: tuple[tuple[float, int], ...]) -> conv.Convolution:
+    """The held engine if ``(kappa, loads)`` is its key and it never failed,
+    else a fresh one, which replaces it."""
+    key = (kappa, loads)
+    held = _LAST_ENGINE.get(key)
+    if held is None or held.error is not None:
+        _LAST_ENGINE.clear()
+        held = _LAST_ENGINE[key] = conv.Convolution(kappa, loads)
+    return held
 
 
 class AggregatedConvolution:
@@ -59,18 +84,26 @@ class AggregatedConvolution:
     time so fleet search reuses all previous work.
 
     The pooled lane starts the table, the docks follow and the hub is
-    folded last, so the row before it is the table without the hub.
+    folded last, so the row before it is the table without the hub.  The
+    table is shared with the previous request for the same star, so
+    ``analyze`` or ``throughput_vs_location`` right after ``min_trucks`` at
+    the same hub builds no column again.  A failed check stays with the
+    holder that saw it: that holder keeps failing, and the next request
+    builds afresh.
     """
 
     def __init__(self, star: StarNetwork):
-        s = star.scenario
-        loads = [(rho * HUB_VISIT_RATIO / w.unload_rate_per_hour, w.servers)
-                 for rho, w in zip(demand_fractions(s), s.warehouses)]
-        loads.append((HUB_VISIT_RATIO / s.center.load_rate_per_hour, s.center.servers))
-        self._conv = conv.Convolution(star.kappa, loads)
+        self._conv = _engine(star.kappa, station_loads(star.scenario))
+        self._error: Exception | None = None
 
     def extend_to(self, population: int) -> "AggregatedConvolution":
-        self._conv.extend_to(population)
+        if self._error is not None:
+            raise self._error
+        try:
+            self._conv.extend_to(population)
+        except (ArithmeticError, ValueError):
+            self._error = self._conv.error   # None if only the request was bad
+            raise
         return self
 
     @property
@@ -109,20 +142,24 @@ def aggregated_norm_constants(star: StarNetwork, population: int
 class StarAnalysis:
     """Steady-state figures for a star network with a fixed fleet.
 
-    Only the scenario, the hub location and scalars are stored; the
+    Only the scenario and scalars are stored; the overall throughput, the
     passage time and the daily throughput are derived when read.
     """
 
     scenario: Scenario
-    center: Point
     trucks: int
-    throughput: float                 # per hour, all four legs combined
     warehouse_throughput: float       # deliveries per hour, = throughput / 4
     busy_center: float                 # P(hub has at least one truck)
 
     @property
     def hours_per_day(self) -> float:
         return self.scenario.hours_per_day
+
+    @property
+    def throughput(self) -> float:
+        """Per hour, all four legs combined; exact, as the stored value is
+        a quarter of it."""
+        return self.warehouse_throughput / HUB_VISIT_RATIO
 
     @property
     def passage_time_hours(self) -> float:
@@ -139,13 +176,10 @@ def analyze(star: StarNetwork, trucks: int) -> StarAnalysis:
     if trucks < 1:
         raise ValueError("analysis needs at least one truck")
     agg = AggregatedConvolution(star)
-    th = agg.throughput(trucks)
     return StarAnalysis(
         scenario=star.scenario,
-        center=star.center,
         trucks=trucks,
-        throughput=th,
-        warehouse_throughput=HUB_VISIT_RATIO * th,
+        warehouse_throughput=agg.warehouse_throughput(trucks),
         busy_center=agg.hub_busy(trucks),
     )
 

@@ -44,14 +44,19 @@ class WeberProblem:
 
 @dataclass(frozen=True, slots=True)
 class WeberSolution:
-    """Scalars only; ``at_anchor`` is the index of the anchor the solution
-    sits on, if any."""
+    """Scalars only, the location as ``x`` and ``y``; ``at_anchor`` is the
+    index of the anchor the solution sits on, if any."""
 
-    location: Point
+    x: float
+    y: float
     objective: float
     iterations: int
     converged: bool
     at_anchor: int | None = None
+
+    @property
+    def location(self) -> Point:
+        return (self.x, self.y)
 
 
 def weber_objective(problem: WeberProblem, x: Point) -> float:
@@ -119,11 +124,11 @@ def solve_weber(problem: WeberProblem, tol: float = 1e-9,
 
     def at_anchor(k: int, it: int) -> WeberSolution:
         ax, ay, _ = anchors[k]
-        return WeberSolution((ax, ay), _objective(anchors, ax, ay), it, True,
+        return WeberSolution(ax, ay, _objective(anchors, ax, ay), it, True,
                              at_anchor=k)
 
     if len(anchors) == 1:
-        return WeberSolution(anchors[0][:2], 0.0, 0, True, at_anchor=0)
+        return WeberSolution(*anchors[0][:2], 0.0, 0, True, at_anchor=0)
 
     total = sum(w for _, _, w in anchors)
     x = sum(w * ax for ax, _, w in anchors) / total
@@ -168,6 +173,6 @@ def solve_weber(problem: WeberProblem, tol: float = 1e-9,
             if math.hypot(rx, ry) <= w_k:
                 return at_anchor(k, it)
     else:
-        return WeberSolution((x, y), _objective(anchors, x, y), max_iter, False)
+        return WeberSolution(x, y, _objective(anchors, x, y), max_iter, False)
 
-    return WeberSolution((x, y), _objective(anchors, x, y), it, True)
+    return WeberSolution(x, y, _objective(anchors, x, y), it, True)

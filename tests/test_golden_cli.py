@@ -26,6 +26,12 @@ CASES = [
     ("solve_pro_mu1_3", ["solve", "towns12-pro.json", "--mu1", "3"], 2),
     ("solve_pro_mu1_3.38", ["solve", "towns12-pro.json", "--mu1", "3.38"], 0),
     ("solve_log_trucks_25", ["solve", "towns12-log.json", "--trucks", "25"], 0),
+    # an infeasible row still names the fleet its figures describe: the
+    # fixed fleet, or max_trucks when no fleet meets demand
+    ("solve_log_trucks_5", ["solve", "towns12-log.json", "--trucks", "5",
+                            "--csv", "solve_log_trucks_5.csv"], 2, "solve_log_trucks_5.csv"),
+    ("solve_pro_mu1_3_csv", ["solve", "towns12-pro.json", "--mu1", "3",
+                             "--csv", "solve_pro_mu1_3.csv"], 2, "solve_pro_mu1_3.csv"),
     ("solve_compare_log", ["solve", "towns12-log.json", "--compare",
                            "--csv", "solve_compare_log.csv"], 0, "solve_compare_log.csv"),
     ("solve_compare_pro", ["solve", "towns12-pro.json", "--compare"], 0),

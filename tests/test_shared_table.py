@@ -1,0 +1,150 @@
+"""The normalization table shared between consecutive requests.
+
+``AggregatedConvolution`` takes its engine from a one-entry table keyed by
+the engine's inputs (kappa, loads): the request right after ``min_trucks``
+at the same hub (``analyze`` in ``solve_at``, or ``throughput_vs_location``
+in the ``grid`` step) continues the table instead of building it again.
+These tests pin the answers to those of a cold engine, bit for bit, and
+pin the key and the rule that a failed table is never handed on.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hubfleet import convolution as conv
+from hubfleet.convolution import Convolution, NumericalRangeError
+from hubfleet.fleet import min_trucks
+from hubfleet.oracle import random_scenario
+from hubfleet.scenario import bundled_scenario, load_scenario
+from hubfleet.star import (HUB_VISIT_RATIO, AggregatedConvolution, analyze, build_star,
+                           station_loads, throughput_vs_location)
+from hubfleet.weber import WeberProblem, solve_weber
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _cold(sc, center, n: int) -> tuple[str, str]:
+    """Warehouse throughput and hub busy at n trucks, as float.hex, from an
+    engine built here rather than taken from the shared table."""
+    engine = Convolution(build_star(sc, center).kappa, station_loads(sc))
+    engine.extend_to(n)
+    return ((HUB_VISIT_RATIO * engine.ratio(n - 1, n)).hex(),
+            (1.0 - engine.ratio(n, n, num_row=-2)).hex())
+
+
+def _evict(sc) -> None:
+    """Make the next request for ``sc`` start cold: a request at a far-off
+    hub replaces the held table."""
+    AggregatedConvolution(build_star(sc, (1e6, -1e6)))
+
+
+def _scenarios() -> list:
+    rng = np.random.default_rng(7)
+    return ([bundled_scenario("towns12-log"), bundled_scenario("towns12-pro"),
+             load_scenario(GOLDEN / "towns12-log-multi.json")]
+            + [random_scenario(rng, int(rng.integers(1, 5)), max_servers=3)
+               for _ in range(6)])
+
+
+@pytest.mark.parametrize("sc", _scenarios())
+def test_requests_after_min_trucks_match_a_cold_table(sc):
+    x = solve_weber(WeberProblem.from_scenario(sc, weighted=True)).location
+    res = min_trucks(sc, x)
+    n = res.trucks if res.feasible else sc.max_trucks
+    ana = analyze(build_star(sc, x), n)
+    [(_, grid_th)] = throughput_vs_location(sc, n, [x])
+    th, busy = _cold(sc, x, n)
+    assert ana.warehouse_throughput.hex() == th
+    assert ana.busy_center.hex() == busy
+    assert grid_th.hex() == th
+
+
+def _variants(sc) -> dict:
+    """Stars that differ from the first in exactly one engine input."""
+    dock = sc.warehouses[0]
+    other = dataclasses.replace(dock, servers=dock.servers % 3 + 1)
+    return {
+        "base": (sc, (0.0, 0.0)),
+        "kappa": (sc, (0.5, -0.25)),
+        "mu1": (sc.with_center_rate(1.5 * sc.center.load_rate_per_hour), (0.0, 0.0)),
+        "servers": (dataclasses.replace(sc, warehouses=(other,) + sc.warehouses[1:]),
+                    (0.0, 0.0)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       requests=st.lists(st.tuples(st.sampled_from(["base", "kappa", "mu1", "servers"]),
+                                   st.integers(1, 40)), min_size=2, max_size=10))
+def test_interleaved_requests_match_fresh_engines(seed, requests):
+    rng = np.random.default_rng(seed)
+    variants = _variants(random_scenario(rng, int(rng.integers(1, 4)), max_servers=3))
+    first = {}   # the first holder of each variant, kept across evictions
+    for name, n in requests:
+        sc, x = variants[name]
+        agg = AggregatedConvolution(build_star(sc, x))
+        expected = _cold(sc, x, n)
+        for holder in (agg, first.setdefault(name, agg)):
+            assert (holder.warehouse_throughput(n).hex(), holder.hub_busy(n).hex()) == expected
+
+
+def test_a_failed_table_is_not_handed_on(towns_log, monkeypatch):
+    k = 10
+    check = conv._check_entry
+
+    def fails_above_k(m, *entry):
+        if m > k:
+            raise NumericalRangeError(f"forced failure at population {m}")
+        check(m, *entry)
+
+    x = (179.756, 155.904)
+    star = build_star(towns_log, x)
+    _evict(towns_log)
+    monkeypatch.setattr(conv, "_check_entry", fails_above_k)
+    earlier = AggregatedConvolution(star)
+    failing = AggregatedConvolution(star)
+    with pytest.raises(NumericalRangeError):
+        failing.throughput(k + 5)
+    # the holder that saw the failure keeps failing, even below k
+    with pytest.raises(NumericalRangeError):
+        failing.throughput(k - 1)
+    # a holder of the same table made before the failure keeps its entries
+    assert earlier.warehouse_throughput(k - 1).hex() == _cold(towns_log, x, k - 1)[0]
+    # the next request with the same key succeeds below k ...
+    assert analyze(star, k - 1).warehouse_throughput.hex() == _cold(towns_log, x, k - 1)[0]
+    # ... on a fresh table: once the check passes again it reaches past k
+    monkeypatch.setattr(conv, "_check_entry", check)
+    assert analyze(star, k + 5).warehouse_throughput.hex() == _cold(towns_log, x, k + 5)[0]
+
+
+def test_analyze_after_min_trucks_builds_no_column(towns_log, monkeypatch):
+    built = []
+    check = conv._check_entry
+
+    def counted(m, *entry):
+        built.append(m)
+        check(m, *entry)
+
+    x = solve_weber(WeberProblem.from_scenario(towns_log, weighted=True)).location
+    _evict(towns_log)
+    monkeypatch.setattr(conv, "_check_entry", counted)
+    res = min_trucks(towns_log, x)
+    # every entry is built and checked exactly once
+    assert built == list(range(1, res.trucks + 1))
+    built.clear()
+    analyze(build_star(towns_log, x), res.trucks)
+    throughput_vs_location(towns_log, res.trucks, [x])
+    assert built == []
+    analyze(build_star(towns_log, x), res.trucks + 1)
+    assert built == [res.trucks + 1]
+
+
+def test_a_bad_request_does_not_stick(towns_log):
+    agg = AggregatedConvolution(build_star(towns_log, (179.756, 155.904)))
+    with pytest.raises(ValueError, match="non-negative"):
+        agg.extend_to(-1)
+    assert agg.warehouse_throughput(3) > 0.0

@@ -154,7 +154,11 @@ def test_incremental_matches_scratch(towns_log):
     star = build_star(towns_log, (179.756, 155.904))
     agg = AggregatedConvolution(star)
     step = [agg.table(n).value(n) for n in range(0, 26)]
+    elsewhere = build_star(towns_log, (0.0, 0.0))
     for n in (0, 7, 19, 25):
+        # a request at another hub replaces the shared table, so the next
+        # one starts from scratch
+        AggregatedConvolution(elsewhere)
         fresh = aggregated_norm_constants(star, n)
         assert fresh.value(n) == pytest.approx(step[n], rel=1e-12)
         assert fresh.value(n) == step[n]  # same fold order, same floats
