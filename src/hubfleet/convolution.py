@@ -260,6 +260,10 @@ class Convolution:
     Each new entry of the table is cross-checked ladder against log as it
     is built.  A table that failed the check still serves the entries that
     passed, and fails for every population beyond them.
+
+    ``with_last`` gives an engine that shares every row but the last with
+    this one, so a column that either engine has built costs the other
+    one row step.
     """
 
     def __init__(self, kappa: float, loads: Iterable[tuple[float, int]]) -> None:
@@ -268,6 +272,18 @@ class Convolution:
             for x, servers in loads]
         self._n = 0
         self._error: Exception | None = None
+
+    def with_last(self, load: tuple[float, int]) -> "Convolution":
+        """An engine for the same stations, except that the last-folded one
+        is ``load``, a (load, servers) pair.  It shares this engine's other
+        rows, with every column either engine builds, and builds only its
+        own last row.  The rows of a table that failed its check are not
+        shared."""
+        if self._error is not None:
+            raise ValueError("a table that failed its check shares no rows")
+        twin = Convolution(self._rows[0].kappa, [load])
+        twin._rows[:1] = self._rows[:-1]
+        return twin
 
     @property
     def population(self) -> int:
@@ -285,10 +301,20 @@ class Convolution:
             return
         if self._error is not None:
             raise self._error
+        rows = self._rows
+        last = len(rows) - 1
+        before_last = rows[last - 1]   # the last row itself if it is the only one
         try:
             for m in range(self._n + 1, population + 1):
-                prev = None
-                for row in self._rows:
+                # rows shared with another engine may hold column m already.
+                # The rows that hold it are a prefix without the last row, so
+                # start at the last row if the one before it holds m, else
+                # at the first row that lacks m.
+                i = last if len(before_last.log) > m else 0
+                while len(rows[i].log) > m:
+                    i += 1
+                prev, todo = (rows[i - 1], rows[i:]) if i else (None, rows)
+                for row in todo:
                     row.extend(prev, m)
                     prev = row
                 _check_entry(m, prev.mant[m], prev.exp[m], prev.log[m])

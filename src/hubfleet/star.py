@@ -61,22 +61,32 @@ def station_loads(scenario: Scenario) -> tuple[tuple[float, int], ...]:
 
 
 # The engine of the last table requested, under exactly its inputs
-# (kappa, loads).  Entry m of a table depends only on those and m, so a
-# request with the same key continues the held engine and gets the floats
-# a fresh one would build.  The dict is emptied and refilled in place,
-# never rebound.
+# (kappa, loads).  Entry m of a row depends only on that row's inputs, the
+# rows before it and m, so a request with the same key continues the held
+# engine, and one that differs only in the hub (the last load) shares every
+# row but the hub's; either way it gets the floats a fresh engine would
+# build.  The dict is emptied and refilled in place, never rebound.
 _LAST_ENGINE: dict[tuple, conv.Convolution] = {}
 
 
 def _engine(kappa: float, loads: tuple[tuple[float, int], ...]) -> conv.Convolution:
-    """The held engine if ``(kappa, loads)`` is its key and it never failed,
-    else a fresh one, which replaces it."""
+    """The held engine if ``(kappa, loads)`` is its key and it never failed.
+    Otherwise a new engine replaces it: one that shares the held engine's
+    rows if only the hub differs and the held engine never failed, else a
+    fresh one."""
     key = (kappa, loads)
     held = _LAST_ENGINE.get(key)
-    if held is None or held.error is not None:
-        _LAST_ENGINE.clear()
-        held = _LAST_ENGINE[key] = conv.Convolution(kappa, loads)
-    return held
+    if held is not None and held.error is None:
+        return held
+    engine = None
+    for (old_kappa, old_loads), old in _LAST_ENGINE.items():
+        if old.error is None and old_kappa == kappa and old_loads[:-1] == loads[:-1]:
+            engine = old.with_last(loads[-1])
+    if engine is None:
+        engine = conv.Convolution(kappa, loads)
+    _LAST_ENGINE.clear()
+    _LAST_ENGINE[key] = engine
+    return engine
 
 
 class AggregatedConvolution:
@@ -87,9 +97,11 @@ class AggregatedConvolution:
     folded last, so the row before it is the table without the hub.  The
     table is shared with the previous request for the same star, so
     ``analyze`` or ``throughput_vs_location`` right after ``min_trucks`` at
-    the same hub builds no column again.  A failed check stays with the
-    holder that saw it: that holder keeps failing, and the next request
-    builds afresh.
+    the same hub builds no column again.  A request that differs from the
+    previous one only in the hub (a probe of ``min_center_rate``) shares
+    every row but the hub's, so a column built before costs one row step.
+    A failed check stays with the holder that saw it: that holder keeps
+    failing, and the next request builds afresh.
     """
 
     def __init__(self, star: StarNetwork):

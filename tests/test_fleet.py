@@ -156,6 +156,20 @@ def test_rate_bisection_picks_the_linear_scans_grid_point(towns_pro):
     sol = solve_weber(WeberProblem.from_scenario(towns_pro, weighted=True))
     sc = dataclasses.replace(towns_pro.with_center_rate(3.377), max_trucks=45)
     cases.append((sc, sol.location, 1e-4))
+    # hub-bound random stars with 1-3 hub and dock servers, so the probes
+    # share multi-server dock rows and refold multi-server hubs
+    for i in range(12):
+        base = random_scenario(rng, 1 + i % 4, rate_range=(2.0, 6.0),
+                               demand_range=(5.0, 20.0), max_servers=3)
+        servers = 1 + i % 3
+        lb = base.total_demand_per_day / (
+            base.truck_capacity * servers * base.hours_per_day)
+        fast = dataclasses.replace(base, center=Center(servers, math.inf),
+                                   max_trucks=200)
+        cap = min_trucks(fast, (0.0, 0.0)).trucks + 3
+        sc = dataclasses.replace(base, center=Center(servers, lb / 2),
+                                 max_trucks=cap)
+        cases.append((sc, (0.0, 0.0), lb / (50 + 50 * (i % 3))))
     for sc, center, step in cases:
         assert min_center_rate(sc, center, step) == _linear_rate_scan(sc, center, step)
 

@@ -3,17 +3,20 @@
 ``AggregatedConvolution`` takes its engine from a one-entry table keyed by
 the engine's inputs (kappa, loads): the request right after ``min_trucks``
 at the same hub (``analyze`` in ``solve_at``, or ``throughput_vs_location``
-in the ``grid`` step) continues the table instead of building it again.
-These tests pin the answers to those of a cold engine, bit for bit, and
-pin the key and the rule that a failed table is never handed on.
+in the ``grid`` step) continues the table instead of building it again,
+and a request that differs only in the hub (a ``min_center_rate`` probe)
+shares every row but the hub's.  These tests pin the answers to those of a
+cold engine, bit for bit, and pin the key and the rule that a failed table
+is never handed on.
 """
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hubfleet import convolution as conv
 from hubfleet.convolution import Convolution, NumericalRangeError
@@ -64,22 +67,35 @@ def test_requests_after_min_trucks_match_a_cold_table(sc):
 
 
 def _variants(sc) -> dict:
-    """Stars that differ from the first in exactly one engine input."""
+    """Stars that differ from the first in exactly one engine input.  The
+    hub-only variants (mu1, mu1_inf, hub_servers) share the lane and dock
+    rows of whichever of them was requested last."""
     dock = sc.warehouses[0]
     other = dataclasses.replace(dock, servers=dock.servers % 3 + 1)
+    hub = dataclasses.replace(sc.center, servers=sc.center.servers % 3 + 1)
     return {
         "base": (sc, (0.0, 0.0)),
         "kappa": (sc, (0.5, -0.25)),
         "mu1": (sc.with_center_rate(1.5 * sc.center.load_rate_per_hour), (0.0, 0.0)),
+        "mu1_inf": (sc.with_center_rate(math.inf), (0.0, 0.0)),
+        "hub_servers": (dataclasses.replace(sc, center=hub), (0.0, 0.0)),
         "servers": (dataclasses.replace(sc, warehouses=(other,) + sc.warehouses[1:]),
                     (0.0, 0.0)),
     }
 
 
+_VARIANTS = ["base", "kappa", "mu1", "mu1_inf", "hub_servers", "servers"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       requests=st.lists(st.tuples(st.sampled_from(["base", "kappa", "mu1", "servers"]),
-                                   st.integers(1, 40)), min_size=2, max_size=10))
+       requests=st.lists(st.tuples(st.sampled_from(_VARIANTS), st.integers(1, 40)),
+                         min_size=2, max_size=10))
+# hub-only variants at populations above and below the held engine's, with
+# earlier holders growing the shared rows past the held engine's hub row
+@example(seed=3, requests=[("base", 12), ("mu1", 5), ("mu1_inf", 30), ("base", 20),
+                           ("hub_servers", 25), ("mu1", 36), ("base", 40),
+                           ("mu1_inf", 8)])
 def test_interleaved_requests_match_fresh_engines(seed, requests):
     rng = np.random.default_rng(seed)
     variants = _variants(random_scenario(rng, int(rng.integers(1, 4)), max_servers=3))
@@ -148,3 +164,83 @@ def test_a_bad_request_does_not_stick(towns_log):
     with pytest.raises(ValueError, match="non-negative"):
         agg.extend_to(-1)
     assert agg.warehouse_throughput(3) > 0.0
+
+
+def _count_row_steps(monkeypatch) -> list:
+    """Patch every fold class's ``extend`` to record the column it builds."""
+    steps = []
+    for cls in (conv._PooledLane, conv._BuzenFold, conv._ServerFold):
+        def counted(row, prev, m, extend=cls.extend):
+            steps.append(m)
+            extend(row, prev, m)
+        monkeypatch.setattr(cls, "extend", counted)
+    return steps
+
+
+def test_a_hub_rate_probe_folds_only_the_hub(towns_log, monkeypatch):
+    x = solve_weber(WeberProblem.from_scenario(towns_log, weighted=True)).location
+    rows = len(station_loads(towns_log)) + 1
+    probe = towns_log.with_center_rate(2.0 * towns_log.center.load_rate_per_hour)
+    _evict(towns_log)
+    n = min_trucks(towns_log, x).trucks
+    expected = [_cold(probe, x, m) for m in (n, n + 1)]
+    steps = _count_row_steps(monkeypatch)
+    agg = AggregatedConvolution(build_star(probe, x))
+    assert (agg.warehouse_throughput(n).hex(), agg.hub_busy(n).hex()) == expected[0]
+    # the lane and dock rows hold columns 1..n already: one row step each
+    assert steps == list(range(1, n + 1))
+    steps.clear()
+    assert (agg.warehouse_throughput(n + 1).hex(), agg.hub_busy(n + 1).hex()) == expected[1]
+    assert steps == [n + 1] * rows
+
+
+def test_a_probe_after_a_failed_hub_row_builds_afresh(towns_log, monkeypatch):
+    x = solve_weber(WeberProblem.from_scenario(towns_log, weighted=True)).location
+    rows, n = len(station_loads(towns_log)) + 1, 20
+    rate = towns_log.center.load_rate_per_hour
+    third = towns_log.with_center_rate(3.0 * rate)
+    expected = _cold(third, x, n)
+    _evict(towns_log)
+    AggregatedConvolution(build_star(towns_log, x)).throughput(n)
+    check = conv._check_entry
+
+    def fails(m, *entry):
+        raise NumericalRangeError(f"forced failure at population {m}")
+
+    monkeypatch.setattr(conv, "_check_entry", fails)
+    with pytest.raises(NumericalRangeError):
+        AggregatedConvolution(build_star(towns_log.with_center_rate(2.0 * rate), x)
+                              ).throughput(n)
+    monkeypatch.setattr(conv, "_check_entry", check)
+    steps = _count_row_steps(monkeypatch)
+    agg = AggregatedConvolution(build_star(third, x))
+    assert (agg.warehouse_throughput(n).hex(), agg.hub_busy(n).hex()) == expected
+    # the held engine failed, so every row is built again for every column
+    assert steps == [m for m in range(1, n + 1) for _ in range(rows)]
+
+
+def test_an_interrupted_column_resumes_at_the_first_row_that_lacks_it(towns_log,
+                                                                     monkeypatch):
+    # an exception the engine does not record (an interrupt, say) can stop a
+    # column halfway; the rows that hold it must not be extended again
+    kappa, loads = 3.0, station_loads(towns_log)
+    cold = Convolution(kappa, loads).table(10)
+    engine = Convolution(kappa, loads)
+    engine.extend_to(4)
+    middle = engine._rows[len(loads) // 2]
+    extend = type(middle).extend
+
+    class Interrupt(Exception):
+        pass
+
+    def interrupted(row, prev, m):
+        if row is middle and m == 5:
+            raise Interrupt
+        extend(row, prev, m)
+
+    monkeypatch.setattr(type(middle), "extend", interrupted)
+    with pytest.raises(Interrupt):
+        engine.extend_to(10)
+    monkeypatch.undo()
+    assert engine.error is None
+    assert engine.table(10) == cold
