@@ -123,7 +123,7 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
     scenario = _with_mu1(_load(file), mu1)
 
     center = _parse_point(center_text) or scenario.center.location
-    if compare and center is not None:
+    if compare and center_text is not None:
         _fail("--compare solves for hub locations; drop --center")
     if compare and trucks is not None:
         _fail("--compare sizes its own fleets; drop --trucks")

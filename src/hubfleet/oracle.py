@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain, repeat, starmap
 from typing import Callable, Iterator, Sequence
 
@@ -295,11 +296,12 @@ def simulate(star: StarNetwork, trucks: int, *,
                            travel_label)
 
     # station 0 is the hub; warehouse i has lane out 1+3i, dock 2+3i and
-    # lane back 3+3i.  kind: 0 hub, 1 lane out, 2 dock, 3 lane back.
-    # servers count only at FCFS stations; lanes never queue.  mean_time is
-    # the mean service time at the hub and docks, the travel time on lanes.
-    kind = [0] + [1, 2, 3] * k
+    # lane back 3+3i.  Lanes have no servers and never queue.  after[st] is
+    # where a truck leaving st goes; the hub routes its departures instead.
+    # mean_time is the mean service time at the hub and docks, the travel
+    # time on lanes.
     servers = [s.center.servers] + [0] * (3 * k)
+    after = [0 if st % 3 == 0 else st + 1 for st in range(n_st)]
     mean_time = [1.0 / s.center.load_rate_per_hour] + [0.0] * (3 * k)
     for i, (w, lane) in enumerate(zip(s.warehouses, _lane_hours(star))):
         servers[2 + 3 * i] = w.servers
@@ -323,7 +325,7 @@ def simulate(star: StarNetwork, trucks: int, *,
         draw = []
         for st in range(n_st):
             mean = mean_time[st]
-            if kind[st] in (0, 2):
+            if servers[st]:
                 draw.append(_stream(partial(service_rngs[st].exponential, mean, _BLOCK)))
             elif travel == "exponential" and mean > 0:
                 draw.append(_stream(partial(travel_rng.exponential, mean, _BLOCK)))
@@ -333,58 +335,52 @@ def simulate(star: StarNetwork, trucks: int, *,
                 draw.append(map(float, starmap(travel, repeat((travel_rng, mean)))).__next__)
 
         busy = [0] * n_st
-        queues: list[list[int]] = [[] for _ in range(n_st)]
-        qhead = [0] * n_st
+        queues = [deque() for _ in range(n_st)]
         arr = [0.0] * trucks
         completions = [0] * n_st
         soj_sum = [0.0] * n_st
         # every truck starts at the hub, the first ones in service; heap
-        # entries are (time, seq, truck, station), seq breaking time ties
+        # entries are (time, seq, truck, station), seq breaking time ties;
+        # a queued truck waits behind one in service, so it never empties
         busy[0] = seq = min(trucks, servers[0])
         heap = [(draw[0](), truck + 1, truck, 0) for truck in range(seq)]
         heapify(heap)
         queues[0].extend(range(seq, trucks))
 
         t_warm = 0.0
-        t = 0.0
-        pops = 0
-        while pops < horizon_events and heap:
-            t, _, truck, st = heappop(heap)
-            pops += 1
+        for pops in range(1, horizon_events + 1):
+            t, _, truck, st = heap[0]
             if pops == warm_count:
                 t_warm = t
-            if pops > warm_count:
+                completions = [0] * n_st
+                soj_sum = [0.0] * n_st
+            else:
                 completions[st] += 1
                 soj_sum[st] += t - arr[truck]
             arr[truck] = t
-            ki = kind[st]
-            if ki == 0 or ki == 2:
+            if servers[st]:
                 # a server frees up: start the next queued truck, then the
                 # departing truck takes a lane
                 q = queues[st]
-                head = qhead[st]
-                if head < len(q):
-                    waiting = q[head]
-                    head += 1
-                    if head > 512 and head * 2 > len(q):
-                        del q[:head]
-                        head = 0
-                    qhead[st] = head
+                if q:
                     seq += 1
-                    heappush(heap, (t + draw[st](), seq, waiting, st))
+                    heapreplace(heap, (t + draw[st](), seq, q.popleft(), st))
+                    push = heappush
                 else:
                     busy[st] -= 1
-                nxt = 1 + 3 * bisect_right(cum, route()) if ki == 0 else st + 1
+                    push = heapreplace
+                nxt = after[st] if st else 1 + 3 * bisect_right(cum, route())
                 seq += 1
-                heappush(heap, (t + draw[nxt](), seq, truck, nxt))
+                push(heap, (t + draw[nxt](), seq, truck, nxt))
             else:
                 # a lane ends at a dock (out) or at the hub (back)
-                nxt = st + 1 if ki == 1 else 0
+                nxt = after[st]
                 if busy[nxt] < servers[nxt]:
                     busy[nxt] += 1
                     seq += 1
-                    heappush(heap, (t + draw[nxt](), seq, truck, nxt))
+                    heapreplace(heap, (t + draw[nxt](), seq, truck, nxt))
                 else:
+                    heappop(heap)
                     queues[nxt].append(truck)
 
         window = t - t_warm

@@ -112,9 +112,6 @@ class Scenario:
     def with_center_rate(self, rate: float) -> "Scenario":
         return replace(self, center=replace(self.center, load_rate_per_hour=rate))
 
-    def with_center_location(self, location: Point | None) -> "Scenario":
-        return replace(self, center=replace(self.center, location=location))
-
 
 def demand_fractions(scenario: Scenario) -> list[float]:
     """Demand shares rho_j in warehouse order; they sum to 1."""

@@ -59,18 +59,18 @@ class WeberSolution:
         return (self.x, self.y)
 
 
-def weber_objective(problem: WeberProblem, x: Point) -> float:
-    """Sum of weighted distances from x to the anchors."""
-    return sum(w * math.hypot(a[0] - x[0], a[1] - x[1])
-               for a, w in zip(problem.anchors, problem.weights))
-
-
 # an anchor is an (x, y, weight) triple of floats
 Anchor = tuple[float, float, float]
 
 
 def _objective(anchors: tuple[Anchor, ...], x: float, y: float) -> float:
     return sum(w * math.hypot(ax - x, ay - y) for ax, ay, w in anchors)
+
+
+def weber_objective(problem: WeberProblem, x: Point) -> float:
+    """Sum of weighted distances from x to the anchors."""
+    anchors = tuple((ax, ay, w) for (ax, ay), w in zip(problem.anchors, problem.weights))
+    return _objective(anchors, x[0], x[1])
 
 
 def _nearest(anchors: tuple[Anchor, ...], x: float, y: float) -> int:

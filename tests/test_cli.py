@@ -100,6 +100,18 @@ def test_solve_compare_conflicts(runner, log_path):
     assert res.exit_code == 1
 
 
+def test_solve_compare_ignores_a_pinned_center(runner, log_path, tmp_path):
+    # a scenario file may pin the hub; --compare places it both ways anyway
+    raw = json.loads(Path(log_path).read_text())
+    raw["center"]["location"] = [180.0, 156.0]
+    pinned = tmp_path / "pinned.json"
+    pinned.write_text(json.dumps(raw))
+    res = runner.invoke(main, ["solve", str(pinned), "--compare"])
+    assert res.exit_code == 0, res.output
+    plain = runner.invoke(main, ["solve", log_path, "--compare"])
+    assert res.output == plain.output
+
+
 def test_solve_csv_matches_table(runner, log_path, tmp_path):
     out = tmp_path / "row.csv"
     res = runner.invoke(main, ["solve", log_path, "--compare",

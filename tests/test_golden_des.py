@@ -4,9 +4,9 @@
 ``simulate`` returned for the cases below.  The cases cover each way a lane
 or a station draws its times (exponential, deterministic and callable
 travel, multi-server hubs and docks), the warm-up edge, a single
-replication, and a fleet large enough for the hub queue to pass its
-512-entry compaction.  Any change to the event loop or to the order in
-which draws are taken from the generators fails here.
+replication, and a long hub queue (``fleet_2000``, whose two thousand
+trucks all start at the hub).  Any change to the event loop or to the
+order in which draws are taken from the generators fails here.
 
 Run ``python tests/test_golden_des.py`` to re-record the file after a
 deliberate change to the draw streams.

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ def test_roundtrip_identity(tmp_path, towns_log):
     save_scenario(towns_log, path)
     assert load_scenario(path) == towns_log
 
-    with_loc = towns_log.with_center_location((120.0, 90.0))
+    with_loc = replace(towns_log, center=replace(towns_log.center, location=(120.0, 90.0)))
     save_scenario(with_loc, path)
     again = load_scenario(path)
     assert again == with_loc

@@ -55,6 +55,49 @@ def test_location_enters_only_through_kappa(seed, docks):
         assert agg_y.throughput(n) == pytest.approx(agg_x.throughput(n), rel=1e-12, abs=0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), docks=st.integers(1, 4))
+def test_weber_point_ignores_rates_servers_speed_and_cap(seed, docks):
+    # result (iii): the hub goes to the weighted Weber point, which reads
+    # only the warehouse positions and demands
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, docks, max_servers=3)
+    point = solve_weber(WeberProblem.from_scenario(sc, weighted=True)).location
+    variants = [
+        sc.with_center_rate(float(rng.uniform(0.1, 10.0))),
+        dataclasses.replace(sc, center=dataclasses.replace(
+            sc.center, servers=int(rng.integers(1, 4)))),
+        dataclasses.replace(sc, warehouses=tuple(
+            dataclasses.replace(w, servers=int(rng.integers(1, 4)))
+            for w in sc.warehouses)),
+        dataclasses.replace(sc, truck_speed_kmh=float(rng.uniform(0.2, 5.0))),
+        dataclasses.replace(sc, max_trucks=int(rng.integers(1, 400))),
+    ]
+    for v in variants:
+        assert solve_weber(WeberProblem.from_scenario(v, weighted=True)).location == point
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), docks=st.integers(1, 4))
+def test_weber_point_maximizes_throughput_and_minimizes_passage_time(seed, docks):
+    # at every fleet size the Weber point has the largest throughput and,
+    # as the round trip is 4N / TH, the shortest round trip of any site,
+    # near it or far away
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, docks, max_servers=3)
+    point = solve_weber(WeberProblem.from_scenario(sc, weighted=True)).location
+    sites = [(float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6))) for _ in range(2)]
+    sites += [(point[0] + float(rng.uniform(-0.1, 0.1)),
+               point[1] + float(rng.uniform(-0.1, 0.1))) for _ in range(2)]
+    fleets = (1, 2, 5, 12, 30)
+    best = [analyze(build_star(sc, point), n) for n in fleets]
+    for site in sites:
+        for opt, n in zip(best, fleets):
+            there = analyze(build_star(sc, site), n)
+            assert opt.throughput >= there.throughput * (1.0 - 1e-12)
+            assert opt.passage_time_hours <= there.passage_time_hours * (1.0 + 1e-12)
+
+
 def test_toy_star_norm_constants(toy_star_scenario):
     # by hand: G(0)=1, G(1)=1/4+1/4+1/2=1, G(2)=3/16+1/4+1/8=9/16
     star = build_star(toy_star_scenario, (0.0, 0.0))
