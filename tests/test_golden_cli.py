@@ -48,6 +48,9 @@ CASES = [
     ("fleet_multi_find_mu1",
      ["fleet", "towns12-log-multi.json", "--mu1", "1.3", "--find-mu1"], 2),
     ("calibrate", ["calibrate"], 0),
+    ("weber_log", ["weber", "towns12-log.json"], 0),
+    ("weber_pro", ["weber", "towns12-pro.json"], 0),
+    ("weber_multi", ["weber", "towns12-log-multi.json"], 0),
 ]
 
 
