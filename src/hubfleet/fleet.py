@@ -175,13 +175,10 @@ def solve_at(scenario: Scenario, center: Point, label: str = "fixed",
                             analysis=analyze(star, n_report))
 
 
-def compare_locations(scenario: Scenario, tol: float = 1e-9,
-                      max_iter: int = 10000) -> LocationComparison:
+def compare_locations(scenario: Scenario) -> LocationComparison:
     """Demand-weighted versus unweighted hub placement, solved end to end."""
-    sol_w = solve_weber(WeberProblem.from_scenario(scenario, weighted=True),
-                        tol=tol, max_iter=max_iter)
-    sol_u = solve_weber(WeberProblem.from_scenario(scenario, weighted=False),
-                        tol=tol, max_iter=max_iter)
+    sol_w = solve_weber(WeberProblem.from_scenario(scenario, weighted=True))
+    sol_u = solve_weber(WeberProblem.from_scenario(scenario, weighted=False))
     out_w = solve_at(scenario, sol_w.location, "weighted", sol_w)
     out_u = solve_at(scenario, sol_u.location, "unweighted", sol_u)
     return LocationComparison(weighted=out_w, unweighted=out_u)

@@ -1,10 +1,12 @@
 """Weighted planar single-facility location (Weber problem).
 
-Solved by Weiszfeld fixed-point iteration with an anchor safeguard: when the
-iterate lands on (or stalls against) one of the demand points, the summed
-pull of the remaining points decides whether that point is optimal, and if
-not, the iterate steps off along the pull direction instead of dividing by
-a zero distance.
+Every anchor (demand point) is first tested once by Kuhn's condition: it is
+optimal exactly when the summed unit pull of the other anchors there is at
+most its own weight (up to rounding).  The first anchor that passes is the
+answer.  Otherwise the optimum lies off every anchor and plain Weiszfeld
+iteration finds it from the weighted centroid; an iterate that lands on an
+anchor, now known to be non-optimal, steps off along the pull instead of
+dividing by a zero distance.
 """
 
 from __future__ import annotations
@@ -16,6 +18,13 @@ from .scenario import Point, Scenario, demand_fractions
 
 # below this distance an iterate is treated as sitting on an anchor
 _SNAP = 1e-12
+# relative step size at which iteration stops; the first-order residual
+# must then also be below 10 * _TOL
+_TOL = 1e-9
+# Kuhn's test passes an anchor whose pull exceeds its weight by at most this
+# share of the total weight: the rounding of the summed pull, so that a tie
+# such as a pull of exactly 3 at an anchor of weight 3 is not lost
+_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,6 +39,9 @@ class WeberProblem:
             raise ValueError("weber problem needs at least one anchor")
         if len(self.anchors) != len(self.weights):
             raise ValueError("anchors and weights must have equal length")
+        if not all(math.isfinite(v) for p in self.anchors for v in p) \
+                or not all(math.isfinite(w) for w in self.weights):
+            raise ValueError("anchor coordinates and weights must be finite")
         if not all(w > 0 for w in self.weights):
             raise ValueError("weights must be positive")
 
@@ -73,12 +85,6 @@ def weber_objective(problem: WeberProblem, x: Point) -> float:
     return _objective(anchors, x[0], x[1])
 
 
-def _nearest(anchors: tuple[Anchor, ...], x: float, y: float) -> int:
-    """Index of the anchor closest to (x, y); the first one on a tie."""
-    return min(range(len(anchors)),
-               key=lambda i: math.hypot(anchors[i][0] - x, anchors[i][1] - y))
-
-
 def _pull(anchors: tuple[Anchor, ...], x: float, y: float
           ) -> tuple[float, float, float]:
     """Summed unit-direction pull toward the anchors away from (x, y).
@@ -110,53 +116,47 @@ def _optimality_residual(anchors: tuple[Anchor, ...], x: float, y: float,
     return max(0.0, math.hypot(rx, ry) - w_here) / total_weight
 
 
-def solve_weber(problem: WeberProblem, tol: float = 1e-9,
-                max_iter: int = 10000) -> WeberSolution:
+def solve_weber(problem: WeberProblem, max_iter: int = 10000) -> WeberSolution:
     """Minimize the weighted distance sum over the plane.
 
-    Convergence requires both a relative movement below ``tol`` and a
-    first-order optimality residual below ``10 * tol``.  The returned
-    objective never exceeds the objective at the starting point (the
-    weighted centroid).
+    Kuhn's anchor test runs first, once per anchor, and returns the first
+    anchor that passes (up to ``_ROUNDING``) with ``iterations`` 0; when a
+    segment of optima ends on anchors, that is the first such endpoint.  The
+    test is not a step: ``max_iter`` counts Weiszfeld steps only.  Iteration
+    converges when a step moves less than ``_TOL`` relative and the
+    first-order residual is below ``10 * _TOL``.  The returned objective
+    never exceeds the objective at the starting point (the weighted
+    centroid).
     """
     anchors = tuple((float(ax), float(ay), float(w))
                     for (ax, ay), w in zip(problem.anchors, problem.weights))
 
-    def at_anchor(k: int, it: int) -> WeberSolution:
-        ax, ay, _ = anchors[k]
-        return WeberSolution(ax, ay, _objective(anchors, ax, ay), it, True,
-                             at_anchor=k)
-
-    if len(anchors) == 1:
-        return WeberSolution(*anchors[0][:2], 0.0, 0, True, at_anchor=0)
-
     total = sum(w for _, _, w in anchors)
+    for k, (ax, ay, _) in enumerate(anchors):
+        if _optimality_residual(anchors, ax, ay, total) <= _ROUNDING:
+            return WeberSolution(ax, ay, _objective(anchors, ax, ay), 0, True,
+                                 at_anchor=k)
+
     x = sum(w * ax for ax, _, w in anchors) / total
     y = sum(w * ay for _, ay, w in anchors) / total
 
     for it in range(1, max_iter + 1):
-        # one pass: the pull, the weight at the iterate, and the Weiszfeld
-        # map over the anchors away from it
-        rx = ry = w_here = num_x = num_y = den = 0.0
+        # one pass: the weight at the iterate and the Weiszfeld map over the
+        # anchors away from it
+        w_here = num_x = num_y = den = 0.0
         for ax, ay, w in anchors:
-            dx, dy = ax - x, ay - y
-            d = math.hypot(dx, dy)
+            d = math.hypot(ax - x, ay - y)
             if d <= _SNAP:
                 w_here += w
             else:
                 s = w / d
-                rx += s * dx
-                ry += s * dy
                 num_x += s * ax
                 num_y += s * ay
                 den += s
         if w_here > 0.0:
-            # iterate sits on an anchor (or a stack of coincident anchors)
-            r = math.hypot(rx, ry)
-            if r <= w_here:
-                return at_anchor(_nearest(anchors, x, y), it)
-            # step off the anchor along the residual pull
-            beta = min(1.0, w_here / r)
+            # on a non-optimal anchor (or stack): step off along the pull
+            rx, ry, _ = _pull(anchors, x, y)
+            beta = min(1.0, w_here / math.hypot(rx, ry))
             x_new = (1.0 - beta) * (num_x / den) + beta * x
             y_new = (1.0 - beta) * (num_y / den) + beta * y
         else:
@@ -164,15 +164,7 @@ def solve_weber(problem: WeberProblem, tol: float = 1e-9,
 
         move = math.hypot(x_new - x, y_new - y)
         x, y = x_new, y_new
-        if move <= tol * (1.0 + math.hypot(x, y)):
-            if _optimality_residual(anchors, x, y, total) <= 10.0 * tol:
-                break
-            # stalled against a nearby anchor: accept it only if certified
-            k = _nearest(anchors, x, y)
-            rx, ry, w_k = _pull(anchors, anchors[k][0], anchors[k][1])
-            if math.hypot(rx, ry) <= w_k:
-                return at_anchor(k, it)
-    else:
-        return WeberSolution(x, y, _objective(anchors, x, y), max_iter, False)
-
-    return WeberSolution(x, y, _objective(anchors, x, y), it, True)
+        if move <= _TOL * (1.0 + math.hypot(x, y)) \
+                and _optimality_residual(anchors, x, y, total) <= 10.0 * _TOL:
+            return WeberSolution(x, y, _objective(anchors, x, y), it, True)
+    return WeberSolution(x, y, _objective(anchors, x, y), max_iter, False)

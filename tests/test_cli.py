@@ -131,6 +131,23 @@ def test_weber_verb(runner, pro_path):
     assert "unweighted (179.211, 162.373)" in res.output
 
 
+def test_weber_verb_returns_an_optimal_warehouse_at_once(runner, log_path, tmp_path):
+    # at warehouse 5 the pull of the other three equals its own weight
+    raw = json.loads(Path(log_path).read_text())
+    raw["warehouses"] = [
+        {"id": i, "x": x, "y": y, "demand_per_day": 6.0, "servers": 1,
+         "unload_rate_per_hour": 2.0}
+        for i, (x, y) in zip((2, 3, 4, 5), ((30.0, 30.0), (10.0, 10.0),
+                                           (10.0, 0.0), (20.0, 20.0)))]
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(raw))
+    res = runner.invoke(main, ["weber", str(path)])
+    assert res.exit_code == 0, res.output
+    for tag in ("weighted  ", "unweighted"):
+        assert f"{tag} (20.000, 20.000)" in res.output
+    assert res.output.count("iterations 0  [at warehouse 5]") == 2
+
+
 def test_fleet_verb_feasible(runner, log_path):
     res = runner.invoke(main, ["fleet", log_path])
     assert res.exit_code == 0

@@ -10,10 +10,13 @@ anchor, which no case above does, and the towns runs are also cut short
 by ``max_iter``.  Iteration counts, flags and
 anchors must match exactly; locations and objectives may move only by
 rounding (1e-9 relative), since the order of summation is not part of the
-algorithm.
+algorithm.  A case whose answer is an anchor has 0 iterations: Kuhn's
+anchor test returns it before the first Weiszfeld step.
 
 Run ``python tests/test_golden_weber.py`` to re-record the file after a
-deliberate change to the algorithm.
+deliberate change to the algorithm.  Re-recording rewrites every location
+and objective in their last digits, so a change that moves only some
+fields should edit just those.
 """
 
 import json
