@@ -21,11 +21,12 @@ import numpy as np
 
 from . import calibration as cal
 from . import oracle
+from .convolution import NumericalRangeError
 from .fleet import _center_rate_from, compare_locations, min_trucks, solve_at
 from .scenario import (Center, Scenario, ScenarioError, Warehouse,
                        load_scenario, save_scenario)
 from .star import analyze, bottleneck, build_star, throughput_vs_location
-from .weber import WeberProblem, solve_weber
+from .weber import WeberProblem, WeberSolution, solve_weber
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -80,6 +81,11 @@ def _require_decimals(busy_decimals: int) -> None:
         _fail("--busy-decimals must be non-negative")
 
 
+def _unconverged(sol: WeberSolution | None) -> str:
+    """The mark after a hub point whose Weber solve stopped unconverged."""
+    return "" if sol is None or sol.converged else "  [not converged]"
+
+
 def _trucks_cell(trucks: int | None) -> str:
     """A fleet size, or ``--`` where no fleet meets demand."""
     return "--" if trucks is None else str(trucks)
@@ -87,12 +93,13 @@ def _trucks_cell(trucks: int | None) -> str:
 
 class _Main(click.Group):
     """A bad value that only a verb's own work uncovers (a ``ScenarioError``
-    or ``ValueError``) exits 1 with one line, like a bad option."""
+    or ``ValueError``, or a rate so small that a table leaves the numeric
+    range) exits 1 with one line, like a bad option."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:   # ScenarioError is a ValueError
+        except (ValueError, NumericalRangeError) as exc:   # ScenarioError is a ValueError
             _fail(str(exc))
 
 
@@ -137,7 +144,7 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
             _write_csv(csv_path, [row], busy_decimals)
         sys.exit(EXIT_OK if row.trucks_weighted is not None else EXIT_INFEASIBLE)
 
-    label = "fixed"
+    label, sol = "fixed", None
     if center is None:
         sol = solve_weber(WeberProblem.from_scenario(scenario, weighted=True))
         center = sol.location
@@ -156,7 +163,8 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
     click.echo(f"stations            {scenario.num_stations} "
                f"(hub + {len(scenario.warehouses)} warehouses)")
     click.echo(f"demand/day          {scenario.total_demand_per_day:.3f}")
-    click.echo(f"hub location        ({center[0]:.3f}, {center[1]:.3f}) [{label}]")
+    click.echo(f"hub location        ({center[0]:.3f}, {center[1]:.3f}) [{label}]"
+               f"{_unconverged(sol)}")
     click.echo(f"saturation ceiling  {bn.ceiling_per_day:.3f}/day "
                f"(binding node {bn.binding_node})")
     if trucks is None:
@@ -194,7 +202,7 @@ def cmd_weber(file: str) -> None:
             f"  [at warehouse {scenario.warehouses[sol.at_anchor].id}]"
         click.echo(f"{tag:10s} ({sol.location[0]:.3f}, {sol.location[1]:.3f})  "
                    f"objective {sol.objective:.3f}  "
-                   f"iterations {sol.iterations}{anchor}")
+                   f"iterations {sol.iterations}{anchor}{_unconverged(sol)}")
     sys.exit(EXIT_OK)
 
 
@@ -214,12 +222,14 @@ def cmd_fleet(file: str, center_text: str | None, mu1: float | None,
         _fail("--mu1-step must be positive and finite")
     scenario = _with_mu1(_load(file), mu1)
     center = _parse_point(center_text) or scenario.center.location
+    sol = None
     if center is None:
-        center = solve_weber(WeberProblem.from_scenario(scenario, True)).location
+        sol = solve_weber(WeberProblem.from_scenario(scenario, True))
+        center = sol.location
 
     res = min_trucks(scenario, center)
     bn = bottleneck(scenario)
-    click.echo(f"hub location        ({center[0]:.3f}, {center[1]:.3f})")
+    click.echo(f"hub location        ({center[0]:.3f}, {center[1]:.3f}){_unconverged(sol)}")
     click.echo(f"demand/day          {scenario.total_demand_per_day:.3f}")
     click.echo(f"saturation ceiling  {bn.ceiling_per_day:.3f}/day "
                f"(binding node {bn.binding_node})")
@@ -269,7 +279,7 @@ def cmd_grid(file: str, radius: float, step: float, trucks: int | None) -> None:
     points = [(cx + dx, cy + dy) for dy in offsets for dx in offsets]
     rows = throughput_vs_location(scenario, trucks, points)
     best = max(v for _, v in rows)
-    click.echo(f"hub point ({cx:.3f}, {cy:.3f}); fleet size {trucks}")
+    click.echo(f"hub point ({cx:.3f}, {cy:.3f}); fleet size {trucks}{_unconverged(sol)}")
     click.echo("x          y          throughput/day")
     for (x, y), v in rows:
         mark = "  *" if v == best else ""

@@ -10,9 +10,13 @@ row, and every other station is folded in by a linear-time recursion
   how wildly the per-station factors are scaled, and
 * an independently accumulated natural-log form.
 
-The two are cross-checked on every entry as it is built; disagreement or
-any non-finite intermediate raises ``NumericalRangeError`` instead of
-letting a garbage value escape.
+The two are cross-checked on every entry before an engine first serves
+it; disagreement or any non-finite intermediate raises
+``NumericalRangeError`` instead of letting a garbage value escape.
+
+``shared_engine`` hands one engine on from request to request, and a
+request that differs only in the last-folded station shares its other
+rows.
 """
 
 from __future__ import annotations
@@ -257,13 +261,10 @@ class Convolution:
     other stations in fold order, each folded in as one more row, so a
     column costs O(s) per s-server station.  The last row is the table,
     and the row before it is the table without the last-folded station.
-    Each new entry of the table is cross-checked ladder against log as it
-    is built.  A table that failed the check still serves the entries that
-    passed, and fails for every population beyond them.
-
-    ``with_last`` gives an engine that shares every row but the last with
-    this one, so a column that either engine has built costs the other
-    one row step.
+    Each entry of the table is cross-checked ladder against log when this
+    engine first serves it.  Nothing records a failed check: the entries
+    before it keep serving, every request past it checks it again, and the
+    engine grows on once it passes.
     """
 
     def __init__(self, kappa: float, loads: Iterable[tuple[float, int]]) -> None:
@@ -271,41 +272,21 @@ class Convolution:
             _BuzenFold(x) if servers == 1 else _ServerFold(x, servers)
             for x, servers in loads]
         self._n = 0
-        self._error: Exception | None = None
-
-    def with_last(self, load: tuple[float, int]) -> "Convolution":
-        """An engine for the same stations, except that the last-folded one
-        is ``load``, a (load, servers) pair.  It shares this engine's other
-        rows, with every column either engine builds, and builds only its
-        own last row.  The rows of a table that failed its check are not
-        shared."""
-        if self._error is not None:
-            raise ValueError("a table that failed its check shares no rows")
-        twin = Convolution(self._rows[0].kappa, [load])
-        twin._rows[:1] = self._rows[:-1]
-        return twin
 
     @property
     def population(self) -> int:
         return self._n
 
-    @property
-    def error(self) -> Exception | None:
-        """What stopped the table growing, or None."""
-        return self._error
-
     def extend_to(self, population: int) -> None:
         if population < 0:
             raise ValueError("population must be non-negative")
-        if population <= self._n:
-            return
-        if self._error is not None:
-            raise self._error
         rows = self._rows
         last = len(rows) - 1
-        before_last = rows[last - 1]   # the last row itself if it is the only one
-        try:
-            for m in range(self._n + 1, population + 1):
+        table, before_last = rows[last], rows[last - 1]   # one row: both the same
+        for m in range(self._n + 1, population + 1):
+            # the last row holds column m already only if a request that
+            # failed its check built it; then only the check is repeated
+            if len(table.log) <= m:
                 # rows shared with another engine may hold column m already.
                 # The rows that hold it are a prefix without the last row, so
                 # start at the last row if the one before it holds m, else
@@ -317,11 +298,8 @@ class Convolution:
                 for row in todo:
                     row.extend(prev, m)
                     prev = row
-                _check_entry(m, prev.mant[m], prev.exp[m], prev.log[m])
-                self._n = m
-        except (ArithmeticError, ValueError) as exc:
-            self._error = exc
-            raise
+            _check_entry(m, table.mant[m], table.exp[m], table.log[m])
+            self._n = m
 
     def ratio(self, m_num: int, m_den: int, num_row: int = -1) -> float:
         """G_row(m_num) / G(m_den) for built populations, where row -1 is the
@@ -332,13 +310,40 @@ class Convolution:
 
     def table(self, population: int | None = None) -> "ConvolutionTable":
         """G(0..population).  Entry 0 is the constant 1 every row starts
-        from, and every later entry passed ``_check_entry`` when it was
-        built, so nothing is checked again here."""
+        from, and ``extend_to`` has checked every later one."""
         n = self._n if population is None else population
         self.extend_to(n)
         last = self._rows[-1]
         return ConvolutionTable(tuple(last.mant[:n + 1]), tuple(last.exp[:n + 1]),
                                 tuple(last.log[:n + 1]))
+
+
+# The engine of the last table requested, under exactly its inputs
+# (kappa, loads).  Entry m of a row depends only on that row's inputs, the
+# rows before it and m, and ``_check_entry`` only on the stored entry, so
+# an engine can be handed on whatever its earlier requests met.  The dict
+# is emptied and refilled in place, never rebound.
+_HELD: dict[tuple, Convolution] = {}
+
+
+def shared_engine(kappa: float, loads: tuple[tuple[float, int], ...]) -> Convolution:
+    """The engine for ``(kappa, loads)``: the held one if these are its
+    inputs, else a new one that replaces it.  The new engine shares every
+    row but the last with the held one if only the last load differs, so
+    a column either has built costs it one row step; either way it serves
+    the floats a fresh engine would."""
+    key = (kappa, loads)
+    engine = _HELD.get(key)
+    if engine is None:
+        for (held_kappa, held_loads), held in _HELD.items():
+            if held_kappa == kappa and held_loads[:-1] == loads[:-1]:
+                engine = Convolution(kappa, loads[-1:])
+                engine._rows[:1] = held._rows[:-1]
+        if engine is None:
+            engine = Convolution(kappa, loads)
+        _HELD.clear()
+        _HELD[key] = engine
+    return engine
 
 
 @dataclass(frozen=True, slots=True)

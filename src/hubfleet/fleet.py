@@ -77,7 +77,7 @@ def min_center_rate(scenario: Scenario, center: Point,
     binds), returns ``(None, result-at-infinite-rate)``.  Raises
     ``RuntimeError`` if an infinitely fast hub meets demand but no finite
     rate does, and ``ValueError`` unless ``rate_step`` is positive and
-    finite.
+    finite and large enough that a hub rate divided by it stays finite.
     """
     if not 0 < rate_step < math.inf:
         raise ValueError("rate_step must be positive and finite")
@@ -104,10 +104,14 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     demand = scenario.total_demand_per_day
     lb = demand / (scenario.truck_capacity * scenario.center.servers
                    * scenario.hours_per_day)
+    lb_index = lb / rate_step
+    own_index = scenario.center.load_rate_per_hour / rate_step
+    if not (math.isfinite(lb_index) and math.isfinite(own_index)):
+        raise ValueError(f"rate_step {rate_step!r} is too small: a hub rate "
+                         "divided by it overflows")
     # floor(own / step) may round to a grid point at or below the own rate;
     # that point is infeasible too, so starting there is safe
-    k = max(math.floor(lb / rate_step) + 1,
-            math.floor(scenario.center.load_rate_per_hour / rate_step))
+    k = max(math.floor(lb_index) + 1, math.floor(own_index))
     bad = k - 1  # not a candidate: at or below the bound or the own rate
     while True:
         res = min_trucks(scenario.with_center_rate(k * rate_step), center)

@@ -60,62 +60,23 @@ def station_loads(scenario: Scenario) -> tuple[tuple[float, int], ...]:
     return tuple(loads)
 
 
-# The engine of the last table requested, under exactly its inputs
-# (kappa, loads).  Entry m of a row depends only on that row's inputs, the
-# rows before it and m, so a request with the same key continues the held
-# engine, and one that differs only in the hub (the last load) shares every
-# row but the hub's; either way it gets the floats a fresh engine would
-# build.  The dict is emptied and refilled in place, never rebound.
-_LAST_ENGINE: dict[tuple, conv.Convolution] = {}
-
-
-def _engine(kappa: float, loads: tuple[tuple[float, int], ...]) -> conv.Convolution:
-    """The held engine if ``(kappa, loads)`` is its key and it never failed.
-    Otherwise a new engine replaces it: one that shares the held engine's
-    rows if only the hub differs and the held engine never failed, else a
-    fresh one."""
-    key = (kappa, loads)
-    held = _LAST_ENGINE.get(key)
-    if held is not None and held.error is None:
-        return held
-    engine = None
-    for (old_kappa, old_loads), old in _LAST_ENGINE.items():
-        if old.error is None and old_kappa == kappa and old_loads[:-1] == loads[:-1]:
-            engine = old.with_last(loads[-1])
-    if engine is None:
-        engine = conv.Convolution(kappa, loads)
-    _LAST_ENGINE.clear()
-    _LAST_ENGINE[key] = engine
-    return engine
-
-
 class AggregatedConvolution:
     """Normalization table of the aggregated star, extensible one truck at a
     time so fleet search reuses all previous work.
 
     The pooled lane starts the table, the docks follow and the hub is
     folded last, so the row before it is the table without the hub.  The
-    table is shared with the previous request for the same star, so
-    ``analyze`` or ``throughput_vs_location`` right after ``min_trucks`` at
-    the same hub builds no column again.  A request that differs from the
-    previous one only in the hub (a probe of ``min_center_rate``) shares
-    every row but the hub's, so a column built before costs one row step.
-    A failed check stays with the holder that saw it: that holder keeps
-    failing, and the next request builds afresh.
+    engine comes from ``convolution.shared_engine``, so ``analyze`` or
+    ``throughput_vs_location`` right after ``min_trucks`` at the same hub
+    builds no column again, and a ``min_center_rate`` probe, which differs
+    only in the hub, costs one row step for a column built before.
     """
 
     def __init__(self, star: StarNetwork):
-        self._conv = _engine(star.kappa, station_loads(star.scenario))
-        self._error: Exception | None = None
+        self._conv = conv.shared_engine(star.kappa, station_loads(star.scenario))
 
     def extend_to(self, population: int) -> "AggregatedConvolution":
-        if self._error is not None:
-            raise self._error
-        try:
-            self._conv.extend_to(population)
-        except (ArithmeticError, ValueError):
-            self._error = self._conv.error   # None if only the request was bad
-            raise
+        self._conv.extend_to(population)
         return self
 
     @property

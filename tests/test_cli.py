@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -7,11 +8,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hubfleet import cli, fleet
 from hubfleet.cli import BLOCKS, ExperimentBlock, main, sample_instance
 from hubfleet.scenario import ScenarioError, bundled_scenario, scenario_from_dict
+from hubfleet.weber import solve_weber
 from test_scenario import _scenario_json
 
 
@@ -176,6 +178,33 @@ def test_fleet_find_mu1_probes_the_base_rate_once(runner, pro_path, monkeypatch)
     assert probes == [3.0, math.inf, pytest.approx(3.38)]
 
 
+def test_fleet_find_mu1_with_a_step_too_small_exits_1(runner, pro_path):
+    # the demand bound over a step of 1e-310 overflows the grid index
+    res = runner.invoke(main, ["fleet", pro_path, "--mu1", "3", "--find-mu1",
+                               "--mu1-step", "1e-310"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "fleet size          -- (infeasible: ceiling)" in res.stdout
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: rate_step 1e-310")
+
+
+@pytest.mark.parametrize("verb,args,line", [
+    ("weber", [], "weighted "),
+    ("weber", [], "unweighted "),
+    ("solve", [], "hub location "),
+    ("fleet", [], "hub location "),
+    ("grid", ["--radius", "10", "--step", "10"], "hub point "),
+], ids=["weber-weighted", "weber-unweighted", "solve", "fleet", "grid"])
+def test_an_unconverged_hub_point_is_marked(runner, log_path, monkeypatch, verb, args, line):
+    # towns12-log's weighted and unweighted solves take 36 and 34 steps
+    monkeypatch.setattr(cli, "solve_weber", functools.partial(solve_weber, max_iter=3))
+    res = runner.invoke(main, [verb, log_path, *args])
+    assert res.exit_code == 0
+    [marked] = [l for l in res.stdout.splitlines() if l.startswith(line)]
+    assert marked.endswith("  [not converged]")
+
+
 def test_grid_verb(runner, log_path):
     res = runner.invoke(main, ["grid", log_path, "--radius", "10",
                                "--step", "10"])
@@ -224,6 +253,9 @@ def test_grid_rejects_bad_step(runner, log_path):
     ("fleet", ["--mu1", "1", "--find-mu1", "--mu1-step", "inf"]),
     ("solve", ["--trucks", "0"]),
     ("generate", ["--block", "I", "--seed", "1", "--count", "0"]),
+    # the hub load 1/4 over 1e-320 overflows, and the table check refuses it
+    ("solve", ["--mu1", "1e-320"]),
+    ("generate", ["--block", "I", "--count", "2", "--seed", "1", "--mu1", "1e-320"]),
 ])
 def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
     # generate, calibrate and validate take no scenario file
@@ -245,6 +277,10 @@ _FUZZ_VERBS = (["solve"], ["solve", "--compare"], ["weber"], ["fleet", "--find-m
 
 @settings(max_examples=200, deadline=None)
 @given(data=_scenario_json())
+# a dock load of 1/4 over 1e-320 overflows to inf
+@example(data={"warehouses": [{"id": 2, "x": 0.0, "y": 0.0, "demand_per_day": 1.0,
+                               "unload_rate_per_hour": 1e-320}],
+               "center": {"load_rate_per_hour": 1.0}, "truck_speed_kmh": 1.0})
 def test_verbs_on_fuzzed_scenarios_exit_cleanly(runner, tmp_path_factory, data):
     # every scenario the loader accepts runs through each verb to an exit
     # code, never to a traceback

@@ -109,6 +109,12 @@ def test_rate_search_rejects_a_step_that_is_not_positive_and_finite(towns_pro, s
         min_center_rate(towns_pro.with_center_rate(3.0), (288.156, 112.283), step)
 
 
+def test_rate_search_rejects_a_step_too_small_for_the_grid_index(towns_pro):
+    # the demand bound (about 3.4) over 1e-310 is not a finite float
+    with pytest.raises(ValueError, match="rate_step"):
+        min_center_rate(towns_pro.with_center_rate(3.0), (288.156, 112.283), 1e-310)
+
+
 def _linear_rate_scan(scenario, center, rate_step):
     """Reference: the first feasible grid rate above the demand bound and
     the scenario's own rate, one grid step at a time."""

@@ -41,25 +41,31 @@ def _hubfleet_namespaces() -> dict:
     return out
 
 
-def test_tracer_patches_and_restores_the_layers(towns_log):
+def test_tracer_patches_and_restores_the_layers(towns_log, towns_pro):
     # the traced benchmark finds each layer by name; a renamed one would
-    # go unnoticed until a traced run
+    # go unnoticed until a traced run.  The rate search's probes share
+    # rows between engines, which compare_locations never does.
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     from hubfleet import fleet
+    from hubfleet.weber import WeberProblem, solve_weber
     compare_locations = fleet.compare_locations
+    hub = solve_weber(WeberProblem.from_scenario(towns_pro, weighted=True)).location
     before, files = _hubfleet_namespaces(), _state_files()
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert fleet.min_trucks is not before["hubfleet.fleet"]["min_trucks"]
         tracer.run_op(0, compare_locations, towns_log)
+        # the traced search, so that its probes nest under its span
+        tracer.run_op(1, fleet.min_center_rate, towns_pro.with_center_rate(3.0), hub)
     finally:
         tracer.restore()
     names = {span[0] for span in tracer.spans}
-    assert {"fleet.min_trucks", "star.table", "weber.solve"} <= names
+    assert {"fleet.min_trucks", "fleet.rate_search", "star.table", "weber.solve"} <= names
+    assert tracer.probes_under_search() > 1
     after = _hubfleet_namespaces()
     for owner, attrs in before.items():
         for attr, original in attrs.items():

@@ -1,13 +1,15 @@
 """The normalization table shared between consecutive requests.
 
-``AggregatedConvolution`` takes its engine from a one-entry table keyed by
-the engine's inputs (kappa, loads): the request right after ``min_trucks``
-at the same hub (``analyze`` in ``solve_at``, or ``throughput_vs_location``
-in the ``grid`` step) continues the table instead of building it again,
-and a request that differs only in the hub (a ``min_center_rate`` probe)
-shares every row but the hub's.  These tests pin the answers to those of a
-cold engine, bit for bit, and pin the key and the rule that a failed table
-is never handed on.
+``AggregatedConvolution`` takes its engine from ``convolution.shared_engine``,
+which holds the last engine under its inputs (kappa, loads): the request
+right after ``min_trucks`` at the same hub (``analyze`` in ``solve_at``, or
+``throughput_vs_location`` in the ``grid`` step) continues the table
+instead of building it again, and a request that differs only in the hub
+(a ``min_center_rate`` probe) shares every row but the hub's.  These tests
+pin the answers to those of a cold engine, bit for bit, and pin the key and
+the one rule for a failed check: nothing records it, the entries before it
+keep serving, and the engine checks the failed entry again on the next
+request past it.
 """
 
 import dataclasses
@@ -108,7 +110,7 @@ def test_interleaved_requests_match_fresh_engines(seed, requests):
             assert (holder.warehouse_throughput(n).hex(), holder.hub_busy(n).hex()) == expected
 
 
-def test_a_failed_table_is_not_handed_on(towns_log, monkeypatch):
+def test_a_failed_check_is_repeated_until_it_passes(towns_log, monkeypatch):
     k = 10
     check = conv._check_entry
 
@@ -119,22 +121,28 @@ def test_a_failed_table_is_not_handed_on(towns_log, monkeypatch):
 
     x = (179.756, 155.904)
     star = build_star(towns_log, x)
+    rows = len(station_loads(towns_log)) + 1
+    below = [_cold(towns_log, x, m) for m in range(1, k + 1)]
+    beyond = _cold(towns_log, x, k + 5)
     _evict(towns_log)
     monkeypatch.setattr(conv, "_check_entry", fails_above_k)
-    earlier = AggregatedConvolution(star)
     failing = AggregatedConvolution(star)
-    with pytest.raises(NumericalRangeError):
+    with pytest.raises(NumericalRangeError, match=f"population {k + 1}$"):
         failing.throughput(k + 5)
-    # the holder that saw the failure keeps failing, even below k
-    with pytest.raises(NumericalRangeError):
-        failing.throughput(k - 1)
-    # a holder of the same table made before the failure keeps its entries
-    assert earlier.warehouse_throughput(k - 1).hex() == _cold(towns_log, x, k - 1)[0]
-    # the next request with the same key succeeds below k ...
-    assert analyze(star, k - 1).warehouse_throughput.hex() == _cold(towns_log, x, k - 1)[0]
-    # ... on a fresh table: once the check passes again it reaches past k
+    # the holder that met the failure serves every column below it
+    assert [(failing.warehouse_throughput(m).hex(), failing.hub_busy(m).hex())
+            for m in range(1, k + 1)] == below
+    # every holder of the star fails past it while the check fails
+    for holder in (failing, AggregatedConvolution(star)):
+        with pytest.raises(NumericalRangeError, match=f"population {k + 1}$"):
+            holder.throughput(k + 1)
+    # once the check passes, the same engine checks column k + 1 again and
+    # builds only the columns beyond it
     monkeypatch.setattr(conv, "_check_entry", check)
-    assert analyze(star, k + 5).warehouse_throughput.hex() == _cold(towns_log, x, k + 5)[0]
+    steps = _count_row_steps(monkeypatch)
+    assert analyze(star, k + 5).warehouse_throughput.hex() == beyond[0]
+    assert steps == [m for m in range(k + 2, k + 6) for _ in range(rows)]
+    assert (failing.warehouse_throughput(k + 5).hex(), failing.hub_busy(k + 5).hex()) == beyond
 
 
 def test_analyze_after_min_trucks_builds_no_column(towns_log, monkeypatch):
@@ -194,9 +202,9 @@ def test_a_hub_rate_probe_folds_only_the_hub(towns_log, monkeypatch):
     assert steps == [n + 1] * rows
 
 
-def test_a_probe_after_a_failed_hub_row_builds_afresh(towns_log, monkeypatch):
+def test_a_probe_after_a_failed_hub_row_shares_the_other_rows(towns_log, monkeypatch):
     x = solve_weber(WeberProblem.from_scenario(towns_log, weighted=True)).location
-    rows, n = len(station_loads(towns_log)) + 1, 20
+    n = 20
     rate = towns_log.center.load_rate_per_hour
     third = towns_log.with_center_rate(3.0 * rate)
     expected = _cold(third, x, n)
@@ -215,8 +223,8 @@ def test_a_probe_after_a_failed_hub_row_builds_afresh(towns_log, monkeypatch):
     steps = _count_row_steps(monkeypatch)
     agg = AggregatedConvolution(build_star(third, x))
     assert (agg.warehouse_throughput(n).hex(), agg.hub_busy(n).hex()) == expected
-    # the held engine failed, so every row is built again for every column
-    assert steps == [m for m in range(1, n + 1) for _ in range(rows)]
+    # the failed probe's lane and dock rows hold columns 1..n: one row step each
+    assert steps == list(range(1, n + 1))
 
 
 def test_an_interrupted_column_resumes_at_the_first_row_that_lacks_it(towns_log,
@@ -242,5 +250,4 @@ def test_an_interrupted_column_resumes_at_the_first_row_that_lacks_it(towns_log,
     with pytest.raises(Interrupt):
         engine.extend_to(10)
     monkeypatch.undo()
-    assert engine.error is None
     assert engine.table(10) == cold
