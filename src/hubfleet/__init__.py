@@ -6,6 +6,9 @@ truck fleet as a closed queueing network (hub and warehouse docks as
 multi-server stations, travel lanes as infinite servers), evaluate
 throughput by convolution of normalization constants, and grow the fleet
 until daily demand is covered.
+
+The oracles (``simulate``, ``run_validation_suite``, ...) need numpy, so
+``hubfleet.oracle`` is imported on first access to one of their names.
 """
 
 from .calibration import DEFAULT_TRUCK_SPEED_KMH, calibrate_speed
@@ -14,9 +17,6 @@ from .convolution import (ConvolutionTable, NumericalRangeError, Station,
                           marginal_distribution, multi_server)
 from .fleet import (FleetResult, LocationComparison, PlacementOutcome,
                     compare_locations, min_center_rate, min_trucks, solve_at)
-from .oracle import (CheckResult, CtmcResult, DesEstimate, EnumerationResult,
-                     ctmc_throughput, enumerate_product_form, random_scenario,
-                     run_validation_suite, simulate)
 from .scenario import (Center, Point, Scenario, ScenarioError, Warehouse,
                        bundled_scenario, demand_fractions, load_scenario,
                        save_scenario)
@@ -26,3 +26,15 @@ from .star import (AggregatedConvolution, BottleneckReport, StarAnalysis,
 from .weber import WeberProblem, WeberSolution, solve_weber, weber_objective
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset((
+    "CheckResult", "CtmcResult", "DesEstimate", "EnumerationResult",
+    "ctmc_throughput", "enumerate_product_form", "random_scenario",
+    "run_validation_suite", "simulate"))
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

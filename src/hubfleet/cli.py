@@ -3,6 +3,9 @@
 Exit codes: 0 on success with a feasible answer, 2 when the scenario is
 infeasible, 1 on invalid input or failed validation.  Set HUBFLEET_JOBS to
 evaluate generated instances in parallel; output is identical either way.
+
+numpy, the oracles and the process pool are imported by the verbs that use
+them (``generate`` and ``validate``), so the other verbs start without them.
 """
 
 from __future__ import annotations
@@ -11,22 +14,22 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import click
-import numpy as np
 
 from . import calibration as cal
-from . import oracle
 from .convolution import NumericalRangeError
 from .fleet import _center_rate_from, compare_locations, min_trucks, solve_at
 from .scenario import (Center, Scenario, ScenarioError, Warehouse,
                        load_scenario, save_scenario)
 from .star import analyze, bottleneck, build_star, throughput_vs_location
 from .weber import WeberProblem, WeberSolution, solve_weber
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -84,6 +87,12 @@ def _require_decimals(busy_decimals: int) -> None:
 def _unconverged(sol: WeberSolution | None) -> str:
     """The mark after a hub point whose Weber solve stopped unconverged."""
     return "" if sol is None or sol.converged else "  [not converged]"
+
+
+def _decimals(value: float) -> int:
+    """Decimal places in ``repr(value)``, the shortest text that reads
+    back as ``value``."""
+    return -Decimal(repr(value)).as_tuple().exponent
 
 
 def _trucks_cell(trucks: int | None) -> str:
@@ -247,8 +256,10 @@ def cmd_fleet(file: str, center_text: str | None, mu1: float | None,
             click.echo("minimal hub rate    none (warehouses or fleet cap bind)")
         else:
             # as many decimals as the step has, so the printed rate is the
-            # grid point the fleet size belongs to
-            decimals = max(2, -Decimal(repr(mu1_step)).as_tuple().exponent)
+            # grid point the fleet size belongs to, but no more than repr(rate)
+            # has: further digits read back as the same rate, and a tiny step
+            # would print hundreds of them
+            decimals = max(2, min(_decimals(mu1_step), _decimals(rate)))
             click.echo(f"minimal hub rate    {rate:.{decimals}f}/hour "
                        f"(fleet size {rate_res.trucks})")
     sys.exit(EXIT_INFEASIBLE)
@@ -325,7 +336,7 @@ def sample_instance(rng: np.random.Generator, block: ExperimentBlock,
     """One random instance: 12 single-dock warehouses on an integer lattice."""
     xs = rng.integers(_X_RANGE[0], _X_RANGE[1] + 1, _N_WAREHOUSES)
     ys = rng.integers(_Y_RANGE[0], _Y_RANGE[1] + 1, _N_WAREHOUSES)
-    demands = rng.choice(np.asarray(block.demand_choices), _N_WAREHOUSES)
+    demands = rng.choice(block.demand_choices, _N_WAREHOUSES)
     warehouses = tuple(
         Warehouse(id=2 + i, position=(float(xs[i]), float(ys[i])),
                   demand_per_day=float(demands[i]), servers=1,
@@ -448,6 +459,7 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
     except ValueError:
         _fail(f"HUBFLEET_JOBS must be an integer, got {jobs_text!r}")
     block = BLOCKS[block_name]
+    import numpy as np
     rng = np.random.default_rng(seed)
     scenarios = [sample_instance(rng, block, mu1=mu1, speed=speed)
                  for _ in range(count)]
@@ -458,6 +470,7 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
                 outdir, f"block{block_name}_seed{seed}_{i:03d}.json"))
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
             rows = list(pool.map(_evaluate_instance, range(count), scenarios))
     else:
@@ -492,6 +505,7 @@ def cmd_validate(seed: int, instances: int) -> None:
         _fail("--seed must be non-negative")
     if instances < 1:
         _fail("--instances must be at least 1")
+    from . import oracle
     results = oracle.run_validation_suite(seed=seed, instances=instances)
     failed = 0
     for r in results:

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _LN2 = math.log(2.0)
 _CROSS_CHECK_TOL = 1e-9
@@ -430,6 +431,8 @@ def marginal_distribution(stations: Sequence[Station], eta: Sequence[float],
     complement re-folded once in linear time; the result sums to 1 up to
     numerical round-off.
     """
+    import numpy as np   # here, so that the verbs start without numpy
+
     etas = _as_eta_array(eta, len(stations))
     n = table.population
     if not 0 <= node < len(stations):

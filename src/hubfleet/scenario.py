@@ -10,10 +10,15 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 Point = tuple[float, float]
+
+# a service rate must exceed this for its reciprocal, the mean service
+# time, to be finite; every comparison with NaN is false, so NaN fails too
+_MIN_RATE = 1.0 / sys.float_info.max
 
 
 class ScenarioError(ValueError):
@@ -49,8 +54,9 @@ class Warehouse:
                  f"warehouse {self.id}: demand must be positive and finite")
         _require(isinstance(self.servers, int) and self.servers >= 1,
                  f"warehouse {self.id}: servers must be a positive integer")
-        _require(self.unload_rate_per_hour > 0,
-                 f"warehouse {self.id}: unload_rate_per_hour must be positive")
+        _require(self.unload_rate_per_hour > _MIN_RATE,
+                 f"warehouse {self.id}: unload_rate_per_hour must be positive "
+                 "with a finite reciprocal")
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +72,9 @@ class Center:
     def __post_init__(self) -> None:
         _require(isinstance(self.servers, int) and self.servers >= 1,
                  "center: servers must be a positive integer")
-        _require(self.load_rate_per_hour > 0,
-                 "center: load_rate_per_hour must be positive")
+        _require(self.load_rate_per_hour > _MIN_RATE,
+                 "center: load_rate_per_hour must be positive with a finite "
+                 "reciprocal")
         _require(self.location is None or _finite_point(self.location),
                  "center: location must be two finite numbers")
 

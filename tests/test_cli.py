@@ -253,7 +253,7 @@ def test_grid_rejects_bad_step(runner, log_path):
     ("fleet", ["--mu1", "1", "--find-mu1", "--mu1-step", "inf"]),
     ("solve", ["--trucks", "0"]),
     ("generate", ["--block", "I", "--seed", "1", "--count", "0"]),
-    # the hub load 1/4 over 1e-320 overflows, and the table check refuses it
+    # 1 / 1e-320 is inf, so the hub refuses the rate
     ("solve", ["--mu1", "1e-320"]),
     ("generate", ["--block", "I", "--count", "2", "--seed", "1", "--mu1", "1e-320"]),
 ])
@@ -277,7 +277,7 @@ _FUZZ_VERBS = (["solve"], ["solve", "--compare"], ["weber"], ["fleet", "--find-m
 
 @settings(max_examples=200, deadline=None)
 @given(data=_scenario_json())
-# a dock load of 1/4 over 1e-320 overflows to inf
+# 1 / 1e-320 is inf, so the loader refuses the dock rate
 @example(data={"warehouses": [{"id": 2, "x": 0.0, "y": 0.0, "demand_per_day": 1.0,
                                "unload_rate_per_hour": 1e-320}],
                "center": {"load_rate_per_hour": 1.0}, "truck_speed_kmh": 1.0})
@@ -396,14 +396,97 @@ def test_sample_instance_shape():
         assert w.demand_per_day in BLOCKS["III"].demand_choices
 
 
-def test_cli_import_leaves_scipy_out():
-    # hubfleet needs no scipy; a stray import would slow every verb's start-up
+def _src_env() -> dict:
+    """The environment for a child interpreter that imports this hubfleet."""
     import hubfleet
     src = str(Path(hubfleet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_cli_import_leaves_scipy_out():
+    # hubfleet needs no scipy; a stray import would slow every verb's start-up
     code = ("import sys, hubfleet.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_pure_python_verbs_leave_numpy_and_the_oracles_out(log_path):
+    # solve, fleet, weber, grid and calibrate compute in plain Python; numpy
+    # alone is most of a cold start-up, and the process pool 15-25 ms more
+    code = f"""
+import json, sys
+from click.testing import CliRunner
+import hubfleet.cli
+heavy = ("numpy", "hubfleet.oracle", "concurrent.futures.process")
+def loaded():
+    return [m for m in heavy if m in sys.modules]
+seen = {{"import": loaded()}}
+runner = CliRunner()
+for argv in (["solve", {log_path!r}], ["solve", {log_path!r}, "--compare"],
+             ["fleet", {log_path!r}, "--mu1", "2", "--find-mu1"],
+             ["weber", {log_path!r}], ["grid", {log_path!r}, "--radius", "1", "--step", "1"],
+             ["calibrate"]):
+    res = runner.invoke(hubfleet.cli.main, argv)
+    assert res.exit_code in (0, 2), (argv, res.output)
+    seen[argv[0]] = loaded()
+args = ["generate", "--block", "I", "--count", "3", "--seed", "21"]
+serial = runner.invoke(hubfleet.cli.main, args)
+seen["generate"] = loaded()
+parallel = runner.invoke(hubfleet.cli.main, args, env={{"HUBFLEET_JOBS": "2"}})
+seen["generate jobs 2"] = loaded()
+seen["same rows"] = parallel.exit_code == serial.exit_code == 0 \
+    and parallel.output == serial.output
+print(json.dumps(seen))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, timeout=300, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    for verb in ("import", "solve", "fleet", "weber", "grid", "calibrate"):
+        assert seen[verb] == [], verb
+    # generate draws with numpy, and imports the pool only to use it
+    assert seen["generate"] == ["numpy"]
+    assert seen["generate jobs 2"] == ["numpy", "concurrent.futures.process"]
+    assert seen["same rows"]
+
+
+def test_the_oracle_names_load_on_first_access():
+    import hubfleet
+    from hubfleet import oracle
+    assert hubfleet.simulate is oracle.simulate
+    assert hubfleet.run_validation_suite is oracle.run_validation_suite
+    from hubfleet import CheckResult, random_scenario   # noqa: F401
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        hubfleet.no_such_name
+
+
+def test_a_rate_with_an_infinite_reciprocal_exits_1_naming_the_field(runner, log_path,
+                                                                       tmp_path):
+    res = runner.invoke(main, ["solve", log_path, "--mu1", "1e-320"])
+    assert res.exit_code == 1
+    assert res.stderr.splitlines() == [
+        "error: center: load_rate_per_hour must be positive with a finite reciprocal"]
+    data = json.loads(Path(log_path).read_text())
+    data["warehouses"][3]["unload_rate_per_hour"] = 1e-320
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, ["solve", str(path)])
+    assert res.exit_code == 1
+    wid = data["warehouses"][3]["id"]
+    assert res.stderr.splitlines() == [
+        f"error: warehouse {wid}: unload_rate_per_hour must be positive with a "
+        "finite reciprocal"]
+
+
+def test_fleet_find_mu1_prints_a_tiny_step_rate_in_at_most_repr_digits(runner, pro_path):
+    res = runner.invoke(main, ["fleet", pro_path, "--mu1", "3", "--find-mu1",
+                               "--mu1-step", "1e-300"])
+    assert res.exit_code == 2
+    (line,) = [ln for ln in res.output.splitlines() if ln.startswith("minimal hub rate")]
+    assert len(line) <= 80
+    scenario = bundled_scenario("towns12-pro").with_center_rate(3.0)
+    center = solve_weber(cli.WeberProblem.from_scenario(scenario, True)).location
+    rate, _ = fleet.min_center_rate(scenario, center, rate_step=1e-300)
+    assert float(line.split()[3].partition("/")[0]) == rate

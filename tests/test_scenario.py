@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,26 @@ def test_field_validation_messages():
     with pytest.raises(ScenarioError, match="distinct"):
         Scenario(warehouses=(_warehouse(), _warehouse()),
                  center=Center(1, 1.0), truck_speed_kmh=1.0)
+
+
+def test_a_rate_with_an_infinite_reciprocal_is_rejected():
+    # 1 / 1e-320 is inf: such a rate would leave the engine a load of inf
+    with pytest.raises(ScenarioError,
+                       match="warehouse 2: unload_rate_per_hour .* finite reciprocal"):
+        _warehouse(unload_rate_per_hour=1e-320)
+    with pytest.raises(ScenarioError,
+                       match="center: load_rate_per_hour .* finite reciprocal"):
+        Center(1, 1e-320)
+    # the threshold is exact: the smallest accepted rate has a finite reciprocal
+    smallest = math.nextafter(1.0 / sys.float_info.max, 1.0)
+    assert math.isinf(1.0 / math.nextafter(smallest, 0.0))
+    assert math.isfinite(1.0 / _warehouse(unload_rate_per_hour=smallest).unload_rate_per_hour)
+    assert math.isfinite(1.0 / Center(1, smallest).load_rate_per_hour)
+    with pytest.raises(ScenarioError, match="unload_rate_per_hour"):
+        _warehouse(unload_rate_per_hour=math.nextafter(smallest, 0.0))
+    # an infinitely fast hub or dock stays allowed
+    assert Center(1, math.inf).load_rate_per_hour == math.inf
+    assert _warehouse(unload_rate_per_hour=math.inf).unload_rate_per_hour == math.inf
 
 
 def test_defaults_applied():
