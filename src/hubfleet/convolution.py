@@ -14,9 +14,7 @@ The two are cross-checked on every entry before an engine first serves
 it; disagreement or any non-finite intermediate raises
 ``NumericalRangeError`` instead of letting a garbage value escape.
 
-``shared_engine`` hands one engine on from request to request, and a
-request that differs only in the last-folded station shares its other
-rows.
+``shared_engine`` hands one engine on from request to request.
 """
 
 from __future__ import annotations
@@ -144,17 +142,17 @@ def _station_factors(station: Station, eta_j: float, n_max: int
 
 
 class _Row:
-    """G(0..m) over the stations folded so far, in ladder and log form."""
+    """G(0..m) over the stations folded so far, in ladder and log form.
+
+    ``build(prev, stop)`` appends columns from the row's own length up to
+    ``stop``, given ``prev``, the row before it, built that far already.
+    Each row binds its constants once and runs its own loop over the new
+    columns."""
 
     __slots__ = ("mant", "exp", "log")
 
     def __init__(self) -> None:
         self.mant, self.exp, self.log = [0.5], [1], [0.0]
-
-    def push(self, mant: float, exp2: int, log: float) -> None:
-        self.mant.append(mant)
-        self.exp.append(exp2)
-        self.log.append(log)
 
 
 class _PooledLane(_Row):
@@ -167,10 +165,16 @@ class _PooledLane(_Row):
         super().__init__()
         self.kappa = kappa
 
-    def extend(self, prev: None, m: int) -> None:
-        c = self.kappa / m
-        self.push(*_mul(self.mant[-1], self.exp[-1], *_ladder(c)),
-                  self.log[-1] + _log(c))
+    def build(self, prev: None, stop: int) -> None:
+        kappa, mant, exp2, log = self.kappa, self.mant, self.exp, self.log
+        gm, ge, gl = mant[-1], exp2[-1], log[-1]
+        for m in range(len(log), stop + 1):
+            c = kappa / m
+            gm, ge = _mul(gm, ge, *_ladder(c))
+            gl += _log(c)
+            mant.append(gm)
+            exp2.append(ge)
+            log.append(gl)
 
 
 class _BuzenFold(_Row):
@@ -187,27 +191,33 @@ class _BuzenFold(_Row):
         self.xm, self.xe = _ladder(x)
         self.xl = _log(x)
 
-    def extend(self, prev: _Row, m: int) -> None:
-        frexp, ldexp = math.frexp, math.ldexp
-        am, ae = prev.mant[m], prev.exp[m]
-        bm, k = frexp(self.mant[-1] * self.xm)
-        be = self.exp[-1] + self.xe + k
-        if bm == 0.0:
-            gm, ge = am, ae
-        elif am == 0.0:
-            gm, ge = bm, be
-        elif ae >= be:
-            gm, k = frexp(am + ldexp(bm, be - ae))
-            ge = ae + k
-        else:
-            gm, k = frexp(bm + ldexp(am, ae - be))
-            ge = be + k
-        la, lb = prev.log[m], self.log[-1] + self.xl
-        if la < lb:
-            la, lb = lb, la
-        self.mant.append(gm)
-        self.exp.append(ge)
-        self.log.append(la if lb == -math.inf else la + math.log1p(math.exp(lb - la)))
+    def build(self, prev: _Row, stop: int) -> None:
+        frexp, ldexp, log1p, exp = math.frexp, math.ldexp, math.log1p, math.exp
+        xm, xe, xl, inf = self.xm, self.xe, self.xl, math.inf
+        mant, exp2, log = self.mant, self.exp, self.log
+        pm, pe, pl = prev.mant, prev.exp, prev.log
+        gm, ge, gl = mant[-1], exp2[-1], log[-1]
+        for m in range(len(log), stop + 1):
+            am, ae = pm[m], pe[m]
+            bm, k = frexp(gm * xm)
+            be = ge + xe + k
+            if bm == 0.0:
+                gm, ge = am, ae
+            elif am == 0.0:
+                gm, ge = bm, be
+            elif ae >= be:
+                gm, k = frexp(am + ldexp(bm, be - ae))
+                ge = ae + k
+            else:
+                gm, k = frexp(bm + ldexp(am, ae - be))
+                ge = be + k
+            la, lb = pl[m], gl + xl
+            if la < lb:
+                la, lb = lb, la
+            gl = la if lb == -inf else la + log1p(exp(lb - la))
+            mant.append(gm)
+            exp2.append(ge)
+            log.append(gl)
 
 
 class _ServerFold(_Row):
@@ -217,7 +227,7 @@ class _ServerFold(_Row):
         B(m) = x^s / s! * G_prev(m - s) + (x / s) * B(m - 1),   B(s-1) = 0.
 
     Every term is positive, so nothing cancels; a column costs O(s).  The
-    factor x^n / n! is built when column n first needs it, so a station
+    factor x^n / n! is built when a column first needs it, so a station
     with more servers than the table has customers costs no more than one
     with as many."""
 
@@ -229,39 +239,45 @@ class _ServerFold(_Row):
         self.x = x
         self.f = [(0.5, 1, 0.0)]   # x^n / n! for n = 0..min(m, s)
         self.step = (*_ladder(x / servers), _log(x / servers))
-        self.b = (0.0, 0, -math.inf)   # B(m - 1)
+        self.b = (0.0, 0, -math.inf)   # B at the row's last column
 
-    def extend(self, prev: _Row, m: int) -> None:
-        s, f = self.servers, self.f
-        if len(f) <= min(m, s):
+    def build(self, prev: _Row, stop: int) -> None:
+        s, x, f = self.servers, self.x, self.f
+        while len(f) <= min(stop, s):
             fm, fe, fl = f[-1]
-            c = self.x / len(f)
+            c = x / len(f)
             f.append((*_mul(fm, fe, *_ladder(c)), fl + _log(c)))
         pm, pe, pl = prev.mant, prev.exp, prev.log
-        am, ae, al = pm[m], pe[m], pl[m]
-        for n in range(1, min(m, s - 1) + 1):
-            fm, fe, fl = f[n]
-            am, ae = _add(am, ae, *_mul(fm, fe, pm[m - n], pe[m - n]))
-            al = _log_add(al, fl + pl[m - n])
-        if m >= s:
-            fm, fe, fl = f[s]
-            xm, xe, xl = self.step
-            om, oe, ol = self.b
-            self.b = (*_add(*_mul(fm, fe, pm[m - s], pe[m - s]), *_mul(om, oe, xm, xe)),
-                      _log_add(fl + pl[m - s], ol + xl))
-        bm, be, bl = self.b
-        self.push(*_add(am, ae, bm, be), _log_add(al, bl))
+        xm, xe, xl = self.step
+        om, oe, ol = self.b
+        mant, exp2, log = self.mant, self.exp, self.log
+        for m in range(len(log), stop + 1):
+            am, ae, al = pm[m], pe[m], pl[m]
+            for n in range(1, min(m, s - 1) + 1):
+                fm, fe, fl = f[n]
+                am, ae = _add(am, ae, *_mul(fm, fe, pm[m - n], pe[m - n]))
+                al = _log_add(al, fl + pl[m - n])
+            if m >= s:
+                fm, fe, fl = f[s]
+                om, oe, ol = (*_add(*_mul(fm, fe, pm[m - s], pe[m - s]), *_mul(om, oe, xm, xe)),
+                              _log_add(fl + pl[m - s], ol + xl))
+            gm, ge = _add(am, ae, om, oe)
+            mant.append(gm)
+            exp2.append(ge)
+            log.append(_log_add(al, ol))
+        self.b = (om, oe, ol)
 
 
 class Convolution:
-    """Normalization constants G(0..N) of a station set, extended one
-    population at a time so that a fleet search reuses all earlier work.
+    """Normalization constants G(0..N) of a station set, extended on demand
+    so that a fleet search reuses all earlier work.
 
     ``kappa`` is the summed load of the infinite-server stations, which
     pool into the first row.  ``loads`` holds (load, servers) for the
     other stations in fold order, each folded in as one more row, so a
     column costs O(s) per s-server station.  The last row is the table,
     and the row before it is the table without the last-folded station.
+    New columns are built one row at a time, each row from its own length.
     Each entry of the table is cross-checked ladder against log when this
     engine first serves it.  Nothing records a failed check: the entries
     before it keep serving, every request past it checks it again, and the
@@ -281,24 +297,16 @@ class Convolution:
     def extend_to(self, population: int) -> None:
         if population < 0:
             raise ValueError("population must be non-negative")
-        rows = self._rows
-        last = len(rows) - 1
-        table, before_last = rows[last], rows[last - 1]   # one row: both the same
+        if population <= self._n:
+            return
+        # a row may hold columns past the checked ones already, if a request
+        # that failed its check built them; it then builds only the rest
+        prev = None
+        for row in self._rows:
+            row.build(prev, population)
+            prev = row
+        table = prev
         for m in range(self._n + 1, population + 1):
-            # the last row holds column m already only if a request that
-            # failed its check built it; then only the check is repeated
-            if len(table.log) <= m:
-                # rows shared with another engine may hold column m already.
-                # The rows that hold it are a prefix without the last row, so
-                # start at the last row if the one before it holds m, else
-                # at the first row that lacks m.
-                i = last if len(before_last.log) > m else 0
-                while len(rows[i].log) > m:
-                    i += 1
-                prev, todo = (rows[i - 1], rows[i:]) if i else (None, rows)
-                for row in todo:
-                    row.extend(prev, m)
-                    prev = row
             _check_entry(m, table.mant[m], table.exp[m], table.log[m])
             self._n = m
 
@@ -329,19 +337,11 @@ _HELD: dict[tuple, Convolution] = {}
 
 def shared_engine(kappa: float, loads: tuple[tuple[float, int], ...]) -> Convolution:
     """The engine for ``(kappa, loads)``: the held one if these are its
-    inputs, else a new one that replaces it.  The new engine shares every
-    row but the last with the held one if only the last load differs, so
-    a column either has built costs it one row step; either way it serves
-    the floats a fresh engine would."""
+    inputs, else a new one that replaces it."""
     key = (kappa, loads)
     engine = _HELD.get(key)
     if engine is None:
-        for (held_kappa, held_loads), held in _HELD.items():
-            if held_kappa == kappa and held_loads[:-1] == loads[:-1]:
-                engine = Convolution(kappa, loads[-1:])
-                engine._rows[:1] = held._rows[:-1]
-        if engine is None:
-            engine = Convolution(kappa, loads)
+        engine = Convolution(kappa, loads)
         _HELD.clear()
         _HELD[key] = engine
     return engine

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
+from . import convolution as conv
 from .scenario import Point, Scenario
-from .star import AggregatedConvolution, StarAnalysis, analyze, bottleneck, build_star
+from .star import (HUB_VISIT_RATIO, AggregatedConvolution, StarAnalysis, StarNetwork,
+                   analyze, bottleneck, build_star, station_loads)
 from .weber import WeberProblem, WeberSolution, solve_weber, weber_objective
 
 
@@ -29,6 +32,11 @@ class FleetResult:
     a ceiling-infeasible scenario no fleet was evaluated and it is NaN, for
     a fleet-cap-infeasible one it is the value at max_trucks.  Demand and
     the saturation ceiling belong to the scenario: see ``bottleneck``.
+
+    ``iterations`` is the fleet size the scan reached: the answer, or
+    max_trucks when no fleet meets demand, or 0 when the ceiling rules
+    every fleet out.  The scan starts at the demand bound, so it evaluates
+    only the sizes from there up to ``iterations``.
     """
 
     trucks: int | None
@@ -41,12 +49,31 @@ class FleetResult:
         return self.infeasibility_reason is None
 
 
+# relative slack on the demand bound, far above the rounding in computing it
+# or in the table's throughput near it
+_BOUND_MARGIN = 1e-9
+
+
+def _fleet_bound(scenario: Scenario, star: StarNetwork) -> float:
+    """No fleet below this meets demand.
+
+    By the asymptotic bound of operational analysis (Denning & Buzen 1978),
+    TH(N) <= N / (kappa + sum of the hub and dock loads): a cycle takes at
+    least its travel and service demand.  A fleet that meets demand has
+    TH(N) >= need, so N >= need * (kappa + sum of loads)."""
+    need = scenario.total_demand_per_day / (
+        scenario.truck_capacity * HUB_VISIT_RATIO * scenario.hours_per_day)
+    return need * (star.kappa + math.fsum(x for x, _ in station_loads(scenario)))
+
+
 def min_trucks(scenario: Scenario, center: Point) -> FleetResult:
     """Smallest fleet whose deliverable volume covers daily demand.
 
-    The normalization table grows incrementally across candidate fleet
-    sizes, so the whole search costs one full convolution.  If the demand
-    is at or above the saturation ceiling the search is skipped entirely.
+    The scan starts at the demand bound (``_fleet_bound``), which rules out
+    every smaller fleet without evaluating it; the table is built out to
+    there in one step and then grows one truck at a time, so the whole
+    search costs one convolution.  If the demand is at or above the
+    saturation ceiling the search is skipped entirely.
     """
     star = build_star(scenario, center)
     cap = scenario.truck_capacity
@@ -56,9 +83,17 @@ def min_trucks(scenario: Scenario, center: Point) -> FleetResult:
         return FleetResult(trucks=None, throughput_per_day=math.nan, iterations=0,
                            infeasibility_reason="ceiling")
 
+    # an infinite bound never reaches math.ceil, and a NaN one starts at 1
+    low = _fleet_bound(scenario, star) * (1.0 - _BOUND_MARGIN)
+    first = 1
+    if low >= scenario.max_trucks:
+        first = scenario.max_trucks
+    elif low > 1:
+        first = math.ceil(low)
+
     agg = AggregatedConvolution(star)
     hours = scenario.hours_per_day
-    for n in range(1, scenario.max_trucks + 1):
+    for n in range(first, scenario.max_trucks + 1):
         th_day = agg.warehouse_throughput(n) * hours
         if cap * th_day >= demand:
             return FleetResult(trucks=n, throughput_per_day=th_day, iterations=n)
@@ -88,22 +123,41 @@ def min_center_rate(scenario: Scenario, center: Point,
 def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
                       base: FleetResult) -> tuple[float | None, FleetResult]:
     """``min_center_rate`` given ``base``, the fleet result at the
-    scenario's own hub rate."""
+    scenario's own hub rate.
+
+    TH rises with N, so some fleet up to M = max_trucks meets demand iff M
+    does, and a hub rate is decided at M alone.  One checked table R of
+    the star without the hub, built once, decides every rate: an infinitely
+    fast hub never holds a truck, so its table is R entry for entry, and a
+    finite rate mu_1 on s_1 servers is folded in last,
+
+        G(m) = sum_k f(k) R(m - k),   f(k) = y^k / prod_{i <= k} min(i, s_1),
+
+    with y = 1 / (4 mu_1) its load.  The combine only guides the search:
+    ``min_trucks`` certifies the answer at its grid point and at the point
+    below, and where it disagrees the search goes on by ``min_trucks``.
+    """
     if base.feasible:
         return scenario.center.load_rate_per_hour, base
 
-    probe = min_trucks(scenario.with_center_rate(math.inf), center)
-    if not probe.feasible:
-        return None, probe
+    top = scenario.max_trucks
+    cap, hours = scenario.truck_capacity, scenario.hours_per_day
+    demand = scenario.total_demand_per_day
+    star = build_star(scenario, center)
+    free = conv.Convolution(star.kappa, station_loads(scenario)[:-1]).table(top)
+    # an infinitely fast hub never holds a truck, so R is its table: this is
+    # min_trucks' test at max_trucks on the same floats
+    if not cap * (HUB_VISIT_RATIO * free.ratio(top - 1, top) * hours) >= demand:
+        probe = min_trucks(scenario.with_center_rate(math.inf), center)
+        if not probe.feasible:
+            return None, probe
 
     # Feasibility is monotone in the hub rate, so the answer is the first
     # feasible grid index above both the demand bound and the scenario's own
-    # (infeasible) rate: double the index until a probe is feasible, then
-    # bisect between the last infeasible index and the first feasible one.
+    # (infeasible) rate.
     # demand / (capacity * s_1 * hours) bounds the workable hub rate from below
-    demand = scenario.total_demand_per_day
-    lb = demand / (scenario.truck_capacity * scenario.center.servers
-                   * scenario.hours_per_day)
+    servers = scenario.center.servers
+    lb = demand / (cap * servers * hours)
     lb_index = lb / rate_step
     own_index = scenario.center.load_rate_per_hour / rate_step
     if not (math.isfinite(lb_index) and math.isfinite(own_index)):
@@ -112,24 +166,63 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     # floor(own / step) may round to a grid point at or below the own rate;
     # that point is infeasible too, so starting there is safe
     k = max(math.floor(lb_index) + 1, math.floor(own_index))
-    bad = k - 1  # not a candidate: at or below the bound or the own rate
-    while True:
-        res = min_trucks(scenario.with_center_rate(k * rate_step), center)
-        if res.feasible:
-            break
+    floor = k - 1  # not a candidate: at or below the bound or the own rate
+
+    # log R(m - k) - log prod_{i <= k} min(i, s_1), for m = top and top - 1
+    log_r = [free.log_value(m) for m in range(top + 1)]
+    log_den = [0.0]
+    for i in range(1, top + 1):
+        log_den.append(log_den[-1] + math.log(min(i, servers)))
+    at_top = [log_r[top - i] - log_den[i] for i in range(top + 1)]
+    below_top = [log_r[top - 1 - i] - log_den[i] for i in range(top)]
+    log_need = math.log(demand / (cap * HUB_VISIT_RATIO * hours))
+
+    def combined(index: int) -> bool:
+        log_y = math.log(HUB_VISIT_RATIO / (index * rate_step))
+        return _log_sum(below_top, log_y) - _log_sum(at_top, log_y) >= log_need
+
+    # keyed by the rate: grid indices that round to one float share a probe,
+    # so a step finer than the rate's float spacing costs no extra probes
+    results: dict[float, FleetResult] = {}
+
+    def certified(index: int) -> bool:
+        rate = index * rate_step
+        if rate not in results:
+            results[rate] = min_trucks(scenario.with_center_rate(rate), center)
+        return results[rate].feasible
+
+    good = _first_fit(floor, k, combined, rate_step)
+    if not certified(good):
+        good = _first_fit(good, good + 1, certified, rate_step)
+    elif good - 1 > floor and certified(good - 1):
+        good = _first_fit(floor, good - 1, certified, rate_step)
+    return good * rate_step, results[good * rate_step]
+
+
+def _log_sum(terms: list[float], log_y: float) -> float:
+    """log sum_k exp(terms[k] + k log_y), without leaving the double range."""
+    shifted = [t + i * log_y for i, t in enumerate(terms)]
+    top = max(shifted)
+    return top + math.log(sum([math.exp(t - top) for t in shifted]))
+
+
+def _first_fit(bad: int, k: int, fits: Callable[[int], bool], rate_step: float) -> int:
+    """The first grid index above ``bad`` at which ``fits`` holds, given
+    that it fails at ``bad`` and, from some index on, holds: double ``k``
+    until it fits, then bisect between the last index that failed and the
+    first that fit."""
+    while not fits(k):
         bad, k = k, 2 * k
         # k itself must convert to a float before k * rate_step can be formed
         if k > sys.float_info.max or math.isinf(k * rate_step):
             raise RuntimeError("only an infinitely fast hub meets demand")
-    good, good_res = k, res
-    while good - bad > 1:
-        mid = (bad + good) // 2
-        res = min_trucks(scenario.with_center_rate(mid * rate_step), center)
-        if res.feasible:
-            good, good_res = mid, res
+    while k - bad > 1:
+        mid = (bad + k) // 2
+        if fits(mid):
+            k = mid
         else:
             bad = mid
-    return good * rate_step, good_res
+    return k
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,11 +25,6 @@ class ScenarioError(ValueError):
     """A scenario file or instance violates a structural invariant."""
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ScenarioError(message)
-
-
 def _finite_point(p: Point) -> bool:
     return len(p) == 2 and all(math.isfinite(c) for c in p)
 
@@ -45,18 +40,19 @@ class Warehouse:
     unload_rate_per_hour: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.id, int) and self.id >= 2,
-                 f"warehouse id must be an integer >= 2, got {self.id!r}")
-        _require(_finite_point(self.position),
-                 f"warehouse {self.id}: position must be two finite numbers")
+        # each message is formatted only when its check fails
+        if not (isinstance(self.id, int) and self.id >= 2):
+            raise ScenarioError(f"warehouse id must be an integer >= 2, got {self.id!r}")
+        if not _finite_point(self.position):
+            raise ScenarioError(f"warehouse {self.id}: position must be two finite numbers")
         # every comparison with NaN is false, so NaN fails too
-        _require(0 < self.demand_per_day < math.inf,
-                 f"warehouse {self.id}: demand must be positive and finite")
-        _require(isinstance(self.servers, int) and self.servers >= 1,
-                 f"warehouse {self.id}: servers must be a positive integer")
-        _require(self.unload_rate_per_hour > _MIN_RATE,
-                 f"warehouse {self.id}: unload_rate_per_hour must be positive "
-                 "with a finite reciprocal")
+        if not 0 < self.demand_per_day < math.inf:
+            raise ScenarioError(f"warehouse {self.id}: demand must be positive and finite")
+        if not (isinstance(self.servers, int) and self.servers >= 1):
+            raise ScenarioError(f"warehouse {self.id}: servers must be a positive integer")
+        if not self.unload_rate_per_hour > _MIN_RATE:
+            raise ScenarioError(f"warehouse {self.id}: unload_rate_per_hour must be "
+                                "positive with a finite reciprocal")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,13 +66,13 @@ class Center:
     location: Point | None = None
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.servers, int) and self.servers >= 1,
-                 "center: servers must be a positive integer")
-        _require(self.load_rate_per_hour > _MIN_RATE,
-                 "center: load_rate_per_hour must be positive with a finite "
-                 "reciprocal")
-        _require(self.location is None or _finite_point(self.location),
-                 "center: location must be two finite numbers")
+        if not (isinstance(self.servers, int) and self.servers >= 1):
+            raise ScenarioError("center: servers must be a positive integer")
+        if not self.load_rate_per_hour > _MIN_RATE:
+            raise ScenarioError("center: load_rate_per_hour must be positive with a "
+                                "finite reciprocal")
+        if not (self.location is None or _finite_point(self.location)):
+            raise ScenarioError("center: location must be two finite numbers")
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,17 +87,19 @@ class Scenario:
     max_trucks: int = 100
 
     def __post_init__(self) -> None:
-        _require(len(self.warehouses) >= 1, "scenario needs at least one warehouse")
+        if not len(self.warehouses) >= 1:
+            raise ScenarioError("scenario needs at least one warehouse")
         ids = [w.id for w in self.warehouses]
-        _require(len(set(ids)) == len(ids), "warehouse ids must be distinct")
-        _require(0 < self.truck_speed_kmh < math.inf,
-                 "truck_speed_kmh must be positive and finite")
-        _require(0 < self.truck_capacity < math.inf,
-                 "truck_capacity must be positive and finite")
-        _require(0 < self.hours_per_day < math.inf,
-                 "hours_per_day must be positive and finite")
-        _require(isinstance(self.max_trucks, int) and self.max_trucks >= 1,
-                 "max_trucks must be a positive integer")
+        if not len(set(ids)) == len(ids):
+            raise ScenarioError("warehouse ids must be distinct")
+        if not 0 < self.truck_speed_kmh < math.inf:
+            raise ScenarioError("truck_speed_kmh must be positive and finite")
+        if not 0 < self.truck_capacity < math.inf:
+            raise ScenarioError("truck_capacity must be positive and finite")
+        if not 0 < self.hours_per_day < math.inf:
+            raise ScenarioError("hours_per_day must be positive and finite")
+        if not (isinstance(self.max_trucks, int) and self.max_trucks >= 1):
+            raise ScenarioError("max_trucks must be a positive integer")
 
     @property
     def num_stations(self) -> int:

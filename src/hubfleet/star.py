@@ -68,8 +68,10 @@ class AggregatedConvolution:
     folded last, so the row before it is the table without the hub.  The
     engine comes from ``convolution.shared_engine``, so ``analyze`` or
     ``throughput_vs_location`` right after ``min_trucks`` at the same hub
-    builds no column again, and a ``min_center_rate`` probe, which differs
-    only in the hub, costs one row step for a column built before.
+    builds no column again.  ``min_trucks`` asks first for the table out to
+    its demand bound, which the engine builds row by row in one step.  The
+    hub-rate search builds its hub-free table without this class, once per
+    search, and asks it only for the fleets that certify its answer.
     """
 
     def __init__(self, star: StarNetwork):

@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hubfleet import cli, fleet
+from hubfleet.convolution import Convolution
 from hubfleet.fleet import (compare_locations, min_center_rate, min_trucks,
                             solve_at)
 from hubfleet.oracle import random_scenario
 from hubfleet.scenario import Center, Scenario, Warehouse
-from hubfleet.star import AggregatedConvolution, analyze, bottleneck, build_star
+from hubfleet.star import (HUB_VISIT_RATIO, AggregatedConvolution, analyze, bottleneck,
+                           build_star, station_loads)
 from hubfleet.weber import WeberProblem, solve_weber
 
 
@@ -277,3 +280,77 @@ def test_incremental_reuse_consistency(towns_log):
         AggregatedConvolution(elsewhere)
         fresh = AggregatedConvolution(star).warehouse_throughput(n)
         assert fresh == pytest.approx(grown[n - 1], rel=1e-12)
+
+
+# random stars for the property tests: 1-3 servers at the hub and every
+# dock, slow to fast trucks, and a total demand from far below the
+# saturation ceiling to just under it
+_STARS = dict(seed=st.integers(0, 2**32 - 1), docks=st.integers(1, 4),
+              speed=st.floats(0.05, 50.0),
+              load=st.floats(0.01, 0.999) | st.floats(0.999, 1.0, exclude_max=True))
+
+
+def _star_at_load(seed, docks, speed, load, hub_rate=None):
+    """A random star whose total demand is ``load`` times what its
+    saturation ceiling carries, with the hub at ``hub_rate`` when given
+    (the ceiling is then that of an infinitely fast hub)."""
+    sc = random_scenario(np.random.default_rng(seed), docks, max_servers=3, speed=speed)
+    ceiling = bottleneck(sc if hub_rate is None else sc.with_center_rate(math.inf))
+    scale = load * sc.truck_capacity * ceiling.ceiling_per_day / sc.total_demand_per_day
+    sc = dataclasses.replace(sc, warehouses=tuple(
+        dataclasses.replace(w, demand_per_day=w.demand_per_day * scale)
+        for w in sc.warehouses))
+    return sc if hub_rate is None else sc.with_center_rate(hub_rate)
+
+
+def _plain_scan(sc, center):
+    """Reference: ``min_trucks`` scanning every fleet size from 1 on a cold
+    engine."""
+    cap, demand, hours = sc.truck_capacity, sc.total_demand_per_day, sc.hours_per_day
+    if cap * bottleneck(sc).ceiling_per_day <= demand:
+        return fleet.FleetResult(None, math.nan, 0, "ceiling")
+    engine = Convolution(build_star(sc, center).kappa, station_loads(sc))
+    for n in range(1, sc.max_trucks + 1):
+        engine.extend_to(n)
+        th_day = HUB_VISIT_RATIO * engine.ratio(n - 1, n) * hours
+        if cap * th_day >= demand:
+            return fleet.FleetResult(n, th_day, n)
+    return fleet.FleetResult(None, th_day, sc.max_trucks, "max_trucks")
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_STARS)
+def test_the_scan_from_the_demand_bound_equals_a_plain_scan(seed, docks, speed, load):
+    sc = _star_at_load(seed, docks, speed, load)
+    res = min_trucks(sc, (0.0, 0.0))
+    expected = _plain_scan(sc, (0.0, 0.0))
+    assert (res.trucks, res.throughput_per_day.hex(), res.iterations,
+            res.infeasibility_reason) == (
+        expected.trucks, expected.throughput_per_day.hex(), expected.iterations,
+        expected.infeasibility_reason)
+    if res.feasible:
+        assert fleet._fleet_bound(sc, build_star(sc, (0.0, 0.0))) <= res.trucks
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_STARS, step_share=st.floats(1e-4, 0.05))
+def test_the_searched_hub_rate_is_the_first_feasible_grid_point(seed, docks, speed, load,
+                                                               step_share):
+    # the hub binds: its own rate is half the demand bound on the hub rate,
+    # and the fleet cap is 3 trucks above what an infinitely fast hub needs
+    fast = _star_at_load(seed, docks, speed, load, hub_rate=math.inf)
+    fast = dataclasses.replace(fast, max_trucks=200)
+    at_inf = min_trucks(fast, (0.0, 0.0))
+    lb = fast.total_demand_per_day / (
+        fast.truck_capacity * fast.center.servers * fast.hours_per_day)
+    sc = dataclasses.replace(fast.with_center_rate(lb / 2),
+                             max_trucks=(at_inf.trucks or 197) + 3)
+    step = lb * step_share
+    rate, res = min_center_rate(sc, (0.0, 0.0), step)
+    if rate is None:
+        assert not min_trucks(sc.with_center_rate(math.inf), (0.0, 0.0)).feasible
+        return
+    assert res.feasible and min_trucks(sc.with_center_rate(rate), (0.0, 0.0)) == res
+    k = round(rate / step)
+    assert rate == k * step
+    assert not min_trucks(sc.with_center_rate((k - 1) * step), (0.0, 0.0)).feasible

@@ -43,8 +43,8 @@ def _hubfleet_namespaces() -> dict:
 
 def test_tracer_patches_and_restores_the_layers(towns_log, towns_pro):
     # the traced benchmark finds each layer by name; a renamed one would
-    # go unnoticed until a traced run.  The rate search's probes share
-    # rows between engines, which compare_locations never does.
+    # go unnoticed until a traced run.  The rate search's certifying
+    # min_trucks probes must nest under its span.
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)

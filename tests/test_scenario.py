@@ -73,6 +73,42 @@ def test_field_validation_messages():
                  center=Center(1, 1.0), truck_speed_kmh=1.0)
 
 
+def _scenario(**kw):
+    base = dict(warehouses=(_warehouse(),), center=Center(1, 1.0), truck_speed_kmh=1.0)
+    base.update(kw)
+    return Scenario(**base)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: _warehouse(id=1), "warehouse id must be an integer >= 2, got 1"),
+    (lambda: _warehouse(id=2.0), "warehouse id must be an integer >= 2, got 2.0"),
+    (lambda: _warehouse(position=(1.0, math.nan)),
+     "warehouse 2: position must be two finite numbers"),
+    (lambda: _warehouse(position=(1.0,)), "warehouse 2: position must be two finite numbers"),
+    (lambda: _warehouse(demand_per_day=math.inf),
+     "warehouse 2: demand must be positive and finite"),
+    (lambda: _warehouse(servers=0), "warehouse 2: servers must be a positive integer"),
+    (lambda: _warehouse(servers=1.5), "warehouse 2: servers must be a positive integer"),
+    (lambda: _warehouse(unload_rate_per_hour=0.0),
+     "warehouse 2: unload_rate_per_hour must be positive with a finite reciprocal"),
+    (lambda: Center(0, 1.0), "center: servers must be a positive integer"),
+    (lambda: Center(1, math.nan),
+     "center: load_rate_per_hour must be positive with a finite reciprocal"),
+    (lambda: Center(1, 1.0, (math.inf, 0.0)), "center: location must be two finite numbers"),
+    (lambda: _scenario(warehouses=()), "scenario needs at least one warehouse"),
+    (lambda: _scenario(warehouses=(_warehouse(), _warehouse())),
+     "warehouse ids must be distinct"),
+    (lambda: _scenario(truck_speed_kmh=0.0), "truck_speed_kmh must be positive and finite"),
+    (lambda: _scenario(truck_capacity=math.inf), "truck_capacity must be positive and finite"),
+    (lambda: _scenario(hours_per_day=math.nan), "hours_per_day must be positive and finite"),
+    (lambda: _scenario(max_trucks=0), "max_trucks must be a positive integer"),
+])
+def test_each_invalid_field_raises_its_exact_message(build, message):
+    with pytest.raises(ScenarioError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_a_rate_with_an_infinite_reciprocal_is_rejected():
     # 1 / 1e-320 is inf: such a rate would leave the engine a load of inf
     with pytest.raises(ScenarioError,

@@ -4,12 +4,12 @@
 which holds the last engine under its inputs (kappa, loads): the request
 right after ``min_trucks`` at the same hub (``analyze`` in ``solve_at``, or
 ``throughput_vs_location`` in the ``grid`` step) continues the table
-instead of building it again, and a request that differs only in the hub
-(a ``min_center_rate`` probe) shares every row but the hub's.  These tests
-pin the answers to those of a cold engine, bit for bit, and pin the key and
-the one rule for a failed check: nothing records it, the entries before it
-keep serving, and the engine checks the failed entry again on the next
-request past it.
+instead of building it again, and a request with other inputs gets a new
+engine.  An engine builds new columns one row at a time, each row from its
+own length.  These tests pin the answers to those of a cold engine, bit for
+bit, and pin the key and the one rule for a failed check: nothing records
+it, the entries before it keep serving, and the engine checks the failed
+entry again on the next request past it.
 """
 
 import dataclasses
@@ -69,9 +69,7 @@ def test_requests_after_min_trucks_match_a_cold_table(sc):
 
 
 def _variants(sc) -> dict:
-    """Stars that differ from the first in exactly one engine input.  The
-    hub-only variants (mu1, mu1_inf, hub_servers) share the lane and dock
-    rows of whichever of them was requested last."""
+    """Stars that differ from the first in exactly one engine input."""
     dock = sc.warehouses[0]
     other = dataclasses.replace(dock, servers=dock.servers % 3 + 1)
     hub = dataclasses.replace(sc.center, servers=sc.center.servers % 3 + 1)
@@ -94,7 +92,7 @@ _VARIANTS = ["base", "kappa", "mu1", "mu1_inf", "hub_servers", "servers"]
        requests=st.lists(st.tuples(st.sampled_from(_VARIANTS), st.integers(1, 40)),
                          min_size=2, max_size=10))
 # hub-only variants at populations above and below the held engine's, with
-# earlier holders growing the shared rows past the held engine's hub row
+# earlier holders growing after another engine replaced theirs
 @example(seed=3, requests=[("base", 12), ("mu1", 5), ("mu1_inf", 30), ("base", 20),
                            ("hub_servers", 25), ("mu1", 36), ("base", 40),
                            ("mu1_inf", 8)])
@@ -136,13 +134,15 @@ def test_a_failed_check_is_repeated_until_it_passes(towns_log, monkeypatch):
     for holder in (failing, AggregatedConvolution(star)):
         with pytest.raises(NumericalRangeError, match=f"population {k + 1}$"):
             holder.throughput(k + 1)
-    # once the check passes, the same engine checks column k + 1 again and
-    # builds only the columns beyond it
+    # once the check passes, the same engine checks column k + 1 again; the
+    # failed request built every row out to k + 5, so nothing is rebuilt
     monkeypatch.setattr(conv, "_check_entry", check)
     steps = _count_row_steps(monkeypatch)
     assert analyze(star, k + 5).warehouse_throughput.hex() == beyond[0]
-    assert steps == [m for m in range(k + 2, k + 6) for _ in range(rows)]
+    assert steps == []
     assert (failing.warehouse_throughput(k + 5).hex(), failing.hub_busy(k + 5).hex()) == beyond
+    assert failing.throughput(k + 6) > 0.0
+    assert steps == [k + 6] * rows
 
 
 def test_analyze_after_min_trucks_builds_no_column(towns_log, monkeypatch):
@@ -175,79 +175,42 @@ def test_a_bad_request_does_not_stick(towns_log):
 
 
 def _count_row_steps(monkeypatch) -> list:
-    """Patch every fold class's ``extend`` to record the column it builds."""
+    """Patch every fold class's ``build`` to record the columns it builds."""
     steps = []
     for cls in (conv._PooledLane, conv._BuzenFold, conv._ServerFold):
-        def counted(row, prev, m, extend=cls.extend):
-            steps.append(m)
-            extend(row, prev, m)
-        monkeypatch.setattr(cls, "extend", counted)
+        def counted(row, prev, stop, build=cls.build):
+            steps.extend(range(len(row.log), stop + 1))
+            build(row, prev, stop)
+        monkeypatch.setattr(cls, "build", counted)
     return steps
 
 
-def test_a_hub_rate_probe_folds_only_the_hub(towns_log, monkeypatch):
-    x = solve_weber(WeberProblem.from_scenario(towns_log, weighted=True)).location
-    rows = len(station_loads(towns_log)) + 1
-    probe = towns_log.with_center_rate(2.0 * towns_log.center.load_rate_per_hour)
-    _evict(towns_log)
-    n = min_trucks(towns_log, x).trucks
-    expected = [_cold(probe, x, m) for m in (n, n + 1)]
-    steps = _count_row_steps(monkeypatch)
-    agg = AggregatedConvolution(build_star(probe, x))
-    assert (agg.warehouse_throughput(n).hex(), agg.hub_busy(n).hex()) == expected[0]
-    # the lane and dock rows hold columns 1..n already: one row step each
-    assert steps == list(range(1, n + 1))
-    steps.clear()
-    assert (agg.warehouse_throughput(n + 1).hex(), agg.hub_busy(n + 1).hex()) == expected[1]
-    assert steps == [n + 1] * rows
-
-
-def test_a_probe_after_a_failed_hub_row_shares_the_other_rows(towns_log, monkeypatch):
-    x = solve_weber(WeberProblem.from_scenario(towns_log, weighted=True)).location
-    n = 20
-    rate = towns_log.center.load_rate_per_hour
-    third = towns_log.with_center_rate(3.0 * rate)
-    expected = _cold(third, x, n)
-    _evict(towns_log)
-    AggregatedConvolution(build_star(towns_log, x)).throughput(n)
-    check = conv._check_entry
-
-    def fails(m, *entry):
-        raise NumericalRangeError(f"forced failure at population {m}")
-
-    monkeypatch.setattr(conv, "_check_entry", fails)
-    with pytest.raises(NumericalRangeError):
-        AggregatedConvolution(build_star(towns_log.with_center_rate(2.0 * rate), x)
-                              ).throughput(n)
-    monkeypatch.setattr(conv, "_check_entry", check)
-    steps = _count_row_steps(monkeypatch)
-    agg = AggregatedConvolution(build_star(third, x))
-    assert (agg.warehouse_throughput(n).hex(), agg.hub_busy(n).hex()) == expected
-    # the failed probe's lane and dock rows hold columns 1..n: one row step each
-    assert steps == list(range(1, n + 1))
-
-
-def test_an_interrupted_column_resumes_at_the_first_row_that_lacks_it(towns_log,
-                                                                     monkeypatch):
+def test_an_interrupted_build_resumes_each_row_at_its_own_length(towns_log,
+                                                                 monkeypatch):
     # an exception the engine does not record (an interrupt, say) can stop a
-    # column halfway; the rows that hold it must not be extended again
+    # build between rows; the rows that hold the new columns must not build
+    # them again
     kappa, loads = 3.0, station_loads(towns_log)
     cold = Convolution(kappa, loads).table(10)
     engine = Convolution(kappa, loads)
     engine.extend_to(4)
-    middle = engine._rows[len(loads) // 2]
-    extend = type(middle).extend
+    at = len(loads) // 2
+    middle = engine._rows[at]
+    build = type(middle).build
 
     class Interrupt(Exception):
         pass
 
-    def interrupted(row, prev, m):
-        if row is middle and m == 5:
+    def interrupted(row, prev, stop):
+        if row is middle:
             raise Interrupt
-        extend(row, prev, m)
+        build(row, prev, stop)
 
-    monkeypatch.setattr(type(middle), "extend", interrupted)
+    monkeypatch.setattr(type(middle), "build", interrupted)
     with pytest.raises(Interrupt):
         engine.extend_to(10)
     monkeypatch.undo()
+    steps = _count_row_steps(monkeypatch)
     assert engine.table(10) == cold
+    # the rows before the interrupted one hold columns 5..10 already
+    assert steps == list(range(5, 11)) * (len(loads) + 1 - at)
