@@ -41,6 +41,10 @@ CASES = [
     ("fleet_pro_find_mu1_step_0.001",
      ["fleet", "towns12-pro.json", "--mu1", "3", "--find-mu1", "--mu1-step", "0.001"], 2),
     ("grid_log", ["grid", "towns12-log.json", "--radius", "10", "--step", "10"], 0),
+    # fine grids around the hub, where neighbouring points tie to the printed
+    # digit and only the exact maximum carries the mark
+    ("grid_pro_r5", ["grid", "towns12-pro.json", "--radius", "5", "--step", "0.5"], 0),
+    ("grid_log_r3", ["grid", "towns12-log.json", "--radius", "3", "--step", "0.25"], 0),
     ("generate_IV", ["generate", "--block", "IV", "--count", "20", "--seed", "1",
                      "--csv", "generate_IV.csv"], 0, "generate_IV.csv"),
     ("solve_multi", ["solve", "towns12-log-multi.json"], 0),
