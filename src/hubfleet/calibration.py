@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .fleet import min_trucks, solve_at
-from .scenario import Scenario, bundled_scenario
+# the speed this module recovers; defined with the scenario, and importable
+# from here as before
+from .scenario import DEFAULT_TRUCK_SPEED_KMH, Scenario, bundled_scenario  # noqa: F401
 from .star import AggregatedConvolution, build_star
 from .weber import WeberProblem, solve_weber
-
-# Speed that the calibration below recovers; bundled scenarios and the
-# instance generator default to it.
-DEFAULT_TRUCK_SPEED_KMH = 50.0
 
 
 @dataclass(frozen=True)

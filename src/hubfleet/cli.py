@@ -5,7 +5,8 @@ infeasible, 1 on invalid input or failed validation.  Set HUBFLEET_JOBS to
 evaluate generated instances in parallel; output is identical either way.
 
 numpy, the oracles and the process pool are imported by the verbs that use
-them (``generate`` and ``validate``), so the other verbs start without them.
+them (``generate`` and ``validate``), and the calibration by ``calibrate``,
+so the other verbs start without them.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from typing import TYPE_CHECKING, NoReturn
 
 import click
 
-from . import calibration as cal
 from .convolution import NumericalRangeError
 from .fleet import _center_rate_from, compare_locations, min_trucks, solve_at
-from .scenario import (Center, Scenario, ScenarioError, Warehouse,
-                       load_scenario, save_scenario)
+from .scenario import (DEFAULT_TRUCK_SPEED_KMH, Center, Scenario, ScenarioError,
+                       Warehouse, load_scenario, save_scenario)
 from .star import analyze, bottleneck, build_star, throughput_vs_location
 from .weber import WeberProblem, WeberSolution, solve_weber
 
@@ -332,7 +332,7 @@ _UNLOAD_RATE = 2.0
 
 def sample_instance(rng: np.random.Generator, block: ExperimentBlock,
                     mu1: float | None = None,
-                    speed: float = cal.DEFAULT_TRUCK_SPEED_KMH) -> Scenario:
+                    speed: float = DEFAULT_TRUCK_SPEED_KMH) -> Scenario:
     """One random instance: 12 single-dock warehouses on an integer lattice."""
     xs = rng.integers(_X_RANGE[0], _X_RANGE[1] + 1, _N_WAREHOUSES)
     ys = rng.integers(_Y_RANGE[0], _Y_RANGE[1] + 1, _N_WAREHOUSES)
@@ -430,7 +430,7 @@ def _evaluate_instance(idx: int, scenario: Scenario) -> ResultRow:
 @click.option("--seed", type=int, required=True)
 @click.option("--mu1", type=float, default=None,
               help="Override the block's hub loading rate.")
-@click.option("--speed", type=float, default=cal.DEFAULT_TRUCK_SPEED_KMH,
+@click.option("--speed", type=float, default=DEFAULT_TRUCK_SPEED_KMH,
               show_default=True, help="Truck speed in km/h.")
 @click.option("--outdir", type=click.Path(file_okay=False), default=None,
               help="Also write each instance as a scenario JSON file.")
@@ -527,7 +527,8 @@ def cmd_calibrate(smin: float, smax: float, out_path: str | None) -> None:
     """Recover the truck speed consistent with the bundled reference tables."""
     if not smin < smax:
         _fail("--smin must be below --smax")
-    report = cal.calibrate_speed(smin, smax)
+    from .calibration import calibrate_speed
+    report = calibrate_speed(smin, smax)
     text = report.render()
     click.echo(text)
     if out_path:

@@ -14,7 +14,10 @@ The two are cross-checked on every entry before an engine first serves
 it; disagreement or any non-finite intermediate raises
 ``NumericalRangeError`` instead of letting a garbage value escape.
 
-``shared_engine`` hands one engine on from request to request.
+``LaneLast`` folds a pooled infinite-server lane in last, one combine per
+entry, over an engine built without it, and stops each sum where its tail
+is certified negligible.  ``shared_engine`` and ``shared_lane_last`` hand
+one engine, and one lane-last table, on from request to request.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ if TYPE_CHECKING:
 
 _LN2 = math.log(2.0)
 _CROSS_CHECK_TOL = 1e-9
+# a lane-last sum stops once the terms left are certified to sum to at most
+# this share of the terms taken, far below a double's rounding
+_TAIL = 2.0 ** -60
 
 
 class NumericalRangeError(ArithmeticError):
@@ -166,15 +172,21 @@ class _PooledLane(_Row):
         self.kappa = kappa
 
     def build(self, prev: None, stop: int) -> None:
-        kappa, mant, exp2, log = self.kappa, self.mant, self.exp, self.log
-        gm, ge, gl = mant[-1], exp2[-1], log[-1]
-        for m in range(len(log), stop + 1):
+        frexp, log = math.frexp, math.log
+        kappa, mant, exp2, lg = self.kappa, self.mant, self.exp, self.log
+        gm, ge, gl = mant[-1], exp2[-1], lg[-1]
+        for m in range(len(lg), stop + 1):
             c = kappa / m
-            gm, ge = _mul(gm, ge, *_ladder(c))
-            gl += _log(c)
+            if c == 0.0:   # kappa is 0, or so small that kappa / m underflows
+                gm, ge, gl = 0.0, 0, -math.inf
+            else:
+                cm, ce = frexp(c)
+                gm, k = frexp(gm * cm)
+                ge += ce + k
+                gl += log(c)
             mant.append(gm)
             exp2.append(ge)
-            log.append(gl)
+            lg.append(gl)
 
 
 class _BuzenFold(_Row):
@@ -310,13 +322,6 @@ class Convolution:
             _check_entry(m, table.mant[m], table.exp[m], table.log[m])
             self._n = m
 
-    def ratio(self, m_num: int, m_den: int, num_row: int = -1) -> float:
-        """G_row(m_num) / G(m_den) for built populations, where row -1 is the
-        full table and row -2 the table without the last-folded station."""
-        num, den = self._rows[num_row], self._rows[-1]
-        return math.ldexp(num.mant[m_num] / den.mant[m_den],
-                          num.exp[m_num] - den.exp[m_den])
-
     def table(self, population: int | None = None) -> "ConvolutionTable":
         """G(0..population).  Entry 0 is the constant 1 every row starts
         from, and ``extend_to`` has checked every later one."""
@@ -345,6 +350,133 @@ def shared_engine(kappa: float, loads: tuple[tuple[float, int], ...]) -> Convolu
         _HELD.clear()
         _HELD[key] = engine
     return engine
+
+
+class LaneLast:
+    """Normalization constants of a station set whose infinite-server
+    stations, with summed load kappa, are folded in last, over the engine
+    ``rest`` of the other stations:
+
+        G(m) = sum_k t_k,   t_k = kappa^(m - k) / (m - k)! * R(k),
+
+    with R a row of ``rest``: row -1 is its table, row -2 the table without
+    its last-folded station.  Each entry is one combine, summed in ladder
+    and in log form from the rows of ``rest`` and of a ``_PooledLane``,
+    checked by ``_check_entry`` when first asked for, and kept.  A failed
+    check is not kept, so a later request checks the entry again.
+
+    R is log-concave, being a convolution of log-concave station factors,
+    so the ratio q_k = t_(k+1) / t_k = (m - k) / kappa * R(k+1) / R(k) never
+    rises with k.  After term K with q_K < 1, the terms left sum to at most
+    t_K q_K / (1 - q_K); once that is at most 2**-60 of the sum so far, the
+    sum stops.  The test runs only on terms below 2**-50 of the largest so
+    far: a term above that passes it only if the next one falls below, so
+    the sum stops at most one term later.  A combine over fewer customers,
+    or over the row before R's last station, has smaller ratios, so it
+    stops no later than G(m).  ``rest`` is built on only when a sum reaches
+    its end, to twice that sum's reach, and never past m.
+    """
+
+    __slots__ = ("rest", "_lane", "_log_kappa", "_entries")
+
+    def __init__(self, kappa: float, rest: Convolution) -> None:
+        self.rest = rest
+        self._lane = _PooledLane(kappa)
+        self._log_kappa = _log(kappa)
+        self._entries: dict[tuple[int, int], tuple[float, int, float]] = {}
+
+    def entry(self, m: int, row: int = -1) -> tuple[float, int, float]:
+        """G(m) over ``row`` of ``rest`` as (mantissa, exponent, log)."""
+        key = (row, m)
+        got = self._entries.get(key)
+        if got is None:
+            got = self._combine(m, row)
+            _check_entry(m, *got)
+            self._entries[key] = got
+        return got
+
+    def ratio(self, m_num: int, m_den: int, num_row: int = -1) -> float:
+        """G(m_num) over ``num_row`` of ``rest``, divided by G(m_den)."""
+        nm, ne, _ = self.entry(m_num, num_row)
+        dm, de, _ = self.entry(m_den)
+        return math.ldexp(nm / dm, ne - de)
+
+    def table(self, population: int) -> "ConvolutionTable":
+        """G(0..population) over the table of ``rest``."""
+        mant, exp2, log = zip(*[self.entry(m) for m in range(population + 1)])
+        return ConvolutionTable(mant, exp2, log)
+
+    def _combine(self, m: int, row: int) -> tuple[float, int, float]:
+        ldexp, log, exp = math.ldexp, math.log, math.exp
+        lane, rest = self._lane, self.rest
+        if len(lane.log) <= m:
+            lane.build(None, m)
+        lm, le, ll = lane.mant, lane.exp, lane.log
+        j = m   # term k takes the lane factor of j = m - k
+        while lm[j] == 0.0:   # kappa is 0, or kappa^j / j! underflowed
+            j -= 1
+        k = m - j
+        built = rest.population
+        if k > built:
+            rest.extend_to(k)
+            built = k
+        r = rest._rows[row]
+        rm, re_, rl = r.mant, r.exp, r.log
+        log_kappa = self._log_kappa
+        # the ladder sum is acc * 2**base, base the largest term exponent
+        # so far; the log sum is top + log(lsum), top the largest log term
+        acc, base = 0.0, le[j] + re_[k]
+        lsum, top = 0.0, ll[j] + rl[k]
+        while True:
+            t, e = lm[j] * rm[k], le[j] + re_[k]
+            if e > base:
+                acc = ldexp(acc, base - e) + t
+                base = e
+            else:
+                acc += ldexp(t, e - base)
+            tl = ll[j] + rl[k]
+            if tl > top:
+                lsum = lsum * exp(top - tl) + 1.0
+                top = tl
+            else:
+                lsum += exp(tl - top)
+            if k == m:
+                break
+            if k == built:
+                # a build of one column costs about twice as much per column
+                # as a longer one, so R grows to twice the reach of the sum
+                built = min(m, 2 * k + 1)
+                rest.extend_to(built)
+            if e - base < -50:
+                lq = log(j) - log_kappa + rl[k + 1] - rl[k]   # log q_k
+                if lq < 0.0:
+                    q = exp(lq)
+                    if ldexp(t / acc, e - base) * q <= _TAIL * (1.0 - q):
+                        break
+            k += 1
+            j -= 1
+        mant, shift = math.frexp(acc)
+        return mant, base + shift, top + log(lsum)
+
+
+# The lane-last table of the last request, under exactly its inputs (kappa,
+# loads), over the shared engine of the loads alone.  Its entries depend
+# only on those inputs, so it can be handed on like the engine.  The dict
+# is emptied and refilled in place, never rebound.
+_HELD_LANE: dict[tuple, LaneLast] = {}
+
+
+def shared_lane_last(kappa: float, loads: tuple[tuple[float, int], ...]) -> LaneLast:
+    """The lane-last table for ``(kappa, loads)``: the held one if these are
+    its inputs, else a new one over ``shared_engine(0.0, loads)`` that
+    replaces it."""
+    key = (kappa, loads)
+    table = _HELD_LANE.get(key)
+    if table is None:
+        table = LaneLast(kappa, shared_engine(0.0, loads))
+        _HELD_LANE.clear()
+        _HELD_LANE[key] = table
+    return table
 
 
 @dataclass(frozen=True, slots=True)

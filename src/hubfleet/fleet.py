@@ -49,8 +49,8 @@ class FleetResult:
         return self.infeasibility_reason is None
 
 
-# relative slack on the demand bound, far above the rounding in computing it
-# or in the table's throughput near it
+# relative slack on the demand bound, and on a throughput taken from a table
+# that min_trucks does not use, far above the rounding in computing either
 _BOUND_MARGIN = 1e-9
 
 
@@ -136,6 +136,10 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     with y = 1 / (4 mu_1) its load.  The combine only guides the search:
     ``min_trucks`` certifies the answer at its grid point and at the point
     below, and where it disagrees the search goes on by ``min_trucks``.
+    R folds the lane in first and ``min_trucks`` last, so their figures
+    agree only to rounding: R rules out ``min_trucks`` at the infinite rate
+    only with a margin, and where the combine meets the need at no finite
+    rate, ``min_trucks`` searches alone.
     """
     if base.feasible:
         return scenario.center.load_rate_per_hour, base
@@ -145,10 +149,13 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     demand = scenario.total_demand_per_day
     star = build_star(scenario, center)
     free = conv.Convolution(star.kappa, station_loads(scenario)[:-1]).table(top)
-    # an infinitely fast hub never holds a truck, so R is its table: this is
-    # min_trucks' test at max_trucks on the same floats
-    if not cap * (HUB_VISIT_RATIO * free.ratio(top - 1, top) * hours) >= demand:
-        probe = min_trucks(scenario.with_center_rate(math.inf), center)
+    fast = scenario.with_center_rate(math.inf)
+    # an infinitely fast hub never holds a truck, so R is its table, but
+    # min_trucks folds the lane in last and rounds otherwise: R decides only
+    # with a margin above that rounding (at the ceiling it never does)
+    if not cap * (HUB_VISIT_RATIO * free.ratio(top - 1, top) * hours) >= demand * (
+            1.0 + _BOUND_MARGIN):
+        probe = min_trucks(fast, center)
         if not probe.feasible:
             return None, probe
 
@@ -191,7 +198,12 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
             results[rate] = min_trucks(scenario.with_center_rate(rate), center)
         return results[rate].feasible
 
-    good = _first_fit(floor, k, combined, rate_step)
+    try:
+        good = _first_fit(floor, k, combined, rate_step)
+    except RuntimeError:
+        # within the margin, the combine can fall short of the need at every
+        # finite rate while min_trucks meets it at the infinite rate
+        good = _first_fit(floor, k, certified, rate_step)
     if not certified(good):
         good = _first_fit(good, good + 1, certified, rate_step)
     elif good - 1 > floor and certified(good - 1):

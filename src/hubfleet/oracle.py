@@ -319,14 +319,17 @@ def simulate(star: StarNetwork, trucks: int, *,
     for rep in range(replications):
         route_seq, service_seq, travel_seq = rep_seeds[rep].spawn(3)
         route = _stream(partial(np.random.default_rng(route_seq).random, _BLOCK))
-        service_rngs = [np.random.default_rng(ss) for ss in service_seq.spawn(n_st)]
+        # one child sequence per station keeps each dock's stream where it
+        # is; only the hub and the docks get a generator from theirs
+        service_seqs = service_seq.spawn(n_st)
         travel_rng = np.random.default_rng(travel_seq)
 
         draw = []
         for st in range(n_st):
             mean = mean_time[st]
             if servers[st]:
-                draw.append(_stream(partial(service_rngs[st].exponential, mean, _BLOCK)))
+                draw.append(_stream(partial(np.random.default_rng(service_seqs[st]).exponential,
+                                            mean, _BLOCK)))
             elif travel == "exponential" and mean > 0:
                 draw.append(_stream(partial(travel_rng.exponential, mean, _BLOCK)))
             elif isinstance(travel, str):  # deterministic, or a zero-length lane

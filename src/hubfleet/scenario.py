@@ -16,6 +16,10 @@ from pathlib import Path
 
 Point = tuple[float, float]
 
+# The truck speed that ``calibrate`` recovers from the reference tables;
+# the bundled scenarios and the instance generator use it.
+DEFAULT_TRUCK_SPEED_KMH = 50.0
+
 # a service rate must exceed this for its reciprocal, the mean service
 # time, to be finite; every comparison with NaN is false, so NaN fails too
 _MIN_RATE = 1.0 / sys.float_info.max

@@ -11,9 +11,10 @@ pooled infinite server with visit ratio 1/2 and mean holding time
 sum_j rho_j d_j(x) / S.  The hub location x therefore reaches the analysis
 only through the pooled-lane load kappa = 2 h = W(x) / (2 S), where W is the
 demand-weighted Weber objective; a ``StarNetwork`` holds nothing else that
-depends on x.  The hub and dock loads and the saturation ceiling depend on
-the scenario alone.  The oracles rebuild the explicit network from the
-scenario and the hub location themselves.
+depends on x.  The hub and dock loads, their normalization table and the
+saturation ceiling depend on the scenario alone, so the pooled lane is
+folded in last, over one table per scenario.  The oracles rebuild the
+explicit network from the scenario and the hub location themselves.
 """
 
 from __future__ import annotations
@@ -61,41 +62,48 @@ def station_loads(scenario: Scenario) -> tuple[tuple[float, int], ...]:
 
 
 class AggregatedConvolution:
-    """Normalization table of the aggregated star, extensible one truck at a
-    time so fleet search reuses all previous work.
+    """Normalization table of the aggregated star at one hub location.
 
-    The pooled lane starts the table, the docks follow and the hub is
-    folded last, so the row before it is the table without the hub.  The
-    engine comes from ``convolution.shared_engine``, so ``analyze`` or
+    The docks, then the hub, make one table R that depends on neither the
+    hub location nor the truck speed, so it comes from
+    ``convolution.shared_engine`` under the station loads alone and every
+    hub point and speed of a scenario shares it.  The pooled lane, the only
+    station that does depend on them, is folded in last: each G(m) is one
+    combine over R (``convolution.LaneLast``), which stops where its tail
+    is certified negligible, so long lanes need R only part of the way.
+    The combines at one lane load are held, so ``analyze`` or
     ``throughput_vs_location`` right after ``min_trucks`` at the same hub
-    builds no column again.  ``min_trucks`` asks first for the table out to
-    its demand bound, which the engine builds row by row in one step.  The
-    hub-rate search builds its hub-free table without this class, once per
-    search, and asks it only for the fleets that certify its answer.
+    combines nothing again.  The hub-rate search builds its hub-free table
+    without this class, once per search, and asks it only for the fleets
+    that certify its answer.
     """
 
     def __init__(self, star: StarNetwork):
-        self._conv = conv.shared_engine(star.kappa, station_loads(star.scenario))
+        self._g = conv.shared_lane_last(star.kappa, station_loads(star.scenario))
 
     def extend_to(self, population: int) -> "AggregatedConvolution":
-        self._conv.extend_to(population)
+        """Combine G(population), building R as far as its sum needs; the
+        entries ``throughput`` and ``hub_busy`` read besides need no more."""
+        if population < 0:
+            raise ValueError("population must be non-negative")
+        self._g.entry(population)
         return self
 
     @property
     def population(self) -> int:
-        return self._conv.population
+        """How far R, shared by every hub of the scenario, is built."""
+        return self._g.rest.population
 
-    def table(self, population: int | None = None) -> conv.ConvolutionTable:
-        n = self.population if population is None else population
-        self.extend_to(n)
-        return self._conv.table(n)
+    def table(self, population: int) -> conv.ConvolutionTable:
+        self.extend_to(population)
+        return self._g.table(population)
 
     def throughput(self, trucks: int) -> float:
         """Overall TH(N) = G(N-1)/G(N) per hour."""
         if trucks < 1:
             raise ValueError("throughput needs at least one truck")
         self.extend_to(trucks)
-        return self._conv.ratio(trucks - 1, trucks)
+        return self._g.ratio(trucks - 1, trucks)
 
     def warehouse_throughput(self, trucks: int) -> float:
         """Deliveries per hour over all warehouses: TH(N)/4."""
@@ -104,7 +112,7 @@ class AggregatedConvolution:
     def hub_busy(self, trucks: int) -> float:
         """P(hub holds at least one truck) = 1 - G_without_hub(N)/G(N)."""
         self.extend_to(trucks)
-        return 1.0 - self._conv.ratio(trucks, trucks, num_row=-2)
+        return 1.0 - self._g.ratio(trucks, trucks, num_row=-2)
 
 
 def aggregated_norm_constants(star: StarNetwork, population: int
@@ -187,7 +195,9 @@ def bottleneck(scenario: Scenario) -> BottleneckReport:
 
 def throughput_vs_location(scenario: Scenario, trucks: int,
                            grid: list[Point]) -> list[tuple[Point, float]]:
-    """Warehouse throughput per hour at each candidate hub location."""
+    """Warehouse throughput per hour at each candidate hub location: the
+    two lane-last sums G(trucks - 1) and G(trucks) per point, over the one
+    table of the docks and the hub that every point shares."""
     out = []
     for x in grid:
         agg = AggregatedConvolution(build_star(scenario, x))

@@ -2,7 +2,22 @@ import math
 
 import pytest
 
+from hubfleet import convolution as conv
 from hubfleet.scenario import Center, Scenario, Warehouse, bundled_scenario
+
+
+def _empty_held_tables() -> None:
+    conv._HELD.clear()
+    conv._HELD_LANE.clear()
+
+
+@pytest.fixture(scope="session")
+def empty_held_tables():
+    """A function that empties every held table in place: the shared
+    table R of the station loads and the lane-last table at one lane load.
+    The next request then starts cold, and the holders made before keep
+    their own tables."""
+    return _empty_held_tables
 
 
 @pytest.fixture(scope="session")

@@ -283,6 +283,13 @@ _FUZZ_VERBS = (["solve"], ["solve", "--compare"], ["weber"], ["fleet", "--find-m
 @example(data={"warehouses": [{"id": 2, "x": 0.0, "y": 0.0, "demand_per_day": 1.0,
                                "unload_rate_per_hour": 1e-320}],
                "center": {"load_rate_per_hour": 1.0}, "truck_speed_kmh": 1.0})
+# a dock ceiling exactly at demand, which the hub-free table at max_trucks
+# rounds up to meeting it: --find-mu1 must still report the ceiling
+@example(data={"warehouses": [{"id": i, "x": 1.0, "y": 1.0, "demand_per_day": d,
+                               "unload_rate_per_hour": 1.0}
+                              for i, d in ((2, 1.0), (3, 2.0), (4, 1.0))],
+               "center": {"load_rate_per_hour": 1.0}, "truck_speed_kmh": 1.0,
+               "hours_per_day": 2.0})
 def test_verbs_on_fuzzed_scenarios_exit_cleanly(runner, tmp_path_factory, data):
     # every scenario the loader accepts runs through each verb to an exit
     # code, never to a traceback
@@ -417,15 +424,19 @@ def test_cli_import_leaves_scipy_out():
 
 def test_pure_python_verbs_leave_numpy_and_the_oracles_out(log_path):
     # solve, fleet, weber, grid and calibrate compute in plain Python; numpy
-    # alone is most of a cold start-up, and the process pool 15-25 ms more
+    # alone is most of a cold start-up, and the process pool 15-25 ms more.
+    # Only calibrate needs the calibration, 8-12 ms of import.
     code = f"""
 import json, sys
+import hubfleet
+calibration = {{"import hubfleet": "hubfleet.calibration" in sys.modules}}
 from click.testing import CliRunner
 import hubfleet.cli
 heavy = ("numpy", "hubfleet.oracle", "concurrent.futures.process")
 def loaded():
     return [m for m in heavy if m in sys.modules]
-seen = {{"import": loaded()}}
+seen = {{"import": loaded(), "calibration": calibration}}
+calibration["import hubfleet.cli"] = "hubfleet.calibration" in sys.modules
 runner = CliRunner()
 for argv in (["solve", {log_path!r}], ["solve", {log_path!r}, "--compare"],
              ["fleet", {log_path!r}, "--mu1", "2", "--find-mu1"],
@@ -434,6 +445,7 @@ for argv in (["solve", {log_path!r}], ["solve", {log_path!r}, "--compare"],
     res = runner.invoke(hubfleet.cli.main, argv)
     assert res.exit_code in (0, 2), (argv, res.output)
     seen[argv[0]] = loaded()
+    calibration[argv[0]] = "hubfleet.calibration" in sys.modules
 args = ["generate", "--block", "I", "--count", "3", "--seed", "21"]
 serial = runner.invoke(hubfleet.cli.main, args)
 seen["generate"] = loaded()
@@ -448,6 +460,9 @@ print(json.dumps(seen))
     seen = json.loads(out.stdout.splitlines()[-1])
     for verb in ("import", "solve", "fleet", "weber", "grid", "calibrate"):
         assert seen[verb] == [], verb
+    assert seen["calibration"] == {"import hubfleet": False, "import hubfleet.cli": False,
+                                   "solve": False, "fleet": False, "weber": False,
+                                   "grid": False, "calibrate": True}
     # generate draws with numpy, and imports the pool only to use it
     assert seen["generate"] == ["numpy"]
     assert seen["generate jobs 2"] == ["numpy", "concurrent.futures.process"]

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hubfleet import cli, fleet
-from hubfleet.convolution import Convolution
+from hubfleet.convolution import Convolution, LaneLast
 from hubfleet.fleet import (compare_locations, min_center_rate, min_trucks,
                             solve_at)
 from hubfleet.oracle import random_scenario
@@ -267,17 +267,14 @@ def test_compare_locations_symmetric_instance():
         comp.unweighted.analysis.warehouse_throughput_per_day, rel=1e-9)
 
 
-def test_incremental_reuse_consistency(towns_log):
+def test_incremental_reuse_consistency(towns_log, empty_held_tables):
     # growing the same table versus fresh searches at each fleet size
     sol = solve_weber(WeberProblem.from_scenario(towns_log, weighted=True))
     star = build_star(towns_log, sol.location)
     agg = AggregatedConvolution(star)
     grown = [agg.warehouse_throughput(n) for n in range(1, 25)]
-    elsewhere = build_star(towns_log, (0.0, 0.0))
     for n in (1, 6, 12, 24):
-        # a request at another hub replaces the shared table, so the next
-        # one starts from scratch
-        AggregatedConvolution(elsewhere)
+        empty_held_tables()
         fresh = AggregatedConvolution(star).warehouse_throughput(n)
         assert fresh == pytest.approx(grown[n - 1], rel=1e-12)
 
@@ -303,16 +300,19 @@ def _star_at_load(seed, docks, speed, load, hub_rate=None):
     return sc if hub_rate is None else sc.with_center_rate(hub_rate)
 
 
-def _plain_scan(sc, center):
+def _plain_scan(sc, center, lane_last=True):
     """Reference: ``min_trucks`` scanning every fleet size from 1 on a cold
-    engine."""
+    lane-last table, or on a table that folds the pooled lane first."""
     cap, demand, hours = sc.truck_capacity, sc.total_demand_per_day, sc.hours_per_day
     if cap * bottleneck(sc).ceiling_per_day <= demand:
         return fleet.FleetResult(None, math.nan, 0, "ceiling")
-    engine = Convolution(build_star(sc, center).kappa, station_loads(sc))
+    kappa, loads = build_star(sc, center).kappa, station_loads(sc)
+    if lane_last:
+        throughput = LaneLast(kappa, Convolution(0.0, loads)).ratio
+    else:
+        throughput = Convolution(kappa, loads).table(sc.max_trucks).ratio
     for n in range(1, sc.max_trucks + 1):
-        engine.extend_to(n)
-        th_day = HUB_VISIT_RATIO * engine.ratio(n - 1, n) * hours
+        th_day = HUB_VISIT_RATIO * throughput(n - 1, n) * hours
         if cap * th_day >= demand:
             return fleet.FleetResult(n, th_day, n)
     return fleet.FleetResult(None, th_day, sc.max_trucks, "max_trucks")
@@ -332,8 +332,40 @@ def test_the_scan_from_the_demand_bound_equals_a_plain_scan(seed, docks, speed, 
         assert fleet._fleet_bound(sc, build_star(sc, (0.0, 0.0))) <= res.trucks
 
 
+@settings(max_examples=60, deadline=None)
+@given(**_STARS)
+# demand 2.2e-16 below the ceiling: the two tables answer 350 and 349 trucks
+@example(seed=0, docks=1, speed=1.0, load=0.9999999999999998)
+def test_min_trucks_gives_the_lane_first_scans_fleet(seed, docks, speed, load):
+    # the pooled lane folded in first or last: the same fleet and reason, and
+    # throughputs that differ only by rounding; fleets up to 400
+    sc = dataclasses.replace(_star_at_load(seed, docks, speed, load), max_trucks=400)
+    res = min_trucks(sc, (0.0, 0.0))
+    expected = _plain_scan(sc, (0.0, 0.0), lane_last=False)
+    got, want = (r.trucks or sc.max_trucks + 1 for r in (res, expected))
+    if got != want:
+        # within rounding of the saturation ceiling, TH(N) can sit within
+        # rounding of the need for many N, and then either table's rounding
+        # decides; no other fleet may differ
+        table = Convolution(build_star(sc, (0.0, 0.0)).kappa,
+                            station_loads(sc)).table(sc.max_trucks)
+        need = sc.total_demand_per_day / (
+            sc.truck_capacity * HUB_VISIT_RATIO * sc.hours_per_day)
+        for n in range(min(got, want), max(got, want)):
+            assert math.isclose(table.ratio(n - 1, n), need, rel_tol=1e-12)
+        return
+    assert (res.iterations, res.infeasibility_reason) == (
+        expected.iterations, expected.infeasibility_reason)
+    assert (math.isnan(res.throughput_per_day) and math.isnan(expected.throughput_per_day)
+            or math.isclose(res.throughput_per_day, expected.throughput_per_day,
+                            rel_tol=1e-12))
+
+
 @settings(max_examples=40, deadline=None)
 @given(**_STARS, step_share=st.floats(1e-4, 0.05))
+# demand 2.2e-16 below the ceiling of an infinitely fast hub: the hub-last
+# combine meets the need at no finite rate, and min_trucks searches alone
+@example(seed=0, docks=1, speed=3.0, load=0.9999999999999998, step_share=0.03125)
 def test_the_searched_hub_rate_is_the_first_feasible_grid_point(seed, docks, speed, load,
                                                                step_share):
     # the hub binds: its own rate is half the demand bound on the hub rate,

@@ -1,15 +1,16 @@
-"""The normalization table shared between consecutive requests.
+"""The normalization tables shared between consecutive requests.
 
-``AggregatedConvolution`` takes its engine from ``convolution.shared_engine``,
-which holds the last engine under its inputs (kappa, loads): the request
+``AggregatedConvolution`` takes its lane-last table from
+``convolution.shared_lane_last``, which holds the last one under its inputs
+(kappa, loads), over the engine R that ``convolution.shared_engine`` holds
+under the loads alone: every hub of a scenario shares R, and the request
 right after ``min_trucks`` at the same hub (``analyze`` in ``solve_at``, or
-``throughput_vs_location`` in the ``grid`` step) continues the table
-instead of building it again, and a request with other inputs gets a new
-engine.  An engine builds new columns one row at a time, each row from its
-own length.  These tests pin the answers to those of a cold engine, bit for
-bit, and pin the key and the one rule for a failed check: nothing records
-it, the entries before it keep serving, and the engine checks the failed
-entry again on the next request past it.
+``throughput_vs_location`` in the ``grid`` step) combines nothing again.
+An engine builds new columns one row at a time, each row from its own
+length.  These tests pin the answers to those of a cold lane-last table,
+bit for bit, and pin the keys and the one rule for a failed check: nothing
+records it, the entries before it keep serving, and the engine checks the
+failed entry again on the next request past it.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hubfleet import convolution as conv
-from hubfleet.convolution import Convolution, NumericalRangeError
+from hubfleet.convolution import Convolution, LaneLast, NumericalRangeError
 from hubfleet.fleet import min_trucks
 from hubfleet.oracle import random_scenario
 from hubfleet.scenario import bundled_scenario, load_scenario
@@ -33,18 +34,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def _cold(sc, center, n: int) -> tuple[str, str]:
-    """Warehouse throughput and hub busy at n trucks, as float.hex, from an
-    engine built here rather than taken from the shared table."""
-    engine = Convolution(build_star(sc, center).kappa, station_loads(sc))
-    engine.extend_to(n)
-    return ((HUB_VISIT_RATIO * engine.ratio(n - 1, n)).hex(),
-            (1.0 - engine.ratio(n, n, num_row=-2)).hex())
-
-
-def _evict(sc) -> None:
-    """Make the next request for ``sc`` start cold: a request at a far-off
-    hub replaces the held table."""
-    AggregatedConvolution(build_star(sc, (1e6, -1e6)))
+    """Warehouse throughput and hub busy at n trucks, as float.hex, from a
+    lane-last table and an engine built here rather than taken from the
+    held ones."""
+    table = LaneLast(build_star(sc, center).kappa, Convolution(0.0, station_loads(sc)))
+    return ((HUB_VISIT_RATIO * table.ratio(n - 1, n)).hex(),
+            (1.0 - table.ratio(n, n, num_row=-2)).hex())
 
 
 def _scenarios() -> list:
@@ -108,7 +103,8 @@ def test_interleaved_requests_match_fresh_engines(seed, requests):
             assert (holder.warehouse_throughput(n).hex(), holder.hub_busy(n).hex()) == expected
 
 
-def test_a_failed_check_is_repeated_until_it_passes(towns_log, monkeypatch):
+def test_a_failed_check_is_repeated_until_it_passes(towns_log, monkeypatch,
+                                                    empty_held_tables):
     k = 10
     check = conv._check_entry
 
@@ -122,11 +118,15 @@ def test_a_failed_check_is_repeated_until_it_passes(towns_log, monkeypatch):
     rows = len(station_loads(towns_log)) + 1
     below = [_cold(towns_log, x, m) for m in range(1, k + 1)]
     beyond = _cold(towns_log, x, k + 5)
-    _evict(towns_log)
+    empty_held_tables()
     monkeypatch.setattr(conv, "_check_entry", fails_above_k)
     failing = AggregatedConvolution(star)
     with pytest.raises(NumericalRangeError, match=f"population {k + 1}$"):
         failing.throughput(k + 5)
+    # R grows to twice the reach of the sum, 1, 3, 7 and then 15 columns, so
+    # the failed request built every row of R out to column 15 (= k + 5)
+    # before it checked column k + 1
+    assert len(conv._HELD[(0.0, station_loads(towns_log))]._rows[0].log) == k + 6
     # the holder that met the failure serves every column below it
     assert [(failing.warehouse_throughput(m).hex(), failing.hub_busy(m).hex())
             for m in range(1, k + 1)] == below
@@ -134,37 +134,51 @@ def test_a_failed_check_is_repeated_until_it_passes(towns_log, monkeypatch):
     for holder in (failing, AggregatedConvolution(star)):
         with pytest.raises(NumericalRangeError, match=f"population {k + 1}$"):
             holder.throughput(k + 1)
-    # once the check passes, the same engine checks column k + 1 again; the
-    # failed request built every row out to k + 5, so nothing is rebuilt
+    # once the check passes, the same engine checks column k + 1 again, and
+    # the columns the failed request built are not built again
     monkeypatch.setattr(conv, "_check_entry", check)
     steps = _count_row_steps(monkeypatch)
     assert analyze(star, k + 5).warehouse_throughput.hex() == beyond[0]
     assert steps == []
     assert (failing.warehouse_throughput(k + 5).hex(), failing.hub_busy(k + 5).hex()) == beyond
+    # one more column is one row step in every row of R (the empty lane row
+    # of R included) and one in the lane row of this hub
     assert failing.throughput(k + 6) > 0.0
-    assert steps == [k + 6] * rows
+    assert steps == [k + 6] * (rows + 1)
 
 
-def test_analyze_after_min_trucks_builds_no_column(towns_log, monkeypatch):
-    built = []
-    check = conv._check_entry
+def test_requests_after_min_trucks_combine_nothing_again(towns_log, monkeypatch,
+                                                         empty_held_tables):
+    combined = []
+    combine = LaneLast._combine
 
-    def counted(m, *entry):
-        built.append(m)
-        check(m, *entry)
+    def counted(table, m, row):
+        combined.append((row, m))
+        return combine(table, m, row)
 
     x = solve_weber(WeberProblem.from_scenario(towns_log, weighted=True)).location
-    _evict(towns_log)
-    monkeypatch.setattr(conv, "_check_entry", counted)
+    loads = station_loads(towns_log)
+    empty_held_tables()
+    monkeypatch.setattr(LaneLast, "_combine", counted)
     res = min_trucks(towns_log, x)
-    # every entry is built and checked exactly once
-    assert built == list(range(1, res.trucks + 1))
-    built.clear()
+    engine = conv._HELD[(0.0, loads)]
+    # each entry is combined once; the lanes are short, so nothing is cut
+    # and R reaches the fleet
+    assert len(set(combined)) == len(combined)
+    assert (-1, res.trucks) in combined and (-1, res.trucks - 1) in combined
+    assert engine.population == res.trucks
+    combined.clear()
+    # analyze needs the hub-free entry, and nothing else
     analyze(build_star(towns_log, x), res.trucks)
+    assert combined == [(-2, res.trucks)]
+    combined.clear()
     throughput_vs_location(towns_log, res.trucks, [x])
-    assert built == []
-    analyze(build_star(towns_log, x), res.trucks + 1)
-    assert built == [res.trucks + 1]
+    assert combined == []
+    # other hubs share R: two combines each, and no column of R
+    others = [(0.0, 0.0), (300.0, 100.0), (100.0, 250.0)]
+    throughput_vs_location(towns_log, res.trucks, others)
+    assert combined == [(-1, res.trucks), (-1, res.trucks - 1)] * 3
+    assert conv._HELD[(0.0, loads)] is engine and engine.population == res.trucks
 
 
 def test_a_bad_request_does_not_stick(towns_log):

@@ -193,15 +193,12 @@ def test_bottleneck_warehouse_binding():
     assert bn.ceiling_per_hour == pytest.approx(1.0 / 0.9, rel=1e-12)
 
 
-def test_incremental_matches_scratch(towns_log):
+def test_incremental_matches_scratch(towns_log, empty_held_tables):
     star = build_star(towns_log, (179.756, 155.904))
     agg = AggregatedConvolution(star)
     step = [agg.table(n).value(n) for n in range(0, 26)]
-    elsewhere = build_star(towns_log, (0.0, 0.0))
     for n in (0, 7, 19, 25):
-        # a request at another hub replaces the shared table, so the next
-        # one starts from scratch
-        AggregatedConvolution(elsewhere)
+        empty_held_tables()
         fresh = aggregated_norm_constants(star, n)
         assert fresh.value(n) == pytest.approx(step[n], rel=1e-12)
         assert fresh.value(n) == step[n]  # same fold order, same floats
