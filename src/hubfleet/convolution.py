@@ -16,8 +16,8 @@ it; disagreement or any non-finite intermediate raises
 
 ``LaneLast`` folds a pooled infinite-server lane in last, one combine per
 entry, over an engine built without it, and stops each sum where its tail
-is certified negligible.  ``shared_engine`` and ``shared_lane_last`` hand
-one engine, and one lane-last table, on from request to request.
+is certified negligible.  ``shared_lane_last`` hands one lane-last table,
+and its engine or every row of it but the last, on from request to request.
 """
 
 from __future__ import annotations
@@ -312,10 +312,12 @@ class Convolution:
         if population <= self._n:
             return
         # a row may hold columns past the checked ones already, if a request
-        # that failed its check built them; it then builds only the rest
+        # that failed its check built them or another engine shares the row;
+        # it then builds only the rest, and one that holds them all is skipped
         prev = None
         for row in self._rows:
-            row.build(prev, population)
+            if len(row.log) <= population:
+                row.build(prev, population)
             prev = row
         table = prev
         for m in range(self._n + 1, population + 1):
@@ -330,26 +332,6 @@ class Convolution:
         last = self._rows[-1]
         return ConvolutionTable(tuple(last.mant[:n + 1]), tuple(last.exp[:n + 1]),
                                 tuple(last.log[:n + 1]))
-
-
-# The engine of the last table requested, under exactly its inputs
-# (kappa, loads).  Entry m of a row depends only on that row's inputs, the
-# rows before it and m, and ``_check_entry`` only on the stored entry, so
-# an engine can be handed on whatever its earlier requests met.  The dict
-# is emptied and refilled in place, never rebound.
-_HELD: dict[tuple, Convolution] = {}
-
-
-def shared_engine(kappa: float, loads: tuple[tuple[float, int], ...]) -> Convolution:
-    """The engine for ``(kappa, loads)``: the held one if these are its
-    inputs, else a new one that replaces it."""
-    key = (kappa, loads)
-    engine = _HELD.get(key)
-    if engine is None:
-        engine = Convolution(kappa, loads)
-        _HELD.clear()
-        _HELD[key] = engine
-    return engine
 
 
 class LaneLast:
@@ -460,22 +442,32 @@ class LaneLast:
 
 
 # The lane-last table of the last request, under exactly its inputs (kappa,
-# loads), over the shared engine of the loads alone.  Its entries depend
-# only on those inputs, so it can be handed on like the engine.  The dict
-# is emptied and refilled in place, never rebound.
-_HELD_LANE: dict[tuple, LaneLast] = {}
+# loads).  Entry m of a row depends only on that row's inputs, the rows
+# before it and m, and ``_check_entry`` only on the stored entry, so a
+# table, and every row of its engine, can be handed on whatever its earlier
+# requests met.  The dict is emptied and refilled in place, never rebound.
+_HELD: dict[tuple, LaneLast] = {}
 
 
 def shared_lane_last(kappa: float, loads: tuple[tuple[float, int], ...]) -> LaneLast:
     """The lane-last table for ``(kappa, loads)``: the held one if these are
-    its inputs, else a new one over ``shared_engine(0.0, loads)`` that
-    replaces it."""
+    its inputs, else a new one that replaces it.  The new table takes the
+    held one's engine R if the loads are the same (another lane load), and
+    R's rows before the last-folded station if only that station differs
+    (another hub), so a column R has built costs at most one row step."""
     key = (kappa, loads)
-    table = _HELD_LANE.get(key)
+    table = _HELD.get(key)
     if table is None:
-        table = LaneLast(kappa, shared_engine(0.0, loads))
-        _HELD_LANE.clear()
-        _HELD_LANE[key] = table
+        rest = None
+        for (_, held_loads), held in _HELD.items():
+            if held_loads == loads:
+                rest = held.rest
+            elif held_loads[:-1] == loads[:-1]:
+                rest = Convolution(0.0, loads[-1:])
+                rest._rows[:1] = held.rest._rows[:-1]
+        table = LaneLast(kappa, Convolution(0.0, loads) if rest is None else rest)
+        _HELD.clear()
+        _HELD[key] = table
     return table
 
 

@@ -49,8 +49,7 @@ class FleetResult:
         return self.infeasibility_reason is None
 
 
-# relative slack on the demand bound, and on a throughput taken from a table
-# that min_trucks does not use, far above the rounding in computing either
+# relative slack on the demand bound, far above the rounding in computing it
 _BOUND_MARGIN = 1e-9
 
 
@@ -126,38 +125,31 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     scenario's own hub rate.
 
     TH rises with N, so some fleet up to M = max_trucks meets demand iff M
-    does, and a hub rate is decided at M alone.  One checked table R of
-    the star without the hub, built once, decides every rate: an infinitely
-    fast hub never holds a truck, so its table is R entry for entry, and a
-    finite rate mu_1 on s_1 servers is folded in last,
+    does, and a hub rate is decided at M alone.  An infinitely fast hub
+    never holds a truck, so ``min_trucks`` at the infinite rate decides
+    whether any rate does, and the table it reads is R, that of the star
+    without the hub: its hub row copies the dock row bit for bit.  R
+    decides every finite rate: a hub of rate mu_1 on s_1 servers is folded
+    in last,
 
         G(m) = sum_k f(k) R(m - k),   f(k) = y^k / prod_{i <= k} min(i, s_1),
 
     with y = 1 / (4 mu_1) its load.  The combine only guides the search:
     ``min_trucks`` certifies the answer at its grid point and at the point
     below, and where it disagrees the search goes on by ``min_trucks``.
-    R folds the lane in first and ``min_trucks`` last, so their figures
-    agree only to rounding: R rules out ``min_trucks`` at the infinite rate
-    only with a margin, and where the combine meets the need at no finite
-    rate, ``min_trucks`` searches alone.
     """
     if base.feasible:
         return scenario.center.load_rate_per_hour, base
 
+    fast = scenario.with_center_rate(math.inf)
+    probe = min_trucks(fast, center)
+    if not probe.feasible:
+        return None, probe
     top = scenario.max_trucks
     cap, hours = scenario.truck_capacity, scenario.hours_per_day
     demand = scenario.total_demand_per_day
-    star = build_star(scenario, center)
-    free = conv.Convolution(star.kappa, station_loads(scenario)[:-1]).table(top)
-    fast = scenario.with_center_rate(math.inf)
-    # an infinitely fast hub never holds a truck, so R is its table, but
-    # min_trucks folds the lane in last and rounds otherwise: R decides only
-    # with a margin above that rounding (at the ceiling it never does)
-    if not cap * (HUB_VISIT_RATIO * free.ratio(top - 1, top) * hours) >= demand * (
-            1.0 + _BOUND_MARGIN):
-        probe = min_trucks(fast, center)
-        if not probe.feasible:
-            return None, probe
+    free = conv.shared_lane_last(build_star(fast, center).kappa,
+                                 station_loads(fast)).table(top)
 
     # Feasibility is monotone in the hub rate, so the answer is the first
     # feasible grid index above both the demand bound and the scenario's own
@@ -201,7 +193,7 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     try:
         good = _first_fit(floor, k, combined, rate_step)
     except RuntimeError:
-        # within the margin, the combine can fall short of the need at every
+        # within rounding, the combine can fall short of the need at every
         # finite rate while min_trucks meets it at the infinite rate
         good = _first_fit(floor, k, certified, rate_step)
     if not certified(good):

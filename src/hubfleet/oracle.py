@@ -93,7 +93,7 @@ def aggregated_stations(star: StarNetwork) -> tuple[tuple[conv.Station, ...], li
     """Hub, warehouse docks and the pooled lane station, with visit ratios:
     the J+1 station form that ``AggregatedConvolution`` folds, for
     ``convolve_stations`` and ``marginal_distribution``.  The pooled lane
-    has visit ratio 1/2 and mean holding time 4 h."""
+    has visit ratio 1/2 and mean holding time 2 kappa."""
     s = star.scenario
     stations = [conv.multi_server("center", s.center.load_rate_per_hour,
                                   s.center.servers)]
@@ -101,7 +101,7 @@ def aggregated_stations(star: StarNetwork) -> tuple[tuple[conv.Station, ...], li
         conv.multi_server(f"warehouse_{w.id}", w.unload_rate_per_hour, w.servers)
         for w in s.warehouses
     ]
-    stations.append(conv.infinite_server("lanes", 4.0 * star.h))
+    stations.append(conv.infinite_server("lanes", 2.0 * star.kappa))
     eta = [HUB_VISIT_RATIO, *(rho * HUB_VISIT_RATIO for rho in demand_fractions(s)), 0.5]
     return tuple(stations), eta
 
@@ -507,13 +507,13 @@ def run_validation_suite(seed: int = 0, *, instances: int = 4, trucks: int = 4,
             vals = []
             for p in pts:
                 st = build_star(sc, p)
-                vals.append((st.h, AggregatedConvolution(st).warehouse_throughput(3)))
+                vals.append((st.kappa, AggregatedConvolution(st).warehouse_throughput(3)))
             best = max(v for _, v in vals)
             if vals[0][1] < best * (1 - 1e-12):
                 violations += 1
-            order = sorted(vals, key=lambda hv: hv[0])
-            for (h1, v1), (h2, v2) in zip(order, order[1:]):
-                if h2 > h1 + 1e-12 and not v2 < v1:
+            order = sorted(vals, key=lambda kv: kv[0])
+            for (k1, v1), (k2, v2) in zip(order, order[1:]):
+                if k2 > k1 + 2e-12 and not v2 < v1:
                     violations += 1
         if violations:
             raise AssertionError(f"{violations} ordering violations")

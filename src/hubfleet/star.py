@@ -9,7 +9,7 @@ Because the lanes are infinite servers, the 3(J-1)+1 station network
 collapses exactly into J+1 stations: hub, the J-1 warehouse docks, and one
 pooled infinite server with visit ratio 1/2 and mean holding time
 sum_j rho_j d_j(x) / S.  The hub location x therefore reaches the analysis
-only through the pooled-lane load kappa = 2 h = W(x) / (2 S), where W is the
+only through the pooled-lane load kappa = W(x) / (2 S), where W is the
 demand-weighted Weber objective; a ``StarNetwork`` holds nothing else that
 depends on x.  The hub and dock loads, their normalization table and the
 saturation ceiling depend on the scenario alone, so the pooled lane is
@@ -34,21 +34,20 @@ class StarNetwork:
 
     scenario: Scenario
     center: Point
-    h: float                     # sum_j (rho_j / 4) * d_j / S, hours
-    kappa: float                 # 2 h, the pooled-lane load factor
+    kappa: float                 # sum_j (rho_j / 2) * d_j / S, the pooled-lane load
 
 
 def build_star(scenario: Scenario, center: Point) -> StarNetwork:
     cx, cy = center
     speed = scenario.truck_speed_kmh
-    h = math.fsum(
+    # each one-way leg has visit ratio rho_j / 4, and a round trip two legs
+    kappa = 2.0 * math.fsum(
         (rho * HUB_VISIT_RATIO) * (math.hypot(ax - cx, ay - cy) / speed)
         for rho, (ax, ay) in zip(demand_fractions(scenario),
                                  scenario.warehouse_positions))
-    if not math.isfinite(h):
+    if not math.isfinite(kappa):
         raise ValueError("distances must be finite")
-    return StarNetwork(scenario=scenario, center=(float(cx), float(cy)), h=h,
-                       kappa=2.0 * h)
+    return StarNetwork(scenario=scenario, center=(float(cx), float(cy)), kappa=kappa)
 
 
 def station_loads(scenario: Scenario) -> tuple[tuple[float, int], ...]:
@@ -65,17 +64,15 @@ class AggregatedConvolution:
     """Normalization table of the aggregated star at one hub location.
 
     The docks, then the hub, make one table R that depends on neither the
-    hub location nor the truck speed, so it comes from
-    ``convolution.shared_engine`` under the station loads alone and every
-    hub point and speed of a scenario shares it.  The pooled lane, the only
-    station that does depend on them, is folded in last: each G(m) is one
-    combine over R (``convolution.LaneLast``), which stops where its tail
-    is certified negligible, so long lanes need R only part of the way.
+    hub location nor the truck speed, so every hub point and speed of a
+    scenario shares it (``convolution.shared_lane_last``), and another hub
+    rate shares its dock rows.  The pooled lane, the only station that does
+    depend on them, is folded in last: each G(m) is one combine over R
+    (``convolution.LaneLast``), which stops where its tail is certified
+    negligible, so long lanes need R only part of the way.
     The combines at one lane load are held, so ``analyze`` or
     ``throughput_vs_location`` right after ``min_trucks`` at the same hub
-    combines nothing again.  The hub-rate search builds its hub-free table
-    without this class, once per search, and asks it only for the fleets
-    that certify its answer.
+    combines nothing again.
     """
 
     def __init__(self, star: StarNetwork):

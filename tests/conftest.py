@@ -8,15 +8,13 @@ from hubfleet.scenario import Center, Scenario, Warehouse, bundled_scenario
 
 def _empty_held_tables() -> None:
     conv._HELD.clear()
-    conv._HELD_LANE.clear()
 
 
 @pytest.fixture(scope="session")
 def empty_held_tables():
-    """A function that empties every held table in place: the shared
-    table R of the station loads and the lane-last table at one lane load.
-    The next request then starts cold, and the holders made before keep
-    their own tables."""
+    """A function that empties the held lane-last table in place, and with
+    it the shared table R of the station loads.  The next request then
+    starts cold, and the holders made before keep their own tables."""
     return _empty_held_tables
 
 

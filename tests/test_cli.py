@@ -175,9 +175,10 @@ def test_fleet_find_mu1_probes_the_base_rate_once(runner, pro_path, monkeypatch)
     monkeypatch.setattr(cli, "min_trucks", counting)
     res = runner.invoke(main, ["fleet", pro_path, "--mu1", "3", "--find-mu1"])
     assert res.exit_code == 2
-    # the hub-free table decides the infinitely fast hub, and 3.38 is the
-    # first grid point past the demand bound, so nothing below it is probed
-    assert probes == [3.0, pytest.approx(3.38)]
+    # min_trucks decides the infinitely fast hub on the table the search
+    # then reads, and 3.38 is the first grid point past the demand bound, so
+    # nothing below it is probed
+    assert probes == [3.0, math.inf, pytest.approx(3.38)]
 
 
 def test_fleet_find_mu1_with_a_step_too_small_exits_1(runner, pro_path):

@@ -2,10 +2,11 @@
 
 ``AggregatedConvolution`` takes its lane-last table from
 ``convolution.shared_lane_last``, which holds the last one under its inputs
-(kappa, loads), over the engine R that ``convolution.shared_engine`` holds
-under the loads alone: every hub of a scenario shares R, and the request
-right after ``min_trucks`` at the same hub (``analyze`` in ``solve_at``, or
-``throughput_vs_location`` in the ``grid`` step) combines nothing again.
+(kappa, loads), over an engine R of the loads alone: every hub of a
+scenario shares R, another hub rate shares every row of R but the hub's,
+and the request right after ``min_trucks`` at the same hub (``analyze`` in
+``solve_at``, or ``throughput_vs_location`` in the ``grid`` step) combines
+nothing again.
 An engine builds new columns one row at a time, each row from its own
 length.  These tests pin the answers to those of a cold lane-last table,
 bit for bit, and pin the keys and the one rule for a failed check: nothing
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hubfleet import convolution as conv
 from hubfleet.convolution import Convolution, LaneLast, NumericalRangeError
-from hubfleet.fleet import min_trucks
+from hubfleet.fleet import min_center_rate, min_trucks
 from hubfleet.oracle import random_scenario
 from hubfleet.scenario import bundled_scenario, load_scenario
 from hubfleet.star import (HUB_VISIT_RATIO, AggregatedConvolution, analyze, build_star,
@@ -126,7 +127,8 @@ def test_a_failed_check_is_repeated_until_it_passes(towns_log, monkeypatch,
     # R grows to twice the reach of the sum, 1, 3, 7 and then 15 columns, so
     # the failed request built every row of R out to column 15 (= k + 5)
     # before it checked column k + 1
-    assert len(conv._HELD[(0.0, station_loads(towns_log))]._rows[0].log) == k + 6
+    held = conv._HELD[(star.kappa, station_loads(towns_log))]
+    assert len(held.rest._rows[0].log) == k + 6
     # the holder that met the failure serves every column below it
     assert [(failing.warehouse_throughput(m).hex(), failing.hub_busy(m).hex())
             for m in range(1, k + 1)] == below
@@ -161,7 +163,7 @@ def test_requests_after_min_trucks_combine_nothing_again(towns_log, monkeypatch,
     empty_held_tables()
     monkeypatch.setattr(LaneLast, "_combine", counted)
     res = min_trucks(towns_log, x)
-    engine = conv._HELD[(0.0, loads)]
+    engine = conv._HELD[(build_star(towns_log, x).kappa, loads)].rest
     # each entry is combined once; the lanes are short, so nothing is cut
     # and R reaches the fleet
     assert len(set(combined)) == len(combined)
@@ -178,7 +180,8 @@ def test_requests_after_min_trucks_combine_nothing_again(towns_log, monkeypatch,
     others = [(0.0, 0.0), (300.0, 100.0), (100.0, 250.0)]
     throughput_vs_location(towns_log, res.trucks, others)
     assert combined == [(-1, res.trucks), (-1, res.trucks - 1)] * 3
-    assert conv._HELD[(0.0, loads)] is engine and engine.population == res.trucks
+    held = conv._HELD[(build_star(towns_log, others[-1]).kappa, loads)]
+    assert held.rest is engine and engine.population == res.trucks
 
 
 def test_a_bad_request_does_not_stick(towns_log):
@@ -197,6 +200,77 @@ def _count_row_steps(monkeypatch) -> list:
             build(row, prev, stop)
         monkeypatch.setattr(cls, "build", counted)
     return steps
+
+
+def test_another_hub_rate_builds_only_its_hub_row(towns_pro, monkeypatch,
+                                                  empty_held_tables):
+    x = solve_weber(WeberProblem.from_scenario(towns_pro, weighted=True)).location
+    slow, own = towns_pro.with_center_rate(3.38), towns_pro
+    cold = min_trucks(own, x)
+    empty_held_tables()
+    assert min_trucks(slow, x).trucks > cold.trucks
+    before = conv._HELD[(build_star(slow, x).kappa, station_loads(slow))]
+    steps = _count_row_steps(monkeypatch)
+    assert min_trucks(own, x) == cold
+    table = conv._HELD[(build_star(own, x).kappa, station_loads(own))]
+    # the docks' rows, and the empty lane row of R, are the held table's;
+    # R at the slower hub reaches the fleet here, so the only row steps are
+    # those of the new hub row and of this table's lane row
+    assert all(a is b for a, b in zip(table.rest._rows[:-1], before.rest._rows[:-1]))
+    assert sorted(steps) == sorted([*range(1, len(table.rest._rows[-1].log)),
+                                    *range(1, len(table._lane.log))])
+
+
+def _read_by_the_rate_search(sc, center) -> list:
+    """The tables ``min_center_rate`` reads through ``LaneLast.table``."""
+    tables = []
+    read = LaneLast.table
+
+    def recorded(self, population):
+        tables.append(read(self, population))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LaneLast, "table", recorded)
+        min_center_rate(sc, center)
+    return tables
+
+
+def _hub_free_hex(sc, center, n: int) -> list:
+    """G(0..n) of the star without the hub as float.hex, from R's row -2 of
+    a cold lane-last table at the scenario's own hub rate."""
+    cold = LaneLast(build_star(sc, center).kappa, Convolution(0.0, station_loads(sc)))
+    return [(m.hex(), e, lg.hex()) for m, e, lg in (cold.entry(k, -2) for k in range(n + 1))]
+
+
+def _table_hex(table) -> list:
+    return [(m.hex(), e, lg.hex())
+            for m, e, lg in zip(table.mantissa, table.exponent, table.log_values)]
+
+
+def _hub_bound_stars() -> list:
+    """Stars whose hub binds, at their weighted hub: the hub runs at half
+    the demand bound on the hub rate, and the fleet cap is 60."""
+    rng = np.random.default_rng(11)
+    stars = [bundled_scenario("towns12-log"), bundled_scenario("towns12-pro")]
+    stars += [random_scenario(rng, docks, max_servers=3, speed=speed)
+              for speed in (0.05, 1.0, 50.0) for docks in (1, 3)]
+    out = []
+    for sc in stars:
+        lb = sc.total_demand_per_day / (
+            sc.truck_capacity * sc.center.servers * sc.hours_per_day)
+        sc = dataclasses.replace(sc.with_center_rate(lb / 2), max_trucks=60)
+        out.append((sc, solve_weber(WeberProblem.from_scenario(sc, weighted=True)).location))
+    return out
+
+
+@pytest.mark.parametrize("sc,center", _hub_bound_stars())
+def test_the_rate_search_reads_the_hub_free_table(sc, center):
+    tables = _read_by_the_rate_search(sc, center)
+    fast = min_trucks(sc.with_center_rate(math.inf), center)
+    assert len(tables) == (1 if fast.feasible else 0)
+    for free in tables:
+        assert _table_hex(free) == _hub_free_hex(sc, center, sc.max_trucks)
 
 
 def test_an_interrupted_build_resumes_each_row_at_its_own_length(towns_log,

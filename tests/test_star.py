@@ -17,9 +17,9 @@ from hubfleet.weber import WeberProblem, solve_weber, weber_objective
 def test_visit_ratios_and_h(towns_log):
     sol = solve_weber(WeberProblem.from_scenario(towns_log, weighted=True))
     star = build_star(towns_log, sol.location)
-    # the location reaches the analysis only through h and kappa
+    # the location reaches the analysis only through kappa
     assert [f.name for f in dataclasses.fields(StarNetwork)] == [
-        "scenario", "center", "h", "kappa"]
+        "scenario", "center", "kappa"]
     rho = np.asarray(demand_fractions(towns_log))
     _, eta = aggregated_stations(star)
     assert eta[0] == 0.25 and eta[-1] == 0.5
@@ -28,9 +28,8 @@ def test_visit_ratios_and_h(towns_log):
     # direct evaluation of the travel burden
     d = np.asarray([math.hypot(p[0] - sol.location[0], p[1] - sol.location[1])
                     for p in towns_log.warehouse_positions])
-    h_direct = float((rho / 4.0 * d / towns_log.truck_speed_kmh).sum())
-    assert star.h == pytest.approx(h_direct, rel=1e-14)
-    assert star.kappa == pytest.approx(2.0 * h_direct, rel=1e-14)
+    kappa_direct = float((rho / 2.0 * d / towns_log.truck_speed_kmh).sum())
+    assert star.kappa == pytest.approx(kappa_direct, rel=1e-14)
     # kappa = W(x) / (2 S), W the demand-weighted Weber objective
     w = weber_objective(WeberProblem.from_scenario(towns_log, weighted=True), sol.location)
     assert star.kappa == pytest.approx(w / (2.0 * towns_log.truck_speed_kmh), rel=1e-14)
@@ -101,9 +100,9 @@ def test_weber_point_maximizes_throughput_and_minimizes_passage_time(seed, docks
 def test_toy_star_norm_constants(toy_star_scenario):
     # by hand: G(0)=1, G(1)=1/4+1/4+1/2=1, G(2)=3/16+1/4+1/8=9/16
     star = build_star(toy_star_scenario, (0.0, 0.0))
-    assert star.h == pytest.approx(0.25)
+    assert star.kappa == pytest.approx(0.5)
     # distances are Euclidean: a 3-4-5 triangle from the warehouse at (1, 0)
-    assert build_star(toy_star_scenario, (4.0, 4.0)).h == 5.0 / 4.0
+    assert build_star(toy_star_scenario, (4.0, 4.0)).kappa == 5.0 / 2.0
     t = aggregated_norm_constants(star, 2)
     assert t.value(0) == pytest.approx(1.0, rel=1e-14)
     assert t.value(1) == pytest.approx(1.0, rel=1e-14)
@@ -212,7 +211,7 @@ def test_throughput_vs_location_ordering(towns_log):
     rows = throughput_vs_location(towns_log, 10, grid)
     vals = [v for _, v in rows]
     assert max(vals) == vals[0]  # the hub point wins
-    burdens = [build_star(towns_log, p).h for p, _ in rows]
+    burdens = [build_star(towns_log, p).kappa for p, _ in rows]
     order = np.argsort(burdens)
     ordered = [vals[i] for i in order]
     for a, b in zip(ordered, ordered[1:]):
@@ -223,11 +222,11 @@ def test_center_on_warehouse_is_fine(toy_star_scenario):
     # hub placed exactly on the warehouse: zero-length lanes collapse and
     # the dock completes work at the two-node-cycle rate 2/3
     star = build_star(toy_star_scenario, (1.0, 0.0))
-    assert star.h == 0.0
+    assert star.kappa == 0.0
     p = (12.34, -5.6)
     wh = dataclasses.replace(toy_star_scenario.warehouses[0], position=p)
     moved = dataclasses.replace(toy_star_scenario, warehouses=(wh,))
-    assert build_star(moved, p).h == 0.0
+    assert build_star(moved, p).kappa == 0.0
     ana = analyze(star, 2)
     assert ana.warehouse_throughput == pytest.approx(2.0 / 3.0, rel=1e-12)
 
