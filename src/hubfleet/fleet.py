@@ -137,6 +137,12 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     with y = 1 / (4 mu_1) its load.  The combine only guides the search:
     ``min_trucks`` certifies the answer at its grid point and at the point
     below, and where it disagrees the search goes on by ``min_trucks``.
+    The point below is left unprobed when the combine puts TH(M) there
+    short of the need by more than ``_BOUND_MARGIN``: that margin lies
+    orders of magnitude above the rounding of either arithmetic, and TH
+    rises with N, so ``min_trucks`` would find no fleet up to M there
+    either, and the answer is the same.  A combine within the margin is
+    probed, as before.
     """
     if base.feasible:
         return scenario.center.load_rate_per_hour, base
@@ -176,9 +182,13 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     below_top = [log_r[top - 1 - i] - log_den[i] for i in range(top)]
     log_need = math.log(demand / (cap * HUB_VISIT_RATIO * hours))
 
-    def combined(index: int) -> bool:
+    def log_th(index: int) -> float:
+        """log TH(M) by the combine at a grid index."""
         log_y = math.log(HUB_VISIT_RATIO / (index * rate_step))
-        return _log_sum(below_top, log_y) - _log_sum(at_top, log_y) >= log_need
+        return _log_sum(below_top, log_y) - _log_sum(at_top, log_y)
+
+    def combined(index: int) -> bool:
+        return log_th(index) >= log_need
 
     # keyed by the rate: grid indices that round to one float share a probe,
     # so a step finer than the rate's float spacing costs no extra probes
@@ -198,9 +208,16 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
         good = _first_fit(floor, k, certified, rate_step)
     if not certified(good):
         good = _first_fit(good, good + 1, certified, rate_step)
-    elif good - 1 > floor and certified(good - 1):
+    elif (good - 1 > floor and not _short_by_margin(log_th(good - 1), log_need)
+          and certified(good - 1)):
         good = _first_fit(floor, good - 1, certified, rate_step)
     return good * rate_step, results[good * rate_step]
+
+
+def _short_by_margin(log_th: float, log_need: float) -> bool:
+    """Whether a throughput falls short of the need by more than
+    ``_BOUND_MARGIN`` of it (both as logs)."""
+    return log_th < log_need + math.log1p(-_BOUND_MARGIN)
 
 
 def _log_sum(terms: list[float], log_y: float) -> float:

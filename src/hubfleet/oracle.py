@@ -339,52 +339,51 @@ def simulate(star: StarNetwork, trucks: int, *,
 
         busy = [0] * n_st
         queues = [deque() for _ in range(n_st)]
-        arr = [0.0] * trucks
-        completions = [0] * n_st
-        soj_sum = [0.0] * n_st
-        # every truck starts at the hub, the first ones in service; heap
-        # entries are (time, seq, truck, station), seq breaking time ties;
-        # a queued truck waits behind one in service, so it never empties
+        # every truck starts at the hub at time 0, the first ones in service;
+        # heap entries are (time, seq, arrival, station), seq breaking time
+        # ties, and arrival the time the truck reached the station, which is
+        # also what a queue holds for each truck waiting in it; a queued
+        # truck waits behind one in service, so the heap never empties
         busy[0] = seq = min(trucks, servers[0])
-        heap = [(draw[0](), truck + 1, truck, 0) for truck in range(seq)]
+        heap = [(draw[0](), truck + 1, 0.0, 0) for truck in range(seq)]
         heapify(heap)
-        queues[0].extend(range(seq, trucks))
+        queues[0].extend(repeat(0.0, trucks - seq))
 
-        t_warm = 0.0
-        for pops in range(1, horizon_events + 1):
-            t, _, truck, st = heap[0]
-            if pops == warm_count:
-                t_warm = t
-                completions = [0] * n_st
-                soj_sum = [0.0] * n_st
-            else:
+        # the warm-up events, then the measured ones, each pass counting
+        # from zero; the window opens at the last warm-up event
+        t = 0.0
+        for events in (warm_count, horizon_events - warm_count):
+            t_warm = t
+            completions = [0] * n_st
+            soj_sum = [0.0] * n_st
+            for _ in repeat(None, events):
+                t, _, since, st = heap[0]
                 completions[st] += 1
-                soj_sum[st] += t - arr[truck]
-            arr[truck] = t
-            if servers[st]:
-                # a server frees up: start the next queued truck, then the
-                # departing truck takes a lane
-                q = queues[st]
-                if q:
+                soj_sum[st] += t - since
+                if servers[st]:
+                    # a server frees up: start the next queued truck, then
+                    # the departing truck takes a lane
+                    q = queues[st]
+                    if q:
+                        seq += 1
+                        heapreplace(heap, (t + draw[st](), seq, q.popleft(), st))
+                        push = heappush
+                    else:
+                        busy[st] -= 1
+                        push = heapreplace
+                    nxt = after[st] if st else 1 + 3 * bisect_right(cum, route())
                     seq += 1
-                    heapreplace(heap, (t + draw[st](), seq, q.popleft(), st))
-                    push = heappush
+                    push(heap, (t + draw[nxt](), seq, t, nxt))
                 else:
-                    busy[st] -= 1
-                    push = heapreplace
-                nxt = after[st] if st else 1 + 3 * bisect_right(cum, route())
-                seq += 1
-                push(heap, (t + draw[nxt](), seq, truck, nxt))
-            else:
-                # a lane ends at a dock (out) or at the hub (back)
-                nxt = after[st]
-                if busy[nxt] < servers[nxt]:
-                    busy[nxt] += 1
-                    seq += 1
-                    heapreplace(heap, (t + draw[nxt](), seq, truck, nxt))
-                else:
-                    heappop(heap)
-                    queues[nxt].append(truck)
+                    # a lane ends at a dock (out) or at the hub (back)
+                    nxt = after[st]
+                    if busy[nxt] < servers[nxt]:
+                        busy[nxt] += 1
+                        seq += 1
+                        heapreplace(heap, (t + draw[nxt](), seq, t, nxt))
+                    else:
+                        heappop(heap)
+                        queues[nxt].append(t)
 
         window = t - t_warm
         if window <= 0:

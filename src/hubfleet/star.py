@@ -68,8 +68,9 @@ class AggregatedConvolution:
     scenario shares it (``convolution.shared_lane_last``), and another hub
     rate shares its dock rows.  The pooled lane, the only station that does
     depend on them, is folded in last: each G(m) is one combine over R
-    (``convolution.LaneLast``), which stops where its tail is certified
-    negligible, so long lanes need R only part of the way.
+    (``convolution.LaneLast``), which starts and stops where its head and
+    tail are certified negligible, so long lanes need R only part of the
+    way and short lanes only the first lane factors.
     The combines at one lane load are held, so ``analyze`` or
     ``throughput_vs_location`` right after ``min_trucks`` at the same hub
     combines nothing again.

@@ -386,3 +386,65 @@ def test_the_searched_hub_rate_is_the_first_feasible_grid_point(seed, docks, spe
     k = round(rate / step)
     assert rate == k * step
     assert not min_trucks(sc.with_center_rate((k - 1) * step), (0.0, 0.0)).feasible
+
+
+def _hub_rate_cases() -> list:
+    """Stars whose hub binds, as the benchmark's hub_rate ops pose them: the
+    hub at half the demand bound on its rate, on 1-3 servers, a fleet cap
+    3 trucks above what an infinitely fast hub needs, and a rate step of
+    1/200 of the bound."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for i in range(12):
+        sc = random_scenario(rng, int(rng.integers(1, 5)), max_servers=3,
+                             speed=float(rng.choice([0.5, 5.0, 50.0])))
+        sc = dataclasses.replace(sc, center=dataclasses.replace(sc.center,
+                                                                servers=i % 3 + 1))
+        fast = dataclasses.replace(sc.with_center_rate(math.inf), max_trucks=200)
+        at_inf = min_trucks(fast, (0.0, 0.0))
+        lb = sc.total_demand_per_day / (
+            sc.truck_capacity * sc.center.servers * sc.hours_per_day)
+        cases.append((dataclasses.replace(sc.with_center_rate(lb / 2),
+                                          max_trucks=(at_inf.trucks or 197) + 3),
+                      lb / 200))
+    return cases
+
+
+def _probed_rates(monkeypatch) -> list:
+    """The hub rate of every ``min_trucks`` the rate search runs from now on."""
+    probes = []
+
+    def counting(scenario, center):
+        probes.append(scenario.center.load_rate_per_hour)
+        return min_trucks(scenario, center)
+
+    monkeypatch.setattr(fleet, "min_trucks", counting)
+    return probes
+
+
+def test_the_rate_search_without_its_skip_answers_the_same(monkeypatch):
+    # the probe below the answer is skipped only where min_trucks would
+    # answer infeasible; a search that never skips it answers the same
+    cases = _hub_rate_cases()
+    probes = _probed_rates(monkeypatch)
+    got = [min_center_rate(sc, (0.0, 0.0), step) for sc, step in cases]
+    skipping = len(probes)
+    monkeypatch.setattr(fleet, "_short_by_margin", lambda log_th, log_need: False)
+    assert [min_center_rate(sc, (0.0, 0.0), step) for sc, step in cases] == got
+    assert sum(rate is not None for rate, _ in got) >= 6
+    # with the skip, the searches left probes below their answers unprobed
+    assert len(probes) - skipping > skipping
+
+
+def test_a_hub_rate_search_runs_three_fleet_searches(towns_pro, monkeypatch):
+    # the scenario's own rate, the infinite rate, and the answer; the grid
+    # point below the answer is decided by the combine alone
+    sol = solve_weber(WeberProblem.from_scenario(towns_pro, weighted=True))
+    probes = _probed_rates(monkeypatch)
+    rate, res = min_center_rate(towns_pro.with_center_rate(3.0), sol.location)
+    assert probes == [3.0, math.inf, rate]
+    assert (rate, res.trucks) == (3.38, 43)
+    for sc, step in _hub_rate_cases():
+        probes.clear()
+        rate, _ = min_center_rate(sc, (0.0, 0.0), step)
+        assert len(probes) == (2 if rate is None else 3)

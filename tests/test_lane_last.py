@@ -1,11 +1,15 @@
-"""The pooled lane folded in last, and the cut of its sum.
+"""The pooled lane folded in last, and the cuts of its sum.
 
 ``AggregatedConvolution`` combines each G(m) = sum_k kappa^(m-k)/(m-k)! R(k)
-over the table R of the docks and the hub, and stops the sum once the
-terms left are certified to sum to at most 2**-60 of it.  The certificate
-rests on R being log-concave.  These tests check that premise, that the
-cut changes no sum, that the answers match a table that folds the lane
-first, and that the cut does spare most of R when lanes are long.
+over the table R of the docks and the hub, starts the sum past the terms
+certified to sum to at most 2**-60 of its last, and stops it once the
+terms left are certified to sum to at most 2**-60 of it.  The certificates
+rest on R being log-concave.  These tests check that premise, that the
+cuts change no sum, that the answers match a table that folds the lane
+first, that the cuts do spare most of R when lanes are long and most of
+the lane factors when they are short, that R grows once to what its sums
+read, that the lane factors and folds round as the plain recursions do,
+and that no entry depends on the order in which entries are asked for.
 """
 
 import dataclasses
@@ -60,7 +64,7 @@ def test_the_cut_sum_equals_the_uncut_sum(seed, docks, speed, n):
     for row in (-1, -2):
         got = cut.entry(n, row)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(conv, "_TAIL", -math.inf)   # no tail is ever negligible
+            mp.setattr(conv, "_TAIL", -math.inf)   # no head or tail is ever negligible
             full = uncut.entry(n, row)
         assert _relative_gap(got, full) <= 1e-15
         assert abs(got[2] - full[2]) <= 1e-15 * max(1.0, abs(full[2]))
@@ -107,3 +111,156 @@ def test_long_lanes_build_r_only_part_of_the_way(towns_log, empty_held_tables):
     res = min_trucks(sc, x)
     assert res.infeasibility_reason == "max_trucks" and res.iterations == 400
     assert AggregatedConvolution(build_star(sc, x)).population < 200
+
+
+def test_short_lanes_read_only_the_lane_factors_of_the_head(towns_pro, monkeypatch):
+    # the hub-free table the hub-rate search reads, at a fleet cap of 600:
+    # the terms rise towards k = m, and every sum starts where the terms
+    # below are negligible, about 150 terms from its end, so the lane
+    # factors past the first few blocks are never built
+    fast = towns_pro.with_center_rate(math.inf)
+    x = solve_weber(WeberProblem.from_scenario(fast, weighted=True)).location
+    kappa, loads = build_star(fast, x).kappa, station_loads(fast)
+    cut = LaneLast(kappa, Convolution(0.0, loads))
+    table = cut.table(600)
+    assert max(cut._blocks) <= 3
+    monkeypatch.setattr(conv, "_TAIL", -math.inf)
+    full = LaneLast(kappa, Convolution(0.0, loads))
+    for m in range(0, 601, 20):
+        got = (table.mantissa[m], table.exponent[m], table.log_values[m])
+        assert _relative_gap(got, full.entry(m)) <= 1e-15
+    assert max(full._blocks) == 600 // conv._BLOCK
+
+
+def test_r_grows_once_to_the_reach_of_its_sums(towns_log, monkeypatch, empty_held_tables):
+    # at 2 km/h with a cap of 400, min_trucks scans fleets up to 381 and the
+    # sums stop after about 90 terms.  Grown one column at a time whenever a
+    # sum reaches its end, R holds just what the sums read; the predicted
+    # growth builds R once, at most two columns further (the prediction
+    # stops at 2**-62 of the sum, the sums at 2**-60), where doubling would
+    # build it to 127
+    sc = dataclasses.replace(towns_log, truck_speed_kmh=2.0, max_trucks=400)
+    x = solve_weber(WeberProblem.from_scenario(sc, weighted=True)).location
+    star = build_star(sc, x)
+    empty_held_tables()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conv, "_grown", lambda m, k, *_: k + 1)
+        exact = min_trucks(sc, x)
+    reach = AggregatedConvolution(star).population
+    assert exact.trucks == 381 and 64 < reach < 127
+    empty_held_tables()
+    growths = []
+    grown = conv._grown
+
+    def recorded(m, k, *args):
+        growths.append(grown(m, k, *args))
+        return growths[-1]
+
+    monkeypatch.setattr(conv, "_grown", recorded)
+    assert min_trucks(sc, x) == exact
+    assert growths == [AggregatedConvolution(star).population]
+    assert reach <= growths[0] <= reach + 2
+
+
+_KAPPAS = st.just(0.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=_KAPPAS, n=st.integers(0, 400))
+def test_anchored_lane_factors_match_the_upward_row(kappa, n):
+    # each step of either row rounds twice (kappa / j, and the product), and
+    # a block's anchor once, so the two differ by at most (4 j + 1) roundings
+    up = conv._PooledLane(kappa)
+    up.build(None, n)
+    lane = LaneLast(kappa, Convolution(0.0, [(0.5, 1)]))
+    for j in range(n + 1):
+        b, i = divmod(j, conv._BLOCK)
+        block = lane._block(b, i)
+        got, want = (block.mant[i], block.exp[i], block.log[i]), (up.mant[j], up.exp[j], up.log[j])
+        if j < conv._BLOCK:
+            assert got == want
+        elif want[0] == 0.0:
+            assert got == (0.0, 0, -math.inf)
+        else:
+            assert _relative_gap(got, want) <= (4 * j + 1) * 2.0 ** -53
+            assert abs(got[2] - want[2]) <= 1e-12 * max(1.0, abs(want[2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_STARS, order=st.randoms(use_true_random=False))
+def test_an_entry_does_not_depend_on_the_order_of_requests(seed, docks, speed, n, order):
+    _, kappa, loads = _star(seed, docks, speed)
+    keys = [(m, row) for m in range(n + 1) for row in (-1, -2)]
+    forward = LaneLast(kappa, Convolution(0.0, loads))
+    shuffled = LaneLast(kappa, Convolution(0.0, loads))
+    order.shuffle(keys)
+    got = {key: shuffled.entry(*key) for key in keys}
+    for key in sorted(keys):
+        want = forward.entry(*key)
+        assert [v.hex() if isinstance(v, float) else v for v in got[key]] == [
+            v.hex() if isinstance(v, float) else v for v in want]
+
+
+def _reference_fold(prev, x: float, servers: int, n: int) -> list:
+    """Columns 0..n of a station of load x on ``servers`` servers folded
+    over ``prev``, term by term through ``_add``, ``_mul`` and ``_log_add``:
+    by Buzen's recursion for one server, else as A + B (``_ServerFold``)."""
+    pm, pe, pl = prev.mant, prev.exp, prev.log
+    if servers == 1:
+        xm, xe, xl = *conv._ladder(x), conv._log(x)
+        out = [(0.5, 1, 0.0)]
+        for m in range(1, n + 1):
+            gm, ge, gl = out[-1]
+            out.append((*conv._add(pm[m], pe[m], *conv._mul(gm, ge, xm, xe)),
+                        conv._log_add(pl[m], gl + xl)))
+        return out
+    f = [(0.5, 1, 0.0)]   # x^i / i! for i up to the server count
+    for i in range(1, min(n, servers) + 1):
+        fm, fe, fl = f[-1]
+        f.append((*conv._mul(fm, fe, *conv._ladder(x / i)), fl + conv._log(x / i)))
+    sm, se, sl = *conv._ladder(x / servers), conv._log(x / servers)
+    om, oe, ol = 0.0, 0, -math.inf   # B(m - 1), as in ``_ServerFold``
+    out = [(0.5, 1, 0.0)]
+    for m in range(1, n + 1):
+        am, ae, al = pm[m], pe[m], pl[m]
+        for i in range(1, min(m, servers - 1) + 1):
+            fm, fe, fl = f[i]
+            am, ae = conv._add(am, ae, *conv._mul(fm, fe, pm[m - i], pe[m - i]))
+            al = conv._log_add(al, fl + pl[m - i])
+        if m >= servers:
+            fm, fe, fl = f[servers]
+            om, oe = conv._add(*conv._mul(fm, fe, pm[m - servers], pe[m - servers]),
+                               *conv._mul(om, oe, sm, se))
+            ol = conv._log_add(fl + pl[m - servers], ol + sl)
+        out.append((*conv._add(am, ae, om, oe), conv._log_add(al, ol)))
+    return out
+
+
+_LOADS = st.just(0.0) | st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kappa=_KAPPAS, stations=st.lists(st.tuples(_LOADS, st.integers(1, 5)),
+                                        min_size=1, max_size=4),
+       n=st.integers(1, 60))
+def test_the_written_out_folds_match_the_ladder_helpers(kappa, stations, n):
+    engine = Convolution(kappa, stations)
+    engine._rows[0].build(None, n)
+    for prev, row, (x, servers) in zip(engine._rows, engine._rows[1:], stations):
+        row.build(prev, n)
+        got = [(m.hex(), e, lg.hex()) for m, e, lg in zip(row.mant, row.exp, row.log)]
+        assert got == [(m.hex(), e, lg.hex())
+                       for m, e, lg in _reference_fold(prev, x, servers, n)]
+
+
+@pytest.mark.parametrize("kappa,load,servers,n", [
+    (2.1009706037178906, 2.94514010793498e-194, 3, 158),
+    (13.431349485407855, 0.017551853468905934, 3, 73),
+    (9.471304575882972e+161, 2.095130565159633, 4, 79)])
+def test_a_sum_over_the_empty_lane_row_is_the_lane_factor(kappa, load, servers, n):
+    # over one station, row -2 is R's empty lane row, zero past column 0,
+    # so every term past the first is zero and G(n) is kappa^n / n!
+    got = LaneLast(kappa, Convolution(0.0, [(load, servers)])).entry(n, -2)
+    lane = conv._PooledLane(kappa)
+    lane.build(None, n)
+    assert _relative_gap(got, (lane.mant[n], lane.exp[n])) <= 1e-15

@@ -18,10 +18,10 @@ def _state_files() -> list[str]:
     return sorted(str(p) for p in state.rglob("*")) if state.is_dir() else []
 
 
-def test_regimes_timed_run_is_correct():
+def _timed_run_is_correct(workload: str) -> None:
     before = _state_files()
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "regimes", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0.1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
@@ -30,6 +30,14 @@ def test_regimes_timed_run_is_correct():
     assert result["attempted"] > 0
     # the timed mode keeps no state; only --trace 1 records spans and counts
     assert _state_files() == before
+
+
+def test_regimes_timed_run_is_correct():
+    _timed_run_is_correct("regimes")
+
+
+def test_blocks_timed_run_is_correct():
+    _timed_run_is_correct("blocks")
 
 
 def _hubfleet_namespaces() -> dict:

@@ -124,11 +124,12 @@ def test_a_failed_check_is_repeated_until_it_passes(towns_log, monkeypatch,
     failing = AggregatedConvolution(star)
     with pytest.raises(NumericalRangeError, match=f"population {k + 1}$"):
         failing.throughput(k + 5)
-    # R grows to twice the reach of the sum, 1, 3, 7 and then 15 columns, so
-    # the failed request built every row of R out to column 15 (= k + 5)
-    # before it checked column k + 1
+    # the lanes are short, so no term of G(k + 5) is negligible and R grows
+    # at once to the reach of its sum: the failed request built every row of
+    # R out to column k + 5, in one step, before it checked column k + 1
     held = conv._HELD[(star.kappa, station_loads(towns_log))]
-    assert len(held.rest._rows[0].log) == k + 6
+    assert all(len(row.log) == k + 6 for row in held.rest._rows)
+    assert [len(lane.log) for lane in held._blocks.values()] == [k + 6]
     # the holder that met the failure serves every column below it
     assert [(failing.warehouse_throughput(m).hex(), failing.hub_busy(m).hex())
             for m in range(1, k + 1)] == below
@@ -144,7 +145,7 @@ def test_a_failed_check_is_repeated_until_it_passes(towns_log, monkeypatch,
     assert steps == []
     assert (failing.warehouse_throughput(k + 5).hex(), failing.hub_busy(k + 5).hex()) == beyond
     # one more column is one row step in every row of R (the empty lane row
-    # of R included) and one in the lane row of this hub
+    # of R included) and one in this hub's first block of lane factors
     assert failing.throughput(k + 6) > 0.0
     assert steps == [k + 6] * (rows + 1)
 
@@ -215,10 +216,11 @@ def test_another_hub_rate_builds_only_its_hub_row(towns_pro, monkeypatch,
     table = conv._HELD[(build_star(own, x).kappa, station_loads(own))]
     # the docks' rows, and the empty lane row of R, are the held table's;
     # R at the slower hub reaches the fleet here, so the only row steps are
-    # those of the new hub row and of this table's lane row
+    # those of the new hub row and of this table's blocks of lane factors
     assert all(a is b for a, b in zip(table.rest._rows[:-1], before.rest._rows[:-1]))
     assert sorted(steps) == sorted([*range(1, len(table.rest._rows[-1].log)),
-                                    *range(1, len(table._lane.log))])
+                                    *(i for lane in table._blocks.values()
+                                      for i in range(1, len(lane.log)))])
 
 
 def _read_by_the_rate_search(sc, center) -> list:
