@@ -1,9 +1,10 @@
 """Normalization constants of closed product-form station sets.
 
-Normalization constants G(m) are computed by one incremental engine,
-``Convolution``: the infinite-server stations pool into a Poisson starting
-row, and every other station is folded in by a linear-time recursion
-(Buzen's for single servers).  Every table is kept in two redundant forms:
+Normalization constants G(m) are computed by one engine: ``Convolution``
+folds the queueing stations into a table R by linear-time recursions
+(Buzen's for single servers), and ``LaneLast`` folds the infinite-server
+stations, pooled into one Poisson lane, in last.  Every table is kept in
+two redundant forms:
 
 * an extended-range linear form, mantissa in [0.5, 1) with a per-entry
   base-2 exponent, so sums and products never under- or overflow no matter
@@ -14,10 +15,9 @@ The two are cross-checked on every entry before an engine first serves
 it; disagreement or any non-finite intermediate raises
 ``NumericalRangeError`` instead of letting a garbage value escape.
 
-``LaneLast`` folds a pooled infinite-server lane in last, one combine per
-entry, over an engine built without it, and starts and stops each sum
-where its head and its tail are certified negligible, so that the engine
-and the lane factors are built only as far as the sums read them.
+``LaneLast`` starts and stops each sum where its head and its tail are
+certified negligible, so that R and the lane factors are built only as
+far as the sums read them.
 ``shared_lane_last`` hands one lane-last table, and its engine or every
 row of it but the last, on from request to request.
 """
@@ -171,7 +171,7 @@ class _Row:
 
 class _PooledLane(_Row):
     """All infinite-server stations at once: g(m) = kappa^m / m!, where kappa
-    is the sum of their loads.
+    is the sum of their loads; with kappa = 0, the empty network's row.
 
     Column i holds g(start + i).  A row that starts past 0 begins at
     kappa^start / start!, computed directly (``_lane_anchor``), so each of
@@ -395,13 +395,12 @@ class _ServerFold(_Row):
 
 
 class Convolution:
-    """Normalization constants G(0..N) of a station set, extended on demand
-    so that a fleet search reuses all earlier work.
+    """Normalization constants R(0..N) of a set of queueing stations,
+    extended on demand so that a fleet search reuses all earlier work.
 
-    ``kappa`` is the summed load of the infinite-server stations, which
-    pool into the first row.  ``loads`` holds (load, servers) for the
-    other stations in fold order, each folded in as one more row, so a
-    column costs O(s) per s-server station.  The last row is the table,
+    ``loads`` holds (load, servers) per station in fold order.  Row 0 is
+    the empty network's, and each station is folded in as one more row, so
+    a column costs O(s) per s-server station.  The last row is the table,
     and the row before it is the table without the last-folded station.
     New columns are built one row at a time, each row from its own length,
     by folds that write out their ladder and log steps.  Each entry of the
@@ -411,8 +410,8 @@ class Convolution:
     on once it passes.
     """
 
-    def __init__(self, kappa: float, loads: Iterable[tuple[float, int]]) -> None:
-        self._rows: list = [_PooledLane(kappa)] + [
+    def __init__(self, loads: Iterable[tuple[float, int]]) -> None:
+        self._rows: list = [_PooledLane(0.0)] + [
             _BuzenFold(x) if servers == 1 else _ServerFold(x, servers)
             for x, servers in loads]
         self._n = 0
@@ -438,15 +437,6 @@ class Convolution:
         for m in range(self._n + 1, population + 1):
             _check_entry(m, table.mant[m], table.exp[m], table.log[m])
             self._n = m
-
-    def table(self, population: int | None = None) -> "ConvolutionTable":
-        """G(0..population).  Entry 0 is the constant 1 every row starts
-        from, and ``extend_to`` has checked every later one."""
-        n = self._n if population is None else population
-        self.extend_to(n)
-        last = self._rows[-1]
-        return ConvolutionTable(tuple(last.mant[:n + 1]), tuple(last.exp[:n + 1]),
-                                tuple(last.log[:n + 1]))
 
 
 class LaneLast:
@@ -504,7 +494,7 @@ class LaneLast:
         self.rest = rest
         self._kappa = kappa
         self._log_kappa = _log(kappa)
-        # log rho for each row of rest; the pooled lane row bounds nothing
+        # log rho for each row of rest; the empty network's row bounds nothing
         self._log_rho = [-math.inf]
         for row in rest._rows[1:]:
             self._log_rho.append(max(self._log_rho[-1], row.step[2]))
@@ -517,6 +507,8 @@ class LaneLast:
         key = (row, m)
         got = self._entries.get(key)
         if got is None:
+            if m < 0:
+                raise ValueError("population must be non-negative")
             got = self._combine(m, row)
             _check_entry(m, *got)
             self._entries[key] = got
@@ -699,9 +691,9 @@ def shared_lane_last(kappa: float, loads: tuple[tuple[float, int], ...]) -> Lane
             if held_loads == loads:
                 rest = held.rest
             elif held_loads[:-1] == loads[:-1]:
-                rest = Convolution(0.0, loads[-1:])
+                rest = Convolution(loads[-1:])
                 rest._rows[:1] = held.rest._rows[:-1]
-        table = LaneLast(kappa, Convolution(0.0, loads) if rest is None else rest)
+        table = LaneLast(kappa, Convolution(loads) if rest is None else rest)
         _HELD.clear()
         _HELD[key] = table
     return table
@@ -768,19 +760,43 @@ def _check_entry(m: int, mant: float, exp2: int, log: float) -> None:
             f"{m}: {ladder_log!r} vs {log!r}")
 
 
-def convolve_stations(stations: Sequence[Station], eta: Sequence[float],
-                      population: int) -> ConvolutionTable:
-    """Convolution over an explicit station list (no routing needed): the
-    infinite-server stations pool into one load, and the others fold in
-    list order."""
-    kappa = 0.0
-    loads = []
-    for st, e in zip(stations, _as_eta_array(eta, len(stations))):
+def _pooled(stations: Sequence[Station], etas: Sequence[float]
+            ) -> tuple[float, list[tuple[float, int]]]:
+    """kappa, the summed load of the infinite-server stations, and
+    (load, servers) of the others in list order, less those of zero load:
+    they hold nobody and leave every G as it is."""
+    kappa, loads = 0.0, []
+    for st, e in zip(stations, etas):
         if st.is_infinite_server:
             kappa += 0.0 if math.isinf(st.rate) else e / st.rate
         else:
             loads.append((e / st.rate, st.servers))
-    return Convolution(kappa, loads).table(population)
+    return kappa, [(x, servers) for x, servers in loads if x]
+
+
+def _lanes_only(kappa: float, population: int) -> ConvolutionTable:
+    """G(0..population) of infinite-server stations alone, kappa^m / m!,
+    unchecked: R would be the empty network's row, which ``extend_to``
+    rejects past 0."""
+    if population < 0:
+        raise ValueError("population must be non-negative")
+    lane = _PooledLane(kappa)
+    lane.build(None, population)
+    return ConvolutionTable(tuple(lane.mant), tuple(lane.exp), tuple(lane.log))
+
+
+def convolve_stations(stations: Sequence[Station], eta: Sequence[float],
+                      population: int) -> ConvolutionTable:
+    """Convolution over an explicit station list (no routing needed): the
+    queueing stations fold in list order, and the pooled lane folds in last
+    (``LaneLast``).  Lanes alone give their factors, each checked."""
+    kappa, loads = _pooled(stations, _as_eta_array(eta, len(stations)))
+    if loads:
+        return LaneLast(kappa, Convolution(loads)).table(population)
+    table = _lanes_only(kappa, population)
+    for m in range(population + 1):
+        _check_entry(m, table.mantissa[m], table.exponent[m], table.log_values[m])
+    return table
 
 
 def marginal_distribution(stations: Sequence[Station], eta: Sequence[float],
@@ -789,7 +805,8 @@ def marginal_distribution(stations: Sequence[Station], eta: Sequence[float],
 
     P(n_node = k) = g_node(k) * G_without_node(N - k) / G(N), with the
     complement re-folded once in linear time; the result sums to 1 up to
-    numerical round-off.
+    numerical round-off.  A complement that holds nobody (lanes of zero
+    mean alone) serves its zeros unchecked.
     """
     import numpy as np   # here, so that the verbs start without numpy
 
@@ -800,11 +817,10 @@ def marginal_distribution(stations: Sequence[Station], eta: Sequence[float],
     tm, te = table.mantissa, table.exponent
     gm, ge = _station_factors(stations[node], etas[node], n)
     rest = [i for i in range(len(stations)) if i != node]
-    if rest:
-        comp = convolve_stations([stations[i] for i in rest], [etas[i] for i in rest], n)
-        cm, ce = comp.mantissa, comp.exponent
-    else:
-        cm, ce = [0.5] + [0.0] * n, [1] + [0] * n
+    kappa, loads = _pooled([stations[i] for i in rest], [etas[i] for i in rest])
+    comp = (LaneLast(kappa, Convolution(loads)).table(n) if loads
+            else _lanes_only(kappa, n))
+    cm, ce = comp.mantissa, comp.exponent
     probs = np.zeros(n + 1)
     for k in range(n + 1):
         num = gm[k] * cm[n - k]

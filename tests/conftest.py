@@ -1,3 +1,4 @@
+import faulthandler
 import math
 
 import pytest
@@ -16,6 +17,37 @@ def empty_held_tables():
     it the shared table R of the station loads.  The next request then
     starts cold, and the holders made before keep their own tables."""
     return _empty_held_tables
+
+
+@pytest.fixture(autouse=True)
+def _stacks_dumped_if_hung():
+    """A test still running after ten minutes dumps every thread's stack
+    and ends the run with a failure, rather than hanging it silently; the
+    slowest test takes about 8 s."""
+    faulthandler.dump_traceback_later(600, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def _lane_first(kappa: float, loads, population: int) -> conv.ConvolutionTable:
+    """G(0..population) with the pooled lane, of load kappa, folded in first
+    and the stations of ``loads`` over it in order.  The lane is folded as
+    a station with more servers than the table has customers, whose row is
+    kappa^j / j! (``_ServerFold``), the lane factors of ``_PooledLane``."""
+    engine = conv.Convolution([(kappa, population + 1), *loads])
+    engine.extend_to(population)
+    row = engine._rows[-1]
+    return conv.ConvolutionTable(tuple(row.mant[:population + 1]),
+                                 tuple(row.exp[:population + 1]),
+                                 tuple(row.log[:population + 1]))
+
+
+@pytest.fixture(scope="session")
+def lane_first():
+    """A function (kappa, loads, population) giving the table with the
+    pooled lane folded in first: an independent reference for the
+    lane-last tables that every production path reads."""
+    return _lane_first
 
 
 @pytest.fixture(scope="session")

@@ -109,17 +109,39 @@ def test_zero_mean_infinite_server():
     ref = convolve_stations((multi_server("a", 1.0),), [0.5], 3)
     for m in range(4):
         assert t.value(m) == pytest.approx(ref.value(m), rel=1e-14)
+    # the rest of the network holds nobody, so the station holds everyone
+    assert marginal_distribution(st, [0.5, 0.5], t, 0).tolist() == [0, 0, 0, 1]
+    assert marginal_distribution(st, [0.5, 0.5], t, 1).tolist() == [1, 0, 0, 0]
+
+
+def test_a_station_never_visited_holds_nobody():
+    # beside a lane of mean 1/2 at visit ratio 2: G(m) = 1 / m!
+    stations = (multi_server("a", 1.0), infinite_server("lane", 0.5))
+    t = convolve_stations(stations, [0.0, 2.0], 6)
+    for m in range(7):
+        assert t.value(m) == pytest.approx(1.0 / math.factorial(m), rel=1e-12)
+    assert marginal_distribution(stations, [0.0, 2.0], t, 1).tolist() == [0] * 6 + [1]
+    # beside one that is: the visited station holds everyone
+    stations = (multi_server("a", 1.0), multi_server("b", 1.0))
+    t = convolve_stations(stations, [0.5, 0.0], 3)
+    assert marginal_distribution(stations, [0.5, 0.0], t, 0).tolist() == [0, 0, 0, 1]
+    assert marginal_distribution(stations, [0.5, 0.0], t, 1).tolist() == [1, 0, 0, 0]
 
 
 def test_enumeration_cross_check_random():
+    # 1-4 queueing stations and 0-2 infinite-server ones, each of zero mean
+    # or of a positive one: every marginal is checked, the lanes' included
     rng = np.random.default_rng(23)
     for _ in range(20):
-        count = int(rng.integers(2, 5))
         stations = tuple(
             multi_server(f"s{i}", float(rng.uniform(0.5, 4.0)),
                          int(rng.integers(1, 3)))
-            for i in range(count)
+            for i in range(int(rng.integers(1, 5)))
+        ) + tuple(
+            infinite_server(f"l{i}", float(rng.uniform(0.2, 2.0)) * int(rng.integers(0, 2)))
+            for i in range(int(rng.integers(0, 3)))
         )
+        count = len(stations)
         eta = rng.uniform(0.1, 1.0, count)
         n = int(rng.integers(1, 6))
         t = convolve_stations(stations, eta, n)

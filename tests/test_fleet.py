@@ -300,17 +300,18 @@ def _star_at_load(seed, docks, speed, load, hub_rate=None):
     return sc if hub_rate is None else sc.with_center_rate(hub_rate)
 
 
-def _plain_scan(sc, center, lane_last=True):
+def _plain_scan(sc, center, lane_first=None):
     """Reference: ``min_trucks`` scanning every fleet size from 1 on a cold
-    lane-last table, or on a table that folds the pooled lane first."""
+    lane-last table, or, given the ``lane_first`` fixture, on a table that
+    folds the pooled lane first."""
     cap, demand, hours = sc.truck_capacity, sc.total_demand_per_day, sc.hours_per_day
     if cap * bottleneck(sc).ceiling_per_day <= demand:
         return fleet.FleetResult(None, math.nan, 0, "ceiling")
     kappa, loads = build_star(sc, center).kappa, station_loads(sc)
-    if lane_last:
-        throughput = LaneLast(kappa, Convolution(0.0, loads)).ratio
+    if lane_first is None:
+        throughput = LaneLast(kappa, Convolution(loads)).ratio
     else:
-        throughput = Convolution(kappa, loads).table(sc.max_trucks).ratio
+        throughput = lane_first(kappa, loads, sc.max_trucks).ratio
     for n in range(1, sc.max_trucks + 1):
         th_day = HUB_VISIT_RATIO * throughput(n - 1, n) * hours
         if cap * th_day >= demand:
@@ -336,19 +337,19 @@ def test_the_scan_from_the_demand_bound_equals_a_plain_scan(seed, docks, speed, 
 @given(**_STARS)
 # demand 2.2e-16 below the ceiling: the two tables answer 350 and 349 trucks
 @example(seed=0, docks=1, speed=1.0, load=0.9999999999999998)
-def test_min_trucks_gives_the_lane_first_scans_fleet(seed, docks, speed, load):
+def test_min_trucks_gives_the_lane_first_scans_fleet(lane_first, seed, docks, speed, load):
     # the pooled lane folded in first or last: the same fleet and reason, and
     # throughputs that differ only by rounding; fleets up to 400
     sc = dataclasses.replace(_star_at_load(seed, docks, speed, load), max_trucks=400)
     res = min_trucks(sc, (0.0, 0.0))
-    expected = _plain_scan(sc, (0.0, 0.0), lane_last=False)
+    expected = _plain_scan(sc, (0.0, 0.0), lane_first)
     got, want = (r.trucks or sc.max_trucks + 1 for r in (res, expected))
     if got != want:
         # within rounding of the saturation ceiling, TH(N) can sit within
         # rounding of the need for many N, and then either table's rounding
         # decides; no other fleet may differ
-        table = Convolution(build_star(sc, (0.0, 0.0)).kappa,
-                            station_loads(sc)).table(sc.max_trucks)
+        table = lane_first(build_star(sc, (0.0, 0.0)).kappa, station_loads(sc),
+                           sc.max_trucks)
         need = sc.total_demand_per_day / (
             sc.truck_capacity * HUB_VISIT_RATIO * sc.hours_per_day)
         for n in range(min(got, want), max(got, want)):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hubfleet import convolution as conv
 from hubfleet.convolution import Convolution, LaneLast
@@ -47,7 +47,7 @@ def _relative_gap(a, b) -> float:
 @given(**_STARS)
 def test_r_is_log_concave_to_rounding(seed, docks, speed, n):
     _, _, loads = _star(seed, docks, speed)
-    engine = Convolution(0.0, loads)
+    engine = Convolution(loads)
     engine.extend_to(n + 1)
     for row in (-1, -2):   # the table, and the table without the hub
         logs = engine._rows[row].log
@@ -59,8 +59,8 @@ def test_r_is_log_concave_to_rounding(seed, docks, speed, n):
 @given(**_STARS)
 def test_the_cut_sum_equals_the_uncut_sum(seed, docks, speed, n):
     _, kappa, loads = _star(seed, docks, speed)
-    cut = LaneLast(kappa, Convolution(0.0, loads))
-    uncut = LaneLast(kappa, Convolution(0.0, loads))
+    cut = LaneLast(kappa, Convolution(loads))
+    uncut = LaneLast(kappa, Convolution(loads))
     for row in (-1, -2):
         got = cut.entry(n, row)
         with pytest.MonkeyPatch.context() as mp:
@@ -72,11 +72,11 @@ def test_the_cut_sum_equals_the_uncut_sum(seed, docks, speed, n):
 
 @settings(max_examples=60, deadline=None)
 @given(**_STARS)
-def test_throughput_and_hub_busy_match_a_lane_first_table(seed, docks, speed, n):
+def test_throughput_and_hub_busy_match_a_lane_first_table(lane_first, seed, docks, speed, n):
     sc, kappa, loads = _star(seed, docks, speed)
     agg = AggregatedConvolution(build_star(sc, (0.0, 0.0)))
-    table = Convolution(kappa, loads).table(n)
-    free = Convolution(kappa, loads[:-1]).table(n)   # the row before the hub
+    table = lane_first(kappa, loads, n)
+    free = lane_first(kappa, loads[:-1], n)   # the row before the hub
     idle = math.ldexp(free.mantissa[n] / table.mantissa[n],
                       free.exponent[n] - table.exponent[n])
     assert math.isclose(agg.throughput(n), table.ratio(n - 1, n), rel_tol=1e-12)
@@ -86,15 +86,15 @@ def test_throughput_and_hub_busy_match_a_lane_first_table(seed, docks, speed, n)
 
 @settings(max_examples=30, deadline=None)
 @given(**_STARS)
-def test_a_lane_of_zero_load_leaves_r_as_it_is(seed, docks, speed, n):
+def test_a_lane_of_zero_load_leaves_r_as_it_is(lane_first, seed, docks, speed, n):
     # every warehouse on the hub: kappa is 0 and G is R, bit for bit
     sc, _, loads = _star(seed, docks, speed)
     sc = dataclasses.replace(sc, warehouses=tuple(
         dataclasses.replace(w, position=(0.0, 0.0)) for w in sc.warehouses))
     star = build_star(sc, (0.0, 0.0))
     assert star.kappa == 0.0
-    assert AggregatedConvolution(star).table(n) == Convolution(0.0, loads).table(n)
-    engine = Convolution(0.0, loads)
+    assert AggregatedConvolution(star).table(n) == lane_first(0.0, loads, n)
+    engine = Convolution(loads)
     engine.extend_to(n)
     hub_free = engine._rows[-2]
     assert LaneLast(0.0, engine).entry(n, -2) == (
@@ -121,11 +121,11 @@ def test_short_lanes_read_only_the_lane_factors_of_the_head(towns_pro, monkeypat
     fast = towns_pro.with_center_rate(math.inf)
     x = solve_weber(WeberProblem.from_scenario(fast, weighted=True)).location
     kappa, loads = build_star(fast, x).kappa, station_loads(fast)
-    cut = LaneLast(kappa, Convolution(0.0, loads))
+    cut = LaneLast(kappa, Convolution(loads))
     table = cut.table(600)
     assert max(cut._blocks) <= 3
     monkeypatch.setattr(conv, "_TAIL", -math.inf)
-    full = LaneLast(kappa, Convolution(0.0, loads))
+    full = LaneLast(kappa, Convolution(loads))
     for m in range(0, 601, 20):
         got = (table.mantissa[m], table.exponent[m], table.log_values[m])
         assert _relative_gap(got, full.entry(m)) <= 1e-15
@@ -172,7 +172,7 @@ def test_anchored_lane_factors_match_the_upward_row(kappa, n):
     # a block's anchor once, so the two differ by at most (4 j + 1) roundings
     up = conv._PooledLane(kappa)
     up.build(None, n)
-    lane = LaneLast(kappa, Convolution(0.0, [(0.5, 1)]))
+    lane = LaneLast(kappa, Convolution([(0.5, 1)]))
     for j in range(n + 1):
         b, i = divmod(j, conv._BLOCK)
         block = lane._block(b, i)
@@ -186,13 +186,23 @@ def test_anchored_lane_factors_match_the_upward_row(kappa, n):
             assert abs(got[2] - want[2]) <= 1e-12 * max(1.0, abs(want[2]))
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_a_negative_population_is_rejected(kappa):
+    lane = LaneLast(kappa, Convolution([(0.5, 1)]))
+    for ask in (lambda: lane.entry(-1), lambda: lane.entry(-1, -2),
+                lambda: lane.ratio(-1, 0), lambda: lane.ratio(0, -1),
+                lambda: lane.table(-1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            ask()
+
+
 @settings(max_examples=40, deadline=None)
 @given(**_STARS, order=st.randoms(use_true_random=False))
 def test_an_entry_does_not_depend_on_the_order_of_requests(seed, docks, speed, n, order):
     _, kappa, loads = _star(seed, docks, speed)
     keys = [(m, row) for m in range(n + 1) for row in (-1, -2)]
-    forward = LaneLast(kappa, Convolution(0.0, loads))
-    shuffled = LaneLast(kappa, Convolution(0.0, loads))
+    forward = LaneLast(kappa, Convolution(loads))
+    shuffled = LaneLast(kappa, Convolution(loads))
     order.shuffle(keys)
     got = {key: shuffled.entry(*key) for key in keys}
     for key in sorted(keys):
@@ -244,7 +254,9 @@ _LOADS = st.just(0.0) | st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e)
                                         min_size=1, max_size=4),
        n=st.integers(1, 60))
 def test_the_written_out_folds_match_the_ladder_helpers(kappa, stations, n):
-    engine = Convolution(kappa, stations)
+    # the lane first, as the lane-first reference folds it, then the stations
+    stations = [(kappa, n + 1), *stations]
+    engine = Convolution(stations)
     engine._rows[0].build(None, n)
     for prev, row, (x, servers) in zip(engine._rows, engine._rows[1:], stations):
         row.build(prev, n)
@@ -253,14 +265,31 @@ def test_the_written_out_folds_match_the_ladder_helpers(kappa, stations, n):
                        for m, e, lg in _reference_fold(prev, x, servers, n)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(kappa=_KAPPAS, n=st.integers(0, 300))
+@example(kappa=5e-324, n=5)   # kappa / j underflows from j = 2 on
+def test_a_lane_of_more_servers_than_customers_folds_the_lane_factors(kappa, n):
+    # the lane-first reference folds the lane as a station of n + 1 servers
+    # over the empty network's row; that row is kappa^j / j!, the upward
+    # lane row, bit for bit
+    engine = Convolution([(kappa, n + 1)])
+    engine._rows[0].build(None, n)
+    engine._rows[1].build(engine._rows[0], n)
+    lane = conv._PooledLane(kappa)
+    lane.build(None, n)
+    row = engine._rows[1]
+    assert [(m.hex(), e, lg.hex()) for m, e, lg in zip(row.mant, row.exp, row.log)] == [
+        (m.hex(), e, lg.hex()) for m, e, lg in zip(lane.mant, lane.exp, lane.log)]
+
+
 @pytest.mark.parametrize("kappa,load,servers,n", [
     (2.1009706037178906, 2.94514010793498e-194, 3, 158),
     (13.431349485407855, 0.017551853468905934, 3, 73),
     (9.471304575882972e+161, 2.095130565159633, 4, 79)])
 def test_a_sum_over_the_empty_lane_row_is_the_lane_factor(kappa, load, servers, n):
-    # over one station, row -2 is R's empty lane row, zero past column 0,
+    # over one station, row -2 is R's empty network row, zero past column 0,
     # so every term past the first is zero and G(n) is kappa^n / n!
-    got = LaneLast(kappa, Convolution(0.0, [(load, servers)])).entry(n, -2)
+    got = LaneLast(kappa, Convolution([(load, servers)])).entry(n, -2)
     lane = conv._PooledLane(kappa)
     lane.build(None, n)
     assert _relative_gap(got, (lane.mant[n], lane.exp[n])) <= 1e-15

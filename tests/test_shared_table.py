@@ -38,7 +38,7 @@ def _cold(sc, center, n: int) -> tuple[str, str]:
     """Warehouse throughput and hub busy at n trucks, as float.hex, from a
     lane-last table and an engine built here rather than taken from the
     held ones."""
-    table = LaneLast(build_star(sc, center).kappa, Convolution(0.0, station_loads(sc)))
+    table = LaneLast(build_star(sc, center).kappa, Convolution(station_loads(sc)))
     return ((HUB_VISIT_RATIO * table.ratio(n - 1, n)).hex(),
             (1.0 - table.ratio(n, n, num_row=-2)).hex())
 
@@ -144,7 +144,7 @@ def test_a_failed_check_is_repeated_until_it_passes(towns_log, monkeypatch,
     assert analyze(star, k + 5).warehouse_throughput.hex() == beyond[0]
     assert steps == []
     assert (failing.warehouse_throughput(k + 5).hex(), failing.hub_busy(k + 5).hex()) == beyond
-    # one more column is one row step in every row of R (the empty lane row
+    # one more column is one row step in every row of R (the empty network row
     # of R included) and one in this hub's first block of lane factors
     assert failing.throughput(k + 6) > 0.0
     assert steps == [k + 6] * (rows + 1)
@@ -214,7 +214,7 @@ def test_another_hub_rate_builds_only_its_hub_row(towns_pro, monkeypatch,
     steps = _count_row_steps(monkeypatch)
     assert min_trucks(own, x) == cold
     table = conv._HELD[(build_star(own, x).kappa, station_loads(own))]
-    # the docks' rows, and the empty lane row of R, are the held table's;
+    # the docks' rows, and the empty network row of R, are the held table's;
     # R at the slower hub reaches the fleet here, so the only row steps are
     # those of the new hub row and of this table's blocks of lane factors
     assert all(a is b for a, b in zip(table.rest._rows[:-1], before.rest._rows[:-1]))
@@ -241,7 +241,7 @@ def _read_by_the_rate_search(sc, center) -> list:
 def _hub_free_hex(sc, center, n: int) -> list:
     """G(0..n) of the star without the hub as float.hex, from R's row -2 of
     a cold lane-last table at the scenario's own hub rate."""
-    cold = LaneLast(build_star(sc, center).kappa, Convolution(0.0, station_loads(sc)))
+    cold = LaneLast(build_star(sc, center).kappa, Convolution(station_loads(sc)))
     return [(m.hex(), e, lg.hex()) for m, e, lg in (cold.entry(k, -2) for k in range(n + 1))]
 
 
@@ -280,9 +280,10 @@ def test_an_interrupted_build_resumes_each_row_at_its_own_length(towns_log,
     # an exception the engine does not record (an interrupt, say) can stop a
     # build between rows; the rows that hold the new columns must not build
     # them again
-    kappa, loads = 3.0, station_loads(towns_log)
-    cold = Convolution(kappa, loads).table(10)
-    engine = Convolution(kappa, loads)
+    loads = station_loads(towns_log)
+    cold = Convolution(loads)
+    cold.extend_to(10)
+    engine = Convolution(loads)
     engine.extend_to(4)
     at = len(loads) // 2
     middle = engine._rows[at]
@@ -301,6 +302,8 @@ def test_an_interrupted_build_resumes_each_row_at_its_own_length(towns_log,
         engine.extend_to(10)
     monkeypatch.undo()
     steps = _count_row_steps(monkeypatch)
-    assert engine.table(10) == cold
+    engine.extend_to(10)
+    assert [(r.mant, r.exp, r.log) for r in engine._rows] == [
+        (r.mant, r.exp, r.log) for r in cold._rows]
     # the rows before the interrupted one hold columns 5..10 already
     assert steps == list(range(5, 11)) * (len(loads) + 1 - at)
