@@ -37,6 +37,11 @@ EXIT_INFEASIBLE = 2
 
 # grid steps on each side of the hub point: at most a 401 x 401 grid
 _GRID_HALF_STEPS = 200
+# the largest fleet a verb takes, from --trucks or a scenario's max_trucks:
+# the normalization table grows by about 1.6 KB and 11 us per truck, so on
+# towns12-log solve --trucks 100000 peaks near 175 MB and takes about 1 s,
+# where a fleet of millions would run out of memory
+_MAX_TRUCKS = 100_000
 
 
 def _fail(message: str) -> NoReturn:
@@ -47,9 +52,21 @@ def _fail(message: str) -> NoReturn:
 
 def _load(path: str) -> Scenario:
     try:
-        return load_scenario(path)
+        scenario = load_scenario(path)
     except (ScenarioError, OSError) as exc:
         _fail(str(exc))
+    _require_fleet(scenario.max_trucks, "max_trucks")
+    return scenario
+
+
+def _require_fleet(trucks: int | None, option: str) -> None:
+    """Exit 1 unless a fleet size that was given lies in 1.._MAX_TRUCKS."""
+    if trucks is None:
+        return
+    if trucks < 1:
+        _fail(f"{option} must be at least 1")
+    if trucks > _MAX_TRUCKS:
+        _fail(f"{option} must be at most {_MAX_TRUCKS}")
 
 
 def _require_positive(value: float | None, option: str) -> None:
@@ -143,8 +160,7 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
         _fail("--compare solves for hub locations; drop --center")
     if compare and trucks is not None:
         _fail("--compare sizes its own fleets; drop --trucks")
-    if trucks is not None and trucks < 1:
-        _fail("--trucks must be at least 1")
+    _require_fleet(trucks, "--trucks")
 
     if compare:
         row = _evaluate_instance(0, scenario)
@@ -278,8 +294,7 @@ def cmd_grid(file: str, radius: float, step: float, trucks: int | None) -> None:
         _fail("--radius and --step must be positive and finite")
     if radius / step + 1e-9 >= _GRID_HALF_STEPS + 1:
         _fail(f"--radius / --step gives more than {_GRID_HALF_STEPS} steps on each side")
-    if trucks is not None and trucks < 1:
-        _fail("--trucks must be at least 1")
+    _require_fleet(trucks, "--trucks")
     sol = solve_weber(WeberProblem.from_scenario(scenario, weighted=True))
     cx, cy = sol.location
     if trucks is None:

@@ -49,7 +49,8 @@ class FleetResult:
         return self.infeasibility_reason is None
 
 
-# relative slack on the demand bound, far above the rounding in computing it
+# relative slack on the demand bound, and the rate search's band around the
+# need, far above the rounding in computing either
 _BOUND_MARGIN = 1e-9
 
 
@@ -112,6 +113,11 @@ def min_center_rate(scenario: Scenario, center: Point,
     ``RuntimeError`` if an infinitely fast hub meets demand but no finite
     rate does, and ``ValueError`` unless ``rate_step`` is positive and
     finite and large enough that a hub rate divided by it stays finite.
+
+    The grid is searched by doubling, then bisection.  A grid point is
+    decided by folding the hub last into the table of an infinitely fast
+    hub, unless that puts the throughput within ``_BOUND_MARGIN`` of the
+    need; then ``min_trucks`` decides it.
     """
     if not 0 < rate_step < math.inf:
         raise ValueError("rate_step must be positive and finite")
@@ -134,15 +140,12 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
 
         G(m) = sum_k f(k) R(m - k),   f(k) = y^k / prod_{i <= k} min(i, s_1),
 
-    with y = 1 / (4 mu_1) its load.  The combine only guides the search:
-    ``min_trucks`` certifies the answer at its grid point and at the point
-    below, and where it disagrees the search goes on by ``min_trucks``.
-    The point below is left unprobed when the combine puts TH(M) there
-    short of the need by more than ``_BOUND_MARGIN``: that margin lies
-    orders of magnitude above the rounding of either arithmetic, and TH
-    rises with N, so ``min_trucks`` would find no fleet up to M there
-    either, and the answer is the same.  A combine within the margin is
-    probed, as before.
+    with y = 1 / (4 mu_1) its load.  The combine decides a grid point
+    where it puts TH(M) above or below the need by more than
+    ``_BOUND_MARGIN``, which lies orders of magnitude above the rounding of
+    either arithmetic; inside that band ``min_trucks`` decides it.  The
+    answer is also probed by ``min_trucks``, whose result is returned; were
+    it infeasible there, the search would go on upward by ``min_trucks``.
     """
     if base.feasible:
         return scenario.center.load_rate_per_hour, base
@@ -182,14 +185,6 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     below_top = [log_r[top - 1 - i] - log_den[i] for i in range(top)]
     log_need = math.log(demand / (cap * HUB_VISIT_RATIO * hours))
 
-    def log_th(index: int) -> float:
-        """log TH(M) by the combine at a grid index."""
-        log_y = math.log(HUB_VISIT_RATIO / (index * rate_step))
-        return _log_sum(below_top, log_y) - _log_sum(at_top, log_y)
-
-    def combined(index: int) -> bool:
-        return log_th(index) >= log_need
-
     # keyed by the rate: grid indices that round to one float share a probe,
     # so a step finer than the rate's float spacing costs no extra probes
     results: dict[float, FleetResult] = {}
@@ -200,24 +195,23 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
             results[rate] = min_trucks(scenario.with_center_rate(rate), center)
         return results[rate].feasible
 
-    try:
-        good = _first_fit(floor, k, combined, rate_step)
-    except RuntimeError:
-        # within rounding, the combine can fall short of the need at every
-        # finite rate while min_trucks meets it at the infinite rate
-        good = _first_fit(floor, k, certified, rate_step)
+    # the band around the need within which the combine does not decide
+    low = log_need + math.log1p(-_BOUND_MARGIN)
+    high = log_need - math.log1p(-_BOUND_MARGIN)
+
+    def fits(index: int) -> bool:
+        log_y = math.log(HUB_VISIT_RATIO / (index * rate_step))
+        log_th = _log_sum(below_top, log_y) - _log_sum(at_top, log_y)
+        if log_th < low:
+            return False
+        if log_th > high:
+            return True
+        return certified(index)
+
+    good = _first_fit(floor, k, fits, rate_step)
     if not certified(good):
         good = _first_fit(good, good + 1, certified, rate_step)
-    elif (good - 1 > floor and not _short_by_margin(log_th(good - 1), log_need)
-          and certified(good - 1)):
-        good = _first_fit(floor, good - 1, certified, rate_step)
     return good * rate_step, results[good * rate_step]
-
-
-def _short_by_margin(log_th: float, log_need: float) -> bool:
-    """Whether a throughput falls short of the need by more than
-    ``_BOUND_MARGIN`` of it (both as logs)."""
-    return log_th < log_need + math.log1p(-_BOUND_MARGIN)
 
 
 def _log_sum(terms: list[float], log_y: float) -> float:

@@ -259,6 +259,9 @@ def test_grid_rejects_bad_step(runner, log_path):
     # 1 / 1e-320 is inf, so the hub refuses the rate
     ("solve", ["--mu1", "1e-320"]),
     ("generate", ["--block", "I", "--count", "2", "--seed", "1", "--mu1", "1e-320"]),
+    # a table out to millions of trucks would exhaust memory
+    ("solve", ["--trucks", "100001"]),
+    ("grid", ["--radius", "10", "--step", "10", "--trucks", "100001"]),
 ])
 def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
     # generate, calibrate and validate take no scenario file
@@ -272,6 +275,19 @@ def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if verb == "validate":
         assert args[0] in lines[0]   # the message names the option
+
+
+def test_a_scenario_fleet_cap_above_the_limit_exits_1(runner, log_path, tmp_path):
+    raw = json.loads(Path(log_path).read_text())
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps({**raw, "max_trucks": cli._MAX_TRUCKS + 1}))
+    res = runner.invoke(main, ["fleet", str(path)])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr.splitlines() == [f"error: max_trucks must be at most {cli._MAX_TRUCKS}"]
+    # at the limit the search runs, and stops at the answer far below it
+    path.write_text(json.dumps({**raw, "max_trucks": cli._MAX_TRUCKS}))
+    res = runner.invoke(main, ["fleet", str(path)])
+    assert res.exit_code == 0 and "fleet size          19" in res.output
 
 
 _FUZZ_VERBS = (["solve"], ["solve", "--compare"], ["weber"], ["fleet", "--find-mu1"],

@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -362,6 +364,52 @@ def test_min_trucks_gives_the_lane_first_scans_fleet(lane_first, seed, docks, sp
                             rel_tol=1e-12))
 
 
+def _decimal_fleet(sc, center, digits: int) -> int | None:
+    """Reference: the smallest fleet N with cap * hours * G(N-1) / 4 >=
+    demand * G(N), by Buzen's convolution in ``digits``-digit decimal over
+    the float inputs, each of which ``Decimal`` converts exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        top = sc.max_trucks
+        kappa = Decimal(build_star(sc, center).kappa)
+        g = [Decimal(1)]
+        for j in range(1, top + 1):
+            g.append(g[-1] * kappa / j)
+        for load, servers in station_loads(sc):
+            f = [Decimal(1)]
+            for k in range(1, top + 1):
+                f.append(f[-1] * Decimal(load) / min(k, servers))
+            g = [sum(f[k] * g[m - k] for k in range(m + 1)) for m in range(top + 1)]
+        have = Decimal(sc.truck_capacity) * Decimal(sc.hours_per_day) * Decimal(HUB_VISIT_RATIO)
+        need = Decimal(sc.total_demand_per_day)
+        return next((n for n in range(1, top + 1) if have * g[n - 1] >= need * g[n]), None)
+
+
+# demand 2.2e-16 below the saturation ceiling, with fleets up to 400
+_EDGE = dict(seed=0, docks=1, speed=1.0, load=0.9999999999999998)
+
+
+def test_the_decimal_reference_finds_min_trucks_fleets():
+    # at 0.9 to 1 - 1e-6 of the saturation ceiling, the float and decimal
+    # folds agree
+    for seed in range(6):
+        sc = _star_at_load(seed, 1 + seed % 4, 5.0, 1 - 10.0 ** -(seed + 1))
+        assert _decimal_fleet(sc, (0.0, 0.0), 34) == min_trucks(sc, (0.0, 0.0)).trucks
+    # at the edge, 34 and 60 digits both put the first feasible fleet at
+    # 355, as an exact rational fold of the same floats does
+    sc = dataclasses.replace(_star_at_load(**_EDGE), max_trucks=400)
+    assert _decimal_fleet(sc, (0.0, 0.0), 34) == _decimal_fleet(sc, (0.0, 0.0), 60) == 355
+
+
+@pytest.mark.xfail(strict=True, reason="fleet decisions at the rounding edge are "
+                                       "made by float rounding")
+def test_min_trucks_is_exact_at_the_rounding_edge():
+    # TH(349) falls short of the need by 1.2e-16 relative; the float fold
+    # rounds it up to meeting it
+    sc = dataclasses.replace(_star_at_load(**_EDGE), max_trucks=400)
+    assert min_trucks(sc, (0.0, 0.0)).trucks == _decimal_fleet(sc, (0.0, 0.0), 60)
+
+
 @settings(max_examples=40, deadline=None)
 @given(**_STARS, step_share=st.floats(1e-4, 0.05))
 # demand 2.2e-16 below the ceiling of an infinitely fast hub: the hub-last
@@ -423,18 +471,20 @@ def _probed_rates(monkeypatch) -> list:
     return probes
 
 
-def test_the_rate_search_without_its_skip_answers_the_same(monkeypatch):
-    # the probe below the answer is skipped only where min_trucks would
-    # answer infeasible; a search that never skips it answers the same
+def test_the_rate_search_with_a_wide_band_answers_the_same(monkeypatch):
+    # the combine decides a grid point only outside the band around the
+    # need, where min_trucks would decide it the same; a band so wide that
+    # min_trucks decides every probe answers the same
     cases = _hub_rate_cases()
     probes = _probed_rates(monkeypatch)
     got = [min_center_rate(sc, (0.0, 0.0), step) for sc, step in cases]
-    skipping = len(probes)
-    monkeypatch.setattr(fleet, "_short_by_margin", lambda log_th, log_need: False)
+    narrow = len(probes)
+    monkeypatch.setattr(fleet, "_BOUND_MARGIN", 0.5)
     assert [min_center_rate(sc, (0.0, 0.0), step) for sc, step in cases] == got
     assert sum(rate is not None for rate, _ in got) >= 6
-    # with the skip, the searches left probes below their answers unprobed
-    assert len(probes) - skipping > skipping
+    # with the narrow band, the combine decided grid points that the wide
+    # band leaves to min_trucks
+    assert len(probes) - narrow > narrow
 
 
 def test_a_hub_rate_search_runs_three_fleet_searches(towns_pro, monkeypatch):
