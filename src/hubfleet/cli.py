@@ -42,6 +42,15 @@ _GRID_HALF_STEPS = 200
 # towns12-log solve --trucks 100000 peaks near 175 MB and takes about 1 s,
 # where a fleet of millions would run out of memory
 _MAX_TRUCKS = 100_000
+# the most instances generate takes: it holds every instance, about 2.7 KB
+# each, before it solves any, so a count of tens of millions would run out
+# of memory before the first row; block I at the limit peaks near 71 MB and
+# takes about 10 s
+_MAX_COUNT = 10_000
+# the most places --busy-decimals prints: a double carries at most 17
+# significant digits, which 17 places show for a busy share from 0.1 up;
+# a count in the millions would print lines of megabytes
+_MAX_DECIMALS = 17
 
 
 def _fail(message: str) -> NoReturn:
@@ -99,6 +108,8 @@ def _parse_point(text: str | None) -> tuple[float, float] | None:
 def _require_decimals(busy_decimals: int) -> None:
     if busy_decimals < 0:
         _fail("--busy-decimals must be non-negative")
+    if busy_decimals > _MAX_DECIMALS:
+        _fail(f"--busy-decimals must be at most {_MAX_DECIMALS}")
 
 
 def _unconverged(sol: WeberSolution | None) -> str:
@@ -461,6 +472,8 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
     """
     if count < 1:
         _fail("--count must be at least 1")
+    if count > _MAX_COUNT:
+        _fail(f"--count must be at most {_MAX_COUNT}")
     if seed < 0:
         _fail("--seed must be non-negative")
     _require_decimals(busy_decimals)

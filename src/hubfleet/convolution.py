@@ -250,12 +250,13 @@ class _BuzenFold(_Row):
     G(m) = G_prev(m) + x * G(m - 1): O(1) per column, nothing cancels.
 
     The hot path of every fleet search, so the ladder and log steps are
-    written out here rather than calling ``_mul``/``_add``/``_log_add``.
-    The product x * G(m - 1) of two mantissas in [0.5, 1) lies in
-    [0.25, 1) and is normalized only with the sum; the sum rounds the same
-    at either scale, so the result is that of ``_add(G_prev, _mul(x, G))``
-    bit for bit.  ``step`` is x in ladder and log form: the factor a
-    station's weight gains per customer once all its servers are busy."""
+    written out here rather than calling ``_mul``/``_add``/``_log_add``,
+    as ``_ServerFold`` does.  The product x * G(m - 1) of two mantissas in
+    [0.5, 1) lies in [0.25, 1) and is normalized only with the sum; the sum
+    rounds the same at either scale, so the result is that of
+    ``_add(G_prev, _mul(x, G))`` bit for bit.  ``step`` is x in ladder and
+    log form: the factor a station's weight gains per customer once all its
+    servers are busy."""
 
     __slots__ = ("step",)
 
@@ -302,9 +303,10 @@ class _ServerFold(_Row):
     Every term is positive, so nothing cancels; a column costs O(s).  The
     factor x^n / n! is built when a column first needs it, so a station
     with more servers than the table has customers costs no more than one
-    with as many.  The ladder and log steps are written out as in
-    ``_BuzenFold``, products normalized only with their sums, and give
-    what ``_add``, ``_mul`` and ``_log_add`` give, bit for bit."""
+    with as many.  Every step goes through ``_mul``, ``_add`` and
+    ``_log_add``: multi-server stations are rare and their rows shallow in
+    fleet searches, so this fold, unlike ``_BuzenFold``, gives up speed on
+    deep rows for one copy of the arithmetic."""
 
     __slots__ = ("servers", "x", "f", "step", "b")
 
@@ -317,8 +319,6 @@ class _ServerFold(_Row):
         self.b = (0.0, 0, -math.inf)   # B at the row's last column
 
     def build(self, prev: _Row, stop: int) -> None:
-        frexp, ldexp, log1p, exp = math.frexp, math.ldexp, math.log1p, math.exp
-        inf = math.inf
         s, x, f = self.servers, self.x, self.f
         while len(f) <= min(stop, s):
             fm, fe, fl = f[-1]
@@ -333,64 +333,18 @@ class _ServerFold(_Row):
             am, ae, al = pm[m], pe[m], pl[m]
             for n in range(1, min(m, s - 1) + 1):
                 fm, fe, fl = f[n]
-                bm = fm * pm[m - n]
-                if bm != 0.0:
-                    be = fe + pe[m - n]
-                    if am == 0.0:
-                        am, k = frexp(bm)
-                        ae = be + k
-                    elif ae >= be:
-                        am, k = frexp(am + ldexp(bm, be - ae))
-                        ae += k
-                    else:
-                        am, k = frexp(bm + ldexp(am, ae - be))
-                        ae = be + k
-                lb = fl + pl[m - n]
-                if al < lb:
-                    al, lb = lb, al
-                if lb != -inf:
-                    al += log1p(exp(lb - al))
+                am, ae = _add(am, ae, *_mul(fm, fe, pm[m - n], pe[m - n]))
+                al = _log_add(al, fl + pl[m - n])
             if m >= s:
                 # B(m) = f(s) G_prev(m - s) + (x / s) B(m - 1)
                 fm, fe, fl = f[s]
-                cm, ce = fm * pm[m - s], fe + pe[m - s]
-                dm, de = om * xm, oe + xe
-                if dm == 0.0:
-                    if cm == 0.0:
-                        om, oe = 0.0, 0
-                    else:
-                        om, k = frexp(cm)
-                        oe = ce + k
-                elif cm == 0.0:
-                    om, k = frexp(dm)
-                    oe = de + k
-                elif ce >= de:
-                    om, k = frexp(cm + ldexp(dm, de - ce))
-                    oe = ce + k
-                else:
-                    om, k = frexp(dm + ldexp(cm, ce - de))
-                    oe = de + k
-                la, lb = fl + pl[m - s], ol + xl
-                if la < lb:
-                    la, lb = lb, la
-                ol = la if lb == -inf else la + log1p(exp(lb - la))
-            # G(m) = A(m) + B(m)
-            if om == 0.0:
-                gm, ge = am, ae
-            elif am == 0.0:
-                gm, ge = om, oe
-            elif ae >= oe:
-                gm, k = frexp(am + ldexp(om, oe - ae))
-                ge = ae + k
-            else:
-                gm, k = frexp(om + ldexp(am, ae - oe))
-                ge = oe + k
-            la, lb = al, ol
-            if la < lb:
-                la, lb = lb, la
+                om, oe = _add(*_mul(fm, fe, pm[m - s], pe[m - s]),
+                              *_mul(om, oe, xm, xe))
+                ol = _log_add(fl + pl[m - s], ol + xl)
+            gm, ge = _add(am, ae, om, oe)   # G(m) = A(m) + B(m)
             mant.append(gm)
             exp2.append(ge)
-            log.append(la if lb == -inf else la + log1p(exp(lb - la)))
+            log.append(_log_add(al, ol))
         self.b = (om, oe, ol)
 
 
@@ -402,12 +356,11 @@ class Convolution:
     the empty network's, and each station is folded in as one more row, so
     a column costs O(s) per s-server station.  The last row is the table,
     and the row before it is the table without the last-folded station.
-    New columns are built one row at a time, each row from its own length,
-    by folds that write out their ladder and log steps.  Each entry of the
-    table is cross-checked ladder against log when this engine first serves
-    it.  Nothing records a failed check: the entries before it keep
-    serving, every request past it checks it again, and the engine grows
-    on once it passes.
+    New columns are built one row at a time, each row from its own length.
+    Each entry of the table is cross-checked ladder against log when this
+    engine first serves it.  Nothing records a failed check: the entries
+    before it keep serving, every request past it checks it again, and the
+    engine grows on once it passes.
     """
 
     def __init__(self, loads: Iterable[tuple[float, int]]) -> None:
@@ -470,7 +423,9 @@ class LaneLast:
       and t_k <= t_m c^j / j!.  Where r = c / (j + 1) < 1, the terms below
       k sum to at most t_k r / (1 - r); the sum starts at the largest k at
       which that is at most 2**-60 of t_m, and at k = 0 where none is.
-      The start depends on kappa, the row's loads and m alone.
+      The bound falls with j once r < 1, so the first negligible j is one
+      number per row, found once by bisection, and the start depends on
+      kappa, the row's loads and m alone.
     * R.  ``rest`` is built on only when a sum reaches its end, at a column
       k with R(k + 1) still to build, and then once (``_grown``): past k
       every R(i+1) / R(i) lies between rho and R(k) / R(k-1), so the sum
@@ -498,7 +453,7 @@ class LaneLast:
         self._log_rho = [-math.inf]
         for row in rest._rows[1:]:
             self._log_rho.append(max(self._log_rho[-1], row.step[2]))
-        self._heads: dict[int, list] = {}   # per row: log c, and j bracketing the head
+        self._heads: dict[int, int] = {}   # per row: the first negligible j
         self._blocks: dict[int, _PooledLane] = {}
         self._entries: dict[tuple[int, int], tuple[float, int, float]] = {}
 
@@ -538,20 +493,14 @@ class LaneLast:
 
     def _head(self, m: int, row: int) -> int:
         """The largest j = m - k whose term the sum at m reads: m, or the
-        first j past which the head is negligible if that is below m."""
-        known = self._heads.get(row)
-        if known is None:
+        first negligible j if that is below m."""
+        first = self._heads.get(row)
+        if first is None:
             log_c = self._log_kappa - self._log_rho[row]   # log kappa / rho
+            if not _negligible_head(log_c, m):
+                return m
             # r < 1 needs j + 1 > c, and no fleet comes near e**700
             last = math.ceil(math.exp(min(log_c, 700.0))) - 1
-            known = self._heads[row] = [log_c, last, None]
-        log_c, last, first = known   # j = last is not negligible, first is
-        if first is None:
-            if m <= last:
-                return m
-            if not _negligible_head(log_c, m):
-                known[1] = m
-                return m
             first = m
             while first - last > 1:
                 mid = (first + last) // 2
@@ -559,7 +508,7 @@ class LaneLast:
                     first = mid
                 else:
                     last = mid
-            known[1:] = [last, first]
+            self._heads[row] = first
         return min(m, first)
 
     def _combine(self, m: int, row: int) -> tuple[float, int, float]:

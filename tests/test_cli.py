@@ -262,6 +262,13 @@ def test_grid_rejects_bad_step(runner, log_path):
     # a table out to millions of trucks would exhaust memory
     ("solve", ["--trucks", "100001"]),
     ("grid", ["--radius", "10", "--step", "10", "--trucks", "100001"]),
+    # generate holds every instance before it solves any
+    ("generate", ["--block", "I", "--seed", "1", "--count", "10001"]),
+    ("generate", ["--block", "I", "--seed", "1", "--count", "50000000"]),
+    # past a double's 17 significant digits; in the millions a line of megabytes
+    ("solve", ["--busy-decimals", "18"]),
+    ("solve", ["--busy-decimals", "3000000000"]),
+    ("generate", ["--block", "I", "--seed", "1", "--busy-decimals", "18"]),
 ])
 def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
     # generate, calibrate and validate take no scenario file
@@ -288,6 +295,13 @@ def test_a_scenario_fleet_cap_above_the_limit_exits_1(runner, log_path, tmp_path
     path.write_text(json.dumps({**raw, "max_trucks": cli._MAX_TRUCKS}))
     res = runner.invoke(main, ["fleet", str(path)])
     assert res.exit_code == 0 and "fleet size          19" in res.output
+
+
+def test_busy_decimals_at_the_limit_print_every_place(runner, log_path):
+    res = runner.invoke(main, ["solve", log_path, "--busy-decimals", str(cli._MAX_DECIMALS)])
+    assert res.exit_code == 0
+    busy = next(line for line in res.output.splitlines() if line.startswith("hub busy"))
+    assert len(busy.split()[-1].split(".")[1]) == cli._MAX_DECIMALS
 
 
 _FUZZ_VERBS = (["solve"], ["solve", "--compare"], ["weber"], ["fleet", "--find-mu1"],

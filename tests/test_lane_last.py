@@ -253,6 +253,11 @@ _LOADS = st.just(0.0) | st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e)
 @given(kappa=_KAPPAS, stations=st.lists(st.tuples(_LOADS, st.integers(1, 5)),
                                         min_size=1, max_size=4),
        n=st.integers(1, 60))
+# deep multi-server rows, as a fleet search at slow trucks folds its hub
+@example(kappa=12.0, stations=[(0.3, 1), (0.9, 2)], n=400)
+@example(kappa=12.0, stations=[(0.3, 1), (1.7, 3)], n=400)
+@example(kappa=200.0, stations=[(0.05, 1), (0.125, 2)], n=2000)
+@example(kappa=200.0, stations=[(0.05, 1), (2.5, 3)], n=2000)
 def test_the_written_out_folds_match_the_ladder_helpers(kappa, stations, n):
     # the lane first, as the lane-first reference folds it, then the stations
     stations = [(kappa, n + 1), *stations]
