@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .fleet import min_trucks, solve_at
-# the speed this module recovers; defined with the scenario, and importable
-# from here as before
-from .scenario import DEFAULT_TRUCK_SPEED_KMH, Scenario, bundled_scenario  # noqa: F401
+from .scenario import Scenario, bundled_scenario
 from .star import AggregatedConvolution, build_star
 from .weber import WeberProblem, solve_weber
 

@@ -45,7 +45,9 @@ _MAX_TRUCKS = 100_000
 # the most instances generate takes: it holds every instance, about 2.7 KB
 # each, before it solves any, so a count of tens of millions would run out
 # of memory before the first row; block I at the limit peaks near 71 MB and
-# takes about 10 s
+# takes about 10 s.  With HUBFLEET_JOBS > 1 it starts at most one worker
+# process per CPU (os.cpu_count()), whatever the variable asks for: each
+# worker is a whole interpreter, and more of them than CPUs only queue
 _MAX_COUNT = 10_000
 # the most places --busy-decimals prints: a double carries at most 17
 # significant digits, which 17 places show for a busy share from 0.1 up;
@@ -499,7 +501,8 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
+        workers = min(jobs, count, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_evaluate_instance, range(count), scenarios))
     else:
         rows = [_evaluate_instance(i, sc) for i, sc in enumerate(scenarios)]

@@ -19,7 +19,9 @@ it; disagreement or any non-finite intermediate raises
 certified negligible, so that R and the lane factors are built only as
 far as the sums read them.
 ``shared_lane_last`` hands one lane-last table, and its engine or every
-row of it but the last, on from request to request.
+row of it but the last, on from request to request.  An explicit station
+list's table, and a station's factors for its queue-length marginal, come
+from the same engine (``_table``).
 """
 
 from __future__ import annotations
@@ -130,25 +132,6 @@ def _log_add(a: float, b: float) -> float:
     if b == -math.inf:
         return a
     return a + math.log1p(math.exp(b - a))
-
-
-def _station_factors(station: Station, eta_j: float, n_max: int
-                     ) -> tuple[list[float], list[int]]:
-    """Per-station factors g_j(n) = prod_{k<=n} eta_j / mu_j(k) in ladder
-    form, for n = 0..n_max."""
-    mant, exp2 = [0.5] + [0.0] * n_max, [1] + [0] * n_max
-    m, e = 0.5, 1
-    for n in range(1, n_max + 1):
-        mu = station.service_rate(n)
-        ratio = 0.0 if math.isinf(mu) else eta_j / mu
-        if not math.isfinite(ratio):
-            raise NumericalRangeError(
-                f"station {station.name}: invalid load factor at n={n}")
-        if ratio == 0.0:
-            break  # g stays zero from here on
-        m, e = _mul(m, e, *math.frexp(ratio))
-        mant[n], exp2[n] = m, e
-    return mant, exp2
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +673,8 @@ def _as_eta_array(eta: Sequence[float], count: int) -> list[float]:
     etas = [float(e) for e in eta]
     if len(etas) != count:
         raise ValueError(f"expected {count} visit ratios, got {len(etas)}")
+    if not all(math.isfinite(e) for e in etas):
+        raise ValueError("visit ratios must be finite")
     if any(e < 0 for e in etas) or not any(e > 0 for e in etas):
         raise ValueError("visit ratios must be non-negative with at least one positive entry")
     return etas
@@ -723,10 +708,15 @@ def _pooled(stations: Sequence[Station], etas: Sequence[float]
     return kappa, [(x, servers) for x, servers in loads if x]
 
 
-def _lanes_only(kappa: float, population: int) -> ConvolutionTable:
-    """G(0..population) of infinite-server stations alone, kappa^m / m!,
-    unchecked: R would be the empty network's row, which ``extend_to``
-    rejects past 0."""
+def _table(stations: Sequence[Station], etas: Sequence[float],
+           population: int) -> ConvolutionTable:
+    """G(0..population) of a station list: the queueing stations fold in
+    list order and the pooled lane folds in last (``LaneLast``).  Lanes
+    alone give their factors kappa^m / m!, unchecked: R would be the empty
+    network's row, which ``extend_to`` rejects past 0."""
+    kappa, loads = _pooled(stations, etas)
+    if loads:
+        return LaneLast(kappa, Convolution(loads)).table(population)
     if population < 0:
         raise ValueError("population must be non-negative")
     lane = _PooledLane(kappa)
@@ -736,15 +726,11 @@ def _lanes_only(kappa: float, population: int) -> ConvolutionTable:
 
 def convolve_stations(stations: Sequence[Station], eta: Sequence[float],
                       population: int) -> ConvolutionTable:
-    """Convolution over an explicit station list (no routing needed): the
-    queueing stations fold in list order, and the pooled lane folds in last
-    (``LaneLast``).  Lanes alone give their factors, each checked."""
-    kappa, loads = _pooled(stations, _as_eta_array(eta, len(stations)))
-    if loads:
-        return LaneLast(kappa, Convolution(loads)).table(population)
-    table = _lanes_only(kappa, population)
-    for m in range(population + 1):
-        _check_entry(m, table.mantissa[m], table.exponent[m], table.log_values[m])
+    """Convolution over an explicit station list (no routing needed), from
+    ``_table``, with every entry checked."""
+    table = _table(stations, _as_eta_array(eta, len(stations)), population)
+    for m, entry in enumerate(zip(table.mantissa, table.exponent, table.log_values)):
+        _check_entry(m, *entry)
     return table
 
 
@@ -752,10 +738,10 @@ def marginal_distribution(stations: Sequence[Station], eta: Sequence[float],
                           table: ConvolutionTable, node: int) -> np.ndarray:
     """Stationary distribution of the queue length at one station.
 
-    P(n_node = k) = g_node(k) * G_without_node(N - k) / G(N), with the
-    complement re-folded once in linear time; the result sums to 1 up to
-    numerical round-off.  A complement that holds nobody (lanes of zero
-    mean alone) serves its zeros unchecked.
+    P(n_node = k) = g_node(k) * G_without_node(N - k) / G(N), where the
+    station's factors g_node and the complement's constants are the tables
+    of their own station lists, from the engine that builds G (``_table``);
+    the result sums to 1 up to numerical round-off.
     """
     import numpy as np   # here, so that the verbs start without numpy
 
@@ -764,12 +750,10 @@ def marginal_distribution(stations: Sequence[Station], eta: Sequence[float],
     if not 0 <= node < len(stations):
         raise ValueError(f"no station with index {node}")
     tm, te = table.mantissa, table.exponent
-    gm, ge = _station_factors(stations[node], etas[node], n)
+    g = _table([stations[node]], [etas[node]], n)
     rest = [i for i in range(len(stations)) if i != node]
-    kappa, loads = _pooled([stations[i] for i in rest], [etas[i] for i in rest])
-    comp = (LaneLast(kappa, Convolution(loads)).table(n) if loads
-            else _lanes_only(kappa, n))
-    cm, ce = comp.mantissa, comp.exponent
+    comp = _table([stations[i] for i in rest], [etas[i] for i in rest], n)
+    gm, ge, cm, ce = g.mantissa, g.exponent, comp.mantissa, comp.exponent
     probs = np.zeros(n + 1)
     for k in range(n + 1):
         num = gm[k] * cm[n - k]

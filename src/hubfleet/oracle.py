@@ -8,13 +8,14 @@ hub, then per warehouse an outbound lane, the dock and a return lane,
 * exact CTMC steady state from the generator matrix,
 * a discrete-event simulation of the star network.
 
-They share only the model's inputs with the analytic path: ``Station`` and
-its ``service_rate``, and the scenario and hub location of a
-``StarNetwork``, from which they compute lane travel times, demand shares
-and visit ratios themselves.  They share none of its arithmetic: no lane
-pooling, no fold order, no ladder or log forms and no cross-check.
+They share only the model's inputs with the analytic path: ``Station``
+(whose ``service_rate`` only they call), and the scenario and hub location
+of a ``StarNetwork``, from which they compute lane travel times, demand
+shares and visit ratios themselves.  They share none of its arithmetic: no
+lane pooling, no fold order, no ladder or log forms and no cross-check.
 ``aggregated_stations`` lists the pooled J+1 station form as stations, for
-``convolve_stations`` and ``marginal_distribution``.
+``convolve_stations`` and ``marginal_distribution``, which read its table
+and each station's factors from the analytic path's engine.
 
 Plus random instance generation and the validation suite behind the
 ``validate`` CLI verb.

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import json
 import math
@@ -369,6 +370,38 @@ def test_generate_parallel_identical(runner, monkeypatch):
     assert res.exit_code == 1
     assert res.stdout == ""
     assert res.stderr.splitlines() == ["error: HUBFLEET_JOBS must be an integer, got 'abc'"]
+
+
+def test_generate_starts_at_most_one_worker_per_cpu(runner, monkeypatch):
+    # a stand-in pool records its size and maps in this process, so that
+    # no worker process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    args = ["generate", "--block", "I", "--count", "4", "--seed", "21"]
+    serial = runner.invoke(main, args)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("HUBFLEET_JOBS", "10000")
+    outputs = []
+    for cpus in (3, None):   # None: the CPU count is unknown
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        outputs.append(runner.invoke(main, args))
+    assert sizes == [3, 1]
+    for res in outputs:
+        assert res.exit_code == serial.exit_code == 0
+        assert res.stdout == serial.stdout
 
 
 def test_generate_csv_and_outdir(runner, tmp_path):

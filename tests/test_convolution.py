@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubfleet.convolution import (NumericalRangeError, _check_entry,
                                   convolve_stations, infinite_server,
@@ -150,6 +152,53 @@ def test_enumeration_cross_check_random():
         for node in range(count):
             m = marginal_distribution(stations, eta, t, node)
             assert np.allclose(m, en.marginal(node), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("station", [multi_server("a", 1.0), infinite_server("lane", 0.5)],
+                         ids=["queue", "lane"])
+def test_a_non_finite_visit_ratio_is_rejected(station, bad):
+    stations = (station, multi_server("b", 1.0))
+    with pytest.raises(ValueError, match="visit ratios must be finite"):
+        convolve_stations(stations, [bad, 0.5], 3)
+    table = convolve_stations(stations, [0.5, 0.5], 3)
+    with pytest.raises(ValueError, match="visit ratios must be finite"):
+        marginal_distribution(stations, [bad, 0.5], table, 0)
+
+
+_QUEUES = st.lists(st.tuples(st.floats(0.5, 4.0), st.integers(1, 3),
+                             st.floats(0.05, 1.0)), min_size=1, max_size=4)
+_LANES = st.lists(st.tuples(st.floats(0.2, 2.0), st.floats(0.05, 1.0)), max_size=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(queues=_QUEUES, lanes=_LANES, n=st.integers(1, 200))
+def test_marginals_agree_with_the_table_at_depth(queues, lanes, n):
+    # past what enumeration reaches: the mean queue lengths add up to the
+    # population, and at a single-server station of load x,
+    # P(n >= k) = x^k G(N - k) / G(N)
+    stations = tuple(multi_server(f"s{i}", rate, servers)
+                     for i, (rate, servers, _) in enumerate(queues)) + tuple(
+        infinite_server(f"l{i}", mean) for i, (mean, _) in enumerate(lanes))
+    eta = [e for *_, e in queues] + [e for _, e in lanes]
+    t = convolve_stations(stations, eta, n)
+    tm, te = t.mantissa, t.exponent
+    mean_total = 0.0
+    for node, station in enumerate(stations):
+        probs = marginal_distribution(stations, eta, t, node)
+        mean_total += float(np.arange(n + 1) @ probs)
+        if station.servers != 1:
+            continue
+        tail = np.cumsum(probs[::-1])[::-1]   # P(n >= k), smallest terms first
+        xm, xe = math.frexp(eta[node] / station.rate)
+        pm, pe = 0.5, 1   # x^k as pm * 2**pe
+        for k in range(n + 1):
+            want = math.ldexp(pm * tm[n - k] / tm[n], pe + te[n - k] - te[n])
+            if want > 1e-300:
+                assert float(tail[k]) == pytest.approx(want, rel=1e-12)
+            pm, shift = math.frexp(pm * xm)
+            pe += xe + shift
+    assert mean_total == pytest.approx(n, rel=1e-9)
 
 
 def test_extreme_rates_stay_finite():
