@@ -17,7 +17,6 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import convolution as conv
 from .scenario import Point, Scenario
 from .star import (HUB_VISIT_RATIO, AggregatedConvolution, StarAnalysis, StarNetwork,
                    analyze, bottleneck, build_star, station_loads)
@@ -157,8 +156,7 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     top = scenario.max_trucks
     cap, hours = scenario.truck_capacity, scenario.hours_per_day
     demand = scenario.total_demand_per_day
-    free = conv.shared_lane_last(build_star(fast, center).kappa,
-                                 station_loads(fast)).table(top)
+    free = AggregatedConvolution(build_star(fast, center)).table(top)
 
     # Feasibility is monotone in the hub rate, so the answer is the first
     # feasible grid index above both the demand bound and the scenario's own

@@ -24,7 +24,6 @@ Plus random instance generation and the validation suite behind the
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -269,11 +268,13 @@ def simulate(star: StarNetwork, trucks: int, *,
     generators from ``seed``: one for routing, one for each hub or dock's
     service times, and one shared by all lanes for travel times, so runs
     with different travel distributions are common-random-number paired.
-    Routing choices, service times and exponential travel times are drawn
+    Routing uniforms, service times and exponential travel times are drawn
     in blocks of 2048, each block when the previous one runs out, so the
-    lanes take blocks from the shared generator in the order they run dry.
-    A callable ``travel(rng, mean)`` is called once per trip with the shared
-    generator.  Equal seeds give bit-identical results.
+    lanes take blocks from the shared generator in the order they run dry;
+    the demand shares map each block of uniforms to dock lanes.  A callable
+    ``travel(rng, mean)`` is called once per trip with the shared generator.
+    Events at one instant, ruled out by continuous service times, go by
+    arrival time, then station.  Equal seeds give bit-identical results.
     """
     if trucks < 0:
         raise ValueError(f"trucks must be non-negative, got {trucks}")
@@ -298,9 +299,10 @@ def simulate(star: StarNetwork, trucks: int, *,
 
     # station 0 is the hub; warehouse i has lane out 1+3i, dock 2+3i and
     # lane back 3+3i.  Lanes have no servers and never queue.  after[st] is
-    # where a truck leaving st goes; the hub routes its departures instead.
-    # mean_time is the mean service time at the hub and docks, the travel
-    # time on lanes.
+    # where a truck leaving st goes; the hub routes its departures instead,
+    # a uniform u to lane 1+3i, i the number of bounds at or below u (the
+    # total share, which may round below 1, is no bound).  mean_time is the
+    # mean service time at the hub and docks, the travel time on lanes.
     servers = [s.center.servers] + [0] * (3 * k)
     after = [0 if st % 3 == 0 else st + 1 for st in range(n_st)]
     mean_time = [1.0 / s.center.load_rate_per_hour] + [0.0] * (3 * k)
@@ -308,7 +310,7 @@ def simulate(star: StarNetwork, trucks: int, *,
         servers[2 + 3 * i] = w.servers
         mean_time[2 + 3 * i] = 1.0 / w.unload_rate_per_hour
         mean_time[1 + 3 * i] = mean_time[3 + 3 * i] = lane
-    cum = np.cumsum(demand_fractions(s)).tolist()
+    bounds = np.cumsum(demand_fractions(s))[:-1]
 
     warm_count = int(warmup_fraction * horizon_events)
     rep_seeds = np.random.SeedSequence(seed).spawn(replications)
@@ -319,7 +321,9 @@ def simulate(star: StarNetwork, trucks: int, *,
 
     for rep in range(replications):
         route_seq, service_seq, travel_seq = rep_seeds[rep].spawn(3)
-        route = _stream(partial(np.random.default_rng(route_seq).random, _BLOCK))
+        route = chain.from_iterable(
+            (1 + 3 * bounds.searchsorted(u, "right")).tolist()
+            for u in map(np.random.default_rng(route_seq).random, repeat(_BLOCK))).__next__
         # one child sequence per station keeps each dock's stream where it
         # is; only the hub and the docks get a generator from theirs
         service_seqs = service_seq.spawn(n_st)
@@ -338,17 +342,15 @@ def simulate(star: StarNetwork, trucks: int, *,
             else:
                 draw.append(map(float, starmap(travel, repeat((travel_rng, mean)))).__next__)
 
-        busy = [0] * n_st
+        free = [max(servers[0] - trucks, 0)] + servers[1:]
         queues = [deque() for _ in range(n_st)]
         # every truck starts at the hub at time 0, the first ones in service;
-        # heap entries are (time, seq, arrival, station), seq breaking time
-        # ties, and arrival the time the truck reached the station, which is
-        # also what a queue holds for each truck waiting in it; a queued
-        # truck waits behind one in service, so the heap never empties
-        busy[0] = seq = min(trucks, servers[0])
-        heap = [(draw[0](), truck + 1, 0.0, 0) for truck in range(seq)]
+        # a heap entry is (time, arrival, station), arrival being the time the
+        # truck reached the station, as a queue holds for each waiting truck;
+        # a queued truck waits behind one in service, so the heap never empties
+        heap = [(draw[0](), 0.0, 0) for _ in range(servers[0] - free[0])]
         heapify(heap)
-        queues[0].extend(repeat(0.0, trucks - seq))
+        queues[0].extend(repeat(0.0, trucks - len(heap)))
 
         # the warm-up events, then the measured ones, each pass counting
         # from zero; the window opens at the last warm-up event
@@ -358,7 +360,7 @@ def simulate(star: StarNetwork, trucks: int, *,
             completions = [0] * n_st
             soj_sum = [0.0] * n_st
             for _ in repeat(None, events):
-                t, _, since, st = heap[0]
+                t, since, st = heap[0]
                 completions[st] += 1
                 soj_sum[st] += t - since
                 if servers[st]:
@@ -366,22 +368,19 @@ def simulate(star: StarNetwork, trucks: int, *,
                     # the departing truck takes a lane
                     q = queues[st]
                     if q:
-                        seq += 1
-                        heapreplace(heap, (t + draw[st](), seq, q.popleft(), st))
+                        heapreplace(heap, (t + draw[st](), q.popleft(), st))
                         push = heappush
                     else:
-                        busy[st] -= 1
+                        free[st] += 1
                         push = heapreplace
-                    nxt = after[st] if st else 1 + 3 * bisect_right(cum, route())
-                    seq += 1
-                    push(heap, (t + draw[nxt](), seq, t, nxt))
+                    nxt = after[st] if st else route()
+                    push(heap, (t + draw[nxt](), t, nxt))
                 else:
                     # a lane ends at a dock (out) or at the hub (back)
                     nxt = after[st]
-                    if busy[nxt] < servers[nxt]:
-                        busy[nxt] += 1
-                        seq += 1
-                        heapreplace(heap, (t + draw[nxt](), seq, t, nxt))
+                    if free[nxt]:
+                        free[nxt] -= 1
+                        heapreplace(heap, (t + draw[nxt](), t, nxt))
                     else:
                         heappop(heap)
                         queues[nxt].append(t)

@@ -4,9 +4,11 @@
 ``simulate`` returned for the cases below.  The cases cover each way a lane
 or a station draws its times (exponential, deterministic and callable
 travel, multi-server hubs and docks), the warm-up edge, a single
-replication, and a long hub queue (``fleet_2000``, whose two thousand
-trucks all start at the hub).  Any change to the event loop or to the
-order in which draws are taken from the generators fails here.
+replication, a long hub queue (``fleet_2000``, whose two thousand
+trucks all start at the hub), and a hub on a warehouse (its two lanes have
+zero length, so a departure's next event falls at the instant that made
+it).  Any change to the event loop or to the order in which draws are
+taken from the generators fails here.
 
 Run ``python tests/test_golden_des.py`` to re-record the file after a
 deliberate change to the draw streams.
@@ -37,6 +39,11 @@ def _towns(trucks, **kw):
     return build_star(bundled_scenario("towns12-log"), _TOWNS_HUB), trucks, kw
 
 
+def _hub_on_a_warehouse(trucks, **kw):
+    sc = bundled_scenario("towns12-log")
+    return build_star(sc, sc.warehouses[0].position), trucks, kw
+
+
 def _multi_server(trucks, **kw):
     sc = random_scenario(np.random.default_rng(0), 3, max_servers=3)
     return build_star(sc, (0.0, 0.0)), trucks, kw
@@ -59,6 +66,10 @@ CASES = {
                                              replications=1, seed=15),
     "fleet_2000": lambda: _towns(2000, horizon_events=12_000,
                                  replications=2, seed=16),
+    "hub_on_a_warehouse": lambda: _hub_on_a_warehouse(19, horizon_events=20_000,
+                                                      replications=2, seed=17),
+    "hub_on_a_warehouse_deterministic": lambda: _hub_on_a_warehouse(
+        19, horizon_events=20_000, replications=2, seed=17, travel="deterministic"),
 }
 
 

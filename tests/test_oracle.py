@@ -8,7 +8,7 @@ from hubfleet.convolution import convolve_stations, multi_server
 from hubfleet import oracle
 from hubfleet.oracle import (_explicit_star, ctmc_throughput, enumerate_product_form,
                              random_scenario, run_validation_suite, simulate)
-from hubfleet.scenario import demand_fractions
+from hubfleet.scenario import Center, Scenario, Warehouse, demand_fractions
 from hubfleet.star import AggregatedConvolution, build_star
 from hubfleet.weber import WeberProblem, solve_weber
 
@@ -151,6 +151,37 @@ def test_des_station_throughput_balance(toy_star_scenario):
     th = est.station_throughput
     assert th[0] == pytest.approx(th[2], rel=0.01)   # hub vs dock
     assert th[1] == pytest.approx(th[3], rel=0.01)   # lane out vs lane back
+
+
+def test_des_routes_the_top_uniform_to_the_last_warehouse(monkeypatch):
+    # the shares of demands (1, 4, 1) sum to 1 - 2**-53, which is also the
+    # largest uniform numpy's random() returns: such a uniform must take
+    # the last warehouse's lane
+    sc = Scenario(
+        warehouses=tuple(Warehouse(id=2 + i, position=(1.0 + i, 0.0), demand_per_day=d)
+                         for i, d in enumerate((1.0, 4.0, 1.0))),
+        center=Center(servers=1, load_rate_per_hour=1.0), truck_speed_kmh=1.0)
+    top = 1.0 - 2.0 ** -53
+    assert np.cumsum(demand_fractions(sc))[-1] == top
+    default_rng = np.random.default_rng
+
+    class TopUniforms:
+        """A generator whose uniforms, drawn only for routing, are all top."""
+
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def random(self, size):
+            return np.full(size, top)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", TopUniforms)
+    est = simulate(build_star(sc, (0.0, 0.0)), 3, horizon_events=2_000,
+                   replications=1, seed=1)
+    assert np.all(est.station_throughput[1:7] == 0.0)
+    assert np.all(est.station_throughput[7:] > 0.0)
 
 
 def test_validation_suite_passes():
