@@ -1,8 +1,12 @@
 """Command line interface.
 
 Exit codes: 0 on success with a feasible answer, 2 when the scenario is
-infeasible, 1 on invalid input or failed validation.  Set HUBFLEET_JOBS to
-evaluate generated instances in parallel; output is identical either way.
+infeasible, and 1 on invalid input or failed validation.  Invalid input is
+anything click rejects (a bad option value, an unknown verb or option, a
+missing argument), a file that cannot be read or does not hold a valid
+scenario, and an output path that cannot be written; each ends with one
+``error:`` line on stderr.  Set HUBFLEET_JOBS to evaluate generated
+instances in parallel; output is identical either way.
 
 numpy, the oracles and the process pool are imported by the verbs that use
 them (``generate`` and ``validate``), and the calibration by ``calibrate``,
@@ -61,57 +65,61 @@ def _fail(message: str) -> NoReturn:
     sys.exit(EXIT_INVALID)
 
 
-def _load(path: str) -> Scenario:
-    try:
-        scenario = load_scenario(path)
-    except (ScenarioError, OSError) as exc:
-        _fail(str(exc))
-    _require_fleet(scenario.max_trucks, "max_trucks")
-    return scenario
+class _Positive(click.ParamType):
+    """A positive float: never NaN, and infinite only where ``finite`` is false."""
+
+    name = "float"
+
+    def __init__(self, finite: bool) -> None:
+        self.finite = finite
+
+    def convert(self, value, param, ctx) -> float:
+        number = click.FLOAT.convert(value, param, ctx)
+        if not number > 0 or (self.finite and math.isinf(number)):
+            kind = "positive finite" if self.finite else "positive"
+            self.fail(f"{value} is not a {kind} number.", param, ctx)
+        return number
 
 
-def _require_fleet(trucks: int | None, option: str) -> None:
-    """Exit 1 unless a fleet size that was given lies in 1.._MAX_TRUCKS."""
-    if trucks is None:
-        return
-    if trucks < 1:
-        _fail(f"{option} must be at least 1")
-    if trucks > _MAX_TRUCKS:
-        _fail(f"{option} must be at most {_MAX_TRUCKS}")
+class _Point(click.ParamType):
+    """``X,Y``: two finite numbers."""
+
+    name = "x,y"
+
+    def convert(self, value, param, ctx) -> tuple[float, float]:
+        try:
+            x, y = map(float, value.split(","))
+            if math.isfinite(x) and math.isfinite(y):
+                return x, y
+        except ValueError:
+            pass
+        self.fail(f"expected two finite numbers X,Y, got {value!r}.", param, ctx)
 
 
-def _require_positive(value: float | None, option: str) -> None:
-    """Exit 1 unless an option that was given is positive (NaN is not)."""
-    if value is not None and not value > 0:
-        _fail(f"{option} must be positive")
+_POSITIVE = _Positive(finite=True)
+_RATE = _Positive(finite=False)   # an infinite hub rate loads at once
+_POINT = _Point()
+_TRUCKS = click.IntRange(1, _MAX_TRUCKS)
+_DECIMALS = click.IntRange(0, _MAX_DECIMALS)
 
 
-def _with_mu1(scenario: Scenario, mu1: float | None) -> Scenario:
-    """The scenario with its hub loading rate overridden by ``--mu1``."""
-    if mu1 is None:
-        return scenario
-    _require_positive(mu1, "--mu1")
-    return scenario.with_center_rate(mu1)
+def _load(path: str, mu1: float | None = None) -> Scenario:
+    """The scenario in ``path``, its hub loading rate overridden by ``mu1``."""
+    scenario = load_scenario(path)
+    if scenario.max_trucks > _MAX_TRUCKS:
+        _fail(f"max_trucks must be at most {_MAX_TRUCKS}")
+    return scenario if mu1 is None else scenario.with_center_rate(mu1)
 
 
-def _parse_point(text: str | None) -> tuple[float, float] | None:
-    if text is None:
-        return None
-    try:
-        xs, ys = text.split(",")
-        point = float(xs), float(ys)
-    except ValueError:
-        _fail(f"expected --center X,Y, got {text!r}")
-    if not all(map(math.isfinite, point)):
-        _fail(f"--center must be two finite numbers, got {text!r}")
-    return point
-
-
-def _require_decimals(busy_decimals: int) -> None:
-    if busy_decimals < 0:
-        _fail("--busy-decimals must be non-negative")
-    if busy_decimals > _MAX_DECIMALS:
-        _fail(f"--busy-decimals must be at most {_MAX_DECIMALS}")
+def _hub(scenario: Scenario, center: tuple[float, float] | None
+         ) -> tuple[tuple[float, float], WeberSolution | None]:
+    """The hub: ``center``, else the scenario's location, else the weighted
+    hub point with its Weber solution (None where no solve ran)."""
+    center = center or scenario.center.location
+    if center is not None:
+        return center, None
+    sol = solve_weber(WeberProblem.from_scenario(scenario, weighted=True))
+    return sol.location, sol
 
 
 def _unconverged(sol: WeberSolution | None) -> str:
@@ -131,18 +139,31 @@ def _trucks_cell(trucks: int | None) -> str:
 
 
 class _Main(click.Group):
-    """A bad value that only a verb's own work uncovers (a ``ScenarioError``
-    or ``ValueError``, or a rate so small that a table leaves the numeric
-    range) exits 1 with one line, like a bad option."""
+    """Every kind of bad input exits 1 with one ``error:`` line: what click
+    rejects while it parses the group or a verb, a bad value that only a
+    verb's own work uncovers (a ``ValueError``, or a rate so small that a
+    table leaves the numeric range), and a file that cannot be read or
+    written.  ``--help`` still exits 0, and Ctrl-C still prints ``Aborted!``."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            _fail(exc.format_message())
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ValueError, NumericalRangeError) as exc:   # ScenarioError is a ValueError
+        except click.UsageError as exc:
+            _fail(exc.format_message())
+        except BrokenPipeError:
+            raise   # click exits 1 quietly when the reader of stdout has gone
+        except (ValueError, NumericalRangeError, OSError) as exc:   # ScenarioError is a ValueError
             _fail(str(exc))
 
 
-@click.group(cls=_Main)
+# without a verb, click's "Missing command." rather than the whole help text
+@click.group(cls=_Main, no_args_is_help=False)
 def main() -> None:
     """Hub placement and truck fleet sizing for star-shaped delivery
     networks with loading and unloading congestion."""
@@ -150,30 +171,26 @@ def main() -> None:
 
 @main.command("solve")
 @click.argument("file", type=click.Path(dir_okay=False))
-@click.option("--trucks", type=int, default=None,
+@click.option("--trucks", type=_TRUCKS, default=None,
               help="Fix the fleet size instead of searching for the minimum.")
-@click.option("--center", "center_text", default=None,
+@click.option("--center", type=_POINT, default=None,
               help="Fix the hub location as X,Y instead of solving for it.")
-@click.option("--mu1", type=float, default=None,
+@click.option("--mu1", type=_RATE, default=None,
               help="Override the hub loading rate per hour.")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the comparison row as CSV.")
 @click.option("--compare/--no-compare", default=False,
               help="Also place the hub without demand weights and compare.")
-@click.option("--busy-decimals", type=int, default=6, show_default=True)
-def cmd_solve(file: str, trucks: int | None, center_text: str | None,
+@click.option("--busy-decimals", type=_DECIMALS, default=6, show_default=True)
+def cmd_solve(file: str, trucks: int | None, center: tuple[float, float] | None,
               mu1: float | None, csv_path: str | None, compare: bool,
               busy_decimals: int) -> None:
     """Full pipeline: place the hub, size the fleet, report steady state."""
-    _require_decimals(busy_decimals)
-    scenario = _with_mu1(_load(file), mu1)
-
-    center = _parse_point(center_text) or scenario.center.location
-    if compare and center_text is not None:
+    scenario = _load(file, mu1)
+    if compare and center is not None:
         _fail("--compare solves for hub locations; drop --center")
     if compare and trucks is not None:
         _fail("--compare sizes its own fleets; drop --trucks")
-    _require_fleet(trucks, "--trucks")
 
     if compare:
         row = _evaluate_instance(0, scenario)
@@ -182,11 +199,8 @@ def cmd_solve(file: str, trucks: int | None, center_text: str | None,
             _write_csv(csv_path, [row], busy_decimals)
         sys.exit(EXIT_OK if row.trucks_weighted is not None else EXIT_INFEASIBLE)
 
-    label, sol = "fixed", None
-    if center is None:
-        sol = solve_weber(WeberProblem.from_scenario(scenario, weighted=True))
-        center = sol.location
-        label = "weighted hub point"
+    center, sol = _hub(scenario, center)
+    label = "fixed" if sol is None else "weighted hub point"
     bn = bottleneck(scenario)
 
     if trucks is not None:
@@ -246,25 +260,18 @@ def cmd_weber(file: str) -> None:
 
 @main.command("fleet")
 @click.argument("file", type=click.Path(dir_okay=False))
-@click.option("--center", "center_text", default=None,
+@click.option("--center", type=_POINT, default=None,
               help="Hub location X,Y; defaults to the weighted hub point.")
-@click.option("--mu1", type=float, default=None,
+@click.option("--mu1", type=_RATE, default=None,
               help="Override the hub loading rate per hour.")
 @click.option("--find-mu1", "find_mu1", is_flag=True, default=False,
               help="If infeasible, search for the smallest workable hub rate.")
-@click.option("--mu1-step", type=float, default=0.01, show_default=True)
-def cmd_fleet(file: str, center_text: str | None, mu1: float | None,
+@click.option("--mu1-step", type=_POSITIVE, default=0.01, show_default=True)
+def cmd_fleet(file: str, center: tuple[float, float] | None, mu1: float | None,
               find_mu1: bool, mu1_step: float) -> None:
     """Minimal fleet size at a hub location."""
-    if not 0 < mu1_step < math.inf:
-        _fail("--mu1-step must be positive and finite")
-    scenario = _with_mu1(_load(file), mu1)
-    center = _parse_point(center_text) or scenario.center.location
-    sol = None
-    if center is None:
-        sol = solve_weber(WeberProblem.from_scenario(scenario, True))
-        center = sol.location
-
+    scenario = _load(file, mu1)
+    center, sol = _hub(scenario, center)
     res = min_trucks(scenario, center)
     bn = bottleneck(scenario)
     click.echo(f"hub location        ({center[0]:.3f}, {center[1]:.3f}){_unconverged(sol)}")
@@ -296,18 +303,15 @@ def cmd_fleet(file: str, center_text: str | None, mu1: float | None,
 
 @main.command("grid")
 @click.argument("file", type=click.Path(dir_okay=False))
-@click.option("--radius", type=float, required=True, help="Half-width in km.")
-@click.option("--step", type=float, required=True, help="Grid spacing in km.")
-@click.option("--trucks", type=int, default=None,
+@click.option("--radius", type=_POSITIVE, required=True, help="Half-width in km.")
+@click.option("--step", type=_POSITIVE, required=True, help="Grid spacing in km.")
+@click.option("--trucks", type=_TRUCKS, default=None,
               help="Fleet size; defaults to the minimal feasible fleet.")
 def cmd_grid(file: str, radius: float, step: float, trucks: int | None) -> None:
     """Throughput on a location grid around the weighted hub point."""
     scenario = _load(file)
-    if not (0 < radius < math.inf and 0 < step < math.inf):
-        _fail("--radius and --step must be positive and finite")
     if radius / step + 1e-9 >= _GRID_HALF_STEPS + 1:
         _fail(f"--radius / --step gives more than {_GRID_HALF_STEPS} steps on each side")
-    _require_fleet(trucks, "--trucks")
     sol = solve_weber(WeberProblem.from_scenario(scenario, weighted=True))
     cx, cy = sol.location
     if trucks is None:
@@ -454,16 +458,17 @@ def _evaluate_instance(idx: int, scenario: Scenario) -> ResultRow:
 @main.command("generate")
 @click.option("--block", "block_name", required=True,
               type=click.Choice(sorted(BLOCKS.keys())))
-@click.option("--count", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, required=True)
-@click.option("--mu1", type=float, default=None,
+@click.option("--count", type=click.IntRange(1, _MAX_COUNT), default=10,
+              show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
+@click.option("--mu1", type=_RATE, default=None,
               help="Override the block's hub loading rate.")
-@click.option("--speed", type=float, default=DEFAULT_TRUCK_SPEED_KMH,
+@click.option("--speed", type=_POSITIVE, default=DEFAULT_TRUCK_SPEED_KMH,
               show_default=True, help="Truck speed in km/h.")
 @click.option("--outdir", type=click.Path(file_okay=False), default=None,
               help="Also write each instance as a scenario JSON file.")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--busy-decimals", type=int, default=4, show_default=True)
+@click.option("--busy-decimals", type=_DECIMALS, default=4, show_default=True)
 def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
                  speed: float, outdir: str | None, csv_path: str | None,
                  busy_decimals: int) -> None:
@@ -472,17 +477,6 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
     The same seed always produces byte-identical output; HUBFLEET_JOBS > 1
     parallelizes the solves without changing it.
     """
-    if count < 1:
-        _fail("--count must be at least 1")
-    if count > _MAX_COUNT:
-        _fail(f"--count must be at most {_MAX_COUNT}")
-    if seed < 0:
-        _fail("--seed must be non-negative")
-    _require_decimals(busy_decimals)
-    _require_positive(mu1, "--mu1")
-    _require_positive(speed, "--speed")
-    if math.isinf(speed):
-        _fail("--speed must be finite")
     jobs_text = os.environ.get("HUBFLEET_JOBS", "1")
     try:
         jobs = int(jobs_text)
@@ -528,14 +522,10 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
 
 
 @main.command("validate")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--instances", type=int, default=4, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--instances", type=click.IntRange(min=1), default=4, show_default=True)
 def cmd_validate(seed: int, instances: int) -> None:
     """Cross-check the analytic pipeline against the independent oracles."""
-    if seed < 0:
-        _fail("--seed must be non-negative")
-    if instances < 1:
-        _fail("--instances must be at least 1")
     from . import oracle
     results = oracle.run_validation_suite(seed=seed, instances=instances)
     failed = 0

@@ -344,8 +344,72 @@ def test_verbs_on_fuzzed_scenarios_exit_cleanly(runner, tmp_path_factory, data):
 def test_grid_has_no_around_weber_flag(runner, log_path):
     res = runner.invoke(main, ["grid", log_path, "--around-weber",
                                "--radius", "10", "--step", "10"])
-    assert res.exit_code == 2
-    assert "No such option" in res.output
+    assert res.exit_code == 1
+    [line] = res.stderr.splitlines()
+    assert line.startswith("error: ") and "No such option" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["solve", "{log}", "--bogus"],
+    ["solve", "{log}", "--trucks", "abc"],
+    ["grid", "{log}", "--radius", "1"],
+    ["generate", "--block", "V", "--seed", "1"],
+    ["generate", "--block", "I", "--seed", "1", "--count", "2", "--outdir", "{file}"],
+    ["nosuch"],
+    ["--bogus"],
+    [],
+], ids=["missing-file", "unknown-option", "bad-integer", "missing-option",
+        "bad-choice", "outdir-is-a-file", "unknown-verb", "unknown-group-option",
+        "no-verb"])
+def test_usage_errors_exit_1_with_one_line(runner, log_path, tmp_path, argv):
+    # what click rejects by itself exits like any other bad input, not with
+    # code 2, which means infeasible
+    existing = tmp_path / "existing.txt"
+    existing.write_text("")
+    argv = [a.format(log=log_path, file=existing) for a in argv]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    [line] = res.stderr.splitlines()
+    assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{log}", "--csv", "{out}"],
+    ["calibrate", "--out", "{out}"],
+    ["generate", "--block", "I", "--seed", "1", "--count", "2", "--csv", "{out}"],
+], ids=["solve", "calibrate", "generate"])
+def test_an_unwritable_output_path_exits_1_with_one_line(runner, log_path, tmp_path, argv):
+    out = tmp_path / "missing" / "out.txt"
+    res = runner.invoke(main, [a.format(log=log_path, out=out) for a in argv])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.stderr.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(runner, argv):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0
+    assert res.stdout.startswith("Usage: ") and res.stderr == ""
+
+
+@pytest.mark.parametrize("raised,stderr", [
+    # a reader of stdout that went away (a pipe into head) ends the run quietly
+    (BrokenPipeError, ""),
+    (KeyboardInterrupt, "\nAborted!\n"),
+])
+def test_click_still_handles_a_closed_pipe_and_ctrl_c(runner, log_path, monkeypatch,
+                                                       raised, stderr):
+    def interrupted(*args, **kwargs):
+        raise raised()
+    monkeypatch.setattr(cli, "solve_weber", interrupted)
+    res = runner.invoke(main, ["weber", log_path])
+    assert res.exit_code == 1
+    assert res.stderr == stderr
 
 
 def test_generate_deterministic(runner):
@@ -436,8 +500,9 @@ def test_validate_detects_corruption(runner, monkeypatch):
     assert res.exit_code == 1
     assert "[FAIL] log/linear convolution agreement" in res.output
     res = runner.invoke(main, ["validate", "--corrupt-convolution"])
-    assert res.exit_code == 2
-    assert "No such option" in res.output
+    assert res.exit_code == 1
+    [line] = res.stderr.splitlines()
+    assert line.startswith("error: ") and "No such option" in line
 
 
 def test_blocks_match_published_design():
