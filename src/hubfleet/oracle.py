@@ -264,10 +264,12 @@ def simulate(star: StarNetwork, trucks: int, *,
     lanes) and estimate throughput and per-station sojourn times.
 
     The horizon counts processed events per replication; the first
-    ``warmup_fraction`` of them is discarded.  Each replication spawns its
-    generators from ``seed``: one for routing, one for each hub or dock's
-    service times, and one shared by all lanes for travel times, so runs
-    with different travel distributions are common-random-number paired.
+    ``warmup_fraction`` of them is discarded.  Replication ``rep`` draws
+    stream ``k`` from the generator seeded by ``SeedSequence(seed,
+    spawn_key=(rep, *k))``: ``k`` is ``(0,)`` for routing, ``(1, st)`` for
+    the service times of hub or dock ``st`` and ``(2,)`` for the travel times
+    of all lanes, so runs with different travel distributions are
+    common-random-number paired.
     Routing uniforms, service times and exponential travel times are drawn
     in blocks of 2048, each block when the previous one runs out, so the
     lanes take blocks from the shared generator in the order they run dry;
@@ -313,28 +315,25 @@ def simulate(star: StarNetwork, trucks: int, *,
     bounds = np.cumsum(demand_fractions(s))[:-1]
 
     warm_count = int(warmup_fraction * horizon_events)
-    rep_seeds = np.random.SeedSequence(seed).spawn(replications)
+
+    def rng(*key: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
     th_w = np.zeros(replications)
     soj_mean = np.zeros((replications, n_st))
     th_station = np.zeros((replications, n_st))
 
     for rep in range(replications):
-        route_seq, service_seq, travel_seq = rep_seeds[rep].spawn(3)
         route = chain.from_iterable(
             (1 + 3 * bounds.searchsorted(u, "right")).tolist()
-            for u in map(np.random.default_rng(route_seq).random, repeat(_BLOCK))).__next__
-        # one child sequence per station keeps each dock's stream where it
-        # is; only the hub and the docks get a generator from theirs
-        service_seqs = service_seq.spawn(n_st)
-        travel_rng = np.random.default_rng(travel_seq)
+            for u in map(rng(rep, 0).random, repeat(_BLOCK))).__next__
+        travel_rng = rng(rep, 2)
 
         draw = []
         for st in range(n_st):
             mean = mean_time[st]
             if servers[st]:
-                draw.append(_stream(partial(np.random.default_rng(service_seqs[st]).exponential,
-                                            mean, _BLOCK)))
+                draw.append(_stream(partial(rng(rep, 1, st).exponential, mean, _BLOCK)))
             elif travel == "exponential" and mean > 0:
                 draw.append(_stream(partial(travel_rng.exponential, mean, _BLOCK)))
             elif isinstance(travel, str):  # deterministic, or a zero-length lane

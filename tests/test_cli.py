@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -636,3 +637,19 @@ def test_fleet_find_mu1_prints_a_tiny_step_rate_in_at_most_repr_digits(runner, p
     center = solve_weber(cli.WeberProblem.from_scenario(scenario, True)).location
     rate, _ = fleet.min_center_rate(scenario, center, rate_step=1e-300)
     assert float(line.split()[3].partition("/")[0]) == rate
+
+
+@pytest.mark.parametrize("path, fleet", [
+    (files("hubfleet.data") / "towns12-log.json", 19),
+    (files("hubfleet.data") / "towns12-pro.json", 28),
+    (Path(__file__).parent / "golden" / "towns12-log-multi.json", 20),
+], ids=["log", "pro", "multi"])
+@pytest.mark.parametrize("below", [0, 1])
+def test_solve_trucks_agrees_with_min_trucks_at_the_edge(runner, path, fleet, below):
+    # solve --trucks decides feasibility with its own test of capacity x
+    # throughput against demand; at min_trucks' fleet it must say yes, and
+    # one truck below it no
+    assert f"fleet size          {fleet}\n" in runner.invoke(main, ["solve", str(path)]).output
+    res = runner.invoke(main, ["solve", str(path), "--trucks", str(fleet - below)])
+    assert res.exit_code == (2 if below else 0)
+    assert f"feasible            {'no' if below else 'yes'}\n" in res.output

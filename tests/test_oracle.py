@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hubfleet.convolution import convolve_stations, multi_server
 from hubfleet import oracle
 from hubfleet.oracle import (_explicit_star, ctmc_throughput, enumerate_product_form,
                              random_scenario, run_validation_suite, simulate)
-from hubfleet.scenario import Center, Scenario, Warehouse, demand_fractions
+from hubfleet.scenario import (Center, Scenario, Warehouse, demand_fractions,
+                               load_scenario)
 from hubfleet.star import AggregatedConvolution, build_star
 from hubfleet.weber import WeberProblem, solve_weber
 
@@ -112,6 +115,22 @@ def test_des_matches_analytic_and_insensitivity():
         det.warehouse_throughput_hw + 0.001 * analytic
     assert abs(exp.warehouse_throughput - det.warehouse_throughput) <= \
         exp.warehouse_throughput_hw + det.warehouse_throughput_hw
+
+
+@pytest.mark.parametrize("travel", ["exponential", "deterministic"])
+def test_des_matches_the_exact_throughput_of_multi_server_stations(travel):
+    # a 2-server hub and three 2-server docks, 150 trucks on slow lanes: at
+    # 50 km/h this star sits on its 4/h ceiling from 120 trucks on; the
+    # bound is perfbench's des check, max(3% of exact, 4 half-widths)
+    sc = dataclasses.replace(
+        load_scenario(Path(__file__).parent / "golden" / "towns12-log-multi.json"),
+        truck_speed_kmh=5.0)
+    star = build_star(sc, solve_weber(WeberProblem.from_scenario(sc, weighted=True)).location)
+    exact = AggregatedConvolution(star).warehouse_throughput(150)
+    est = simulate(star, 150, horizon_events=60_000, replications=4, seed=2027,
+                   travel=travel)
+    assert abs(est.warehouse_throughput - exact) <= \
+        max(0.03 * exact, 4 * est.warehouse_throughput_hw)
 
 
 def test_des_user_travel_distribution(toy_star_scenario):
