@@ -11,8 +11,9 @@ intervals and reports whether a single speed reproduces every table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
-from .fleet import min_trucks, solve_at
+from .fleet import meets_demand, solve_at
 from .scenario import Scenario, bundled_scenario
 from .star import AggregatedConvolution, build_star
 from .weber import WeberProblem, solve_weber
@@ -36,8 +37,6 @@ class ReferenceRow:
     throughput: tuple[float, float]   # deliveries per day as printed
     busy: tuple[float, float]
     strict: bool = False
-    throughput_tol: float = 5e-4
-    busy_tol: float = 1e-5
 
 
 REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
@@ -53,6 +52,8 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
                  (72.000, 72.000), (1.0, 1.0)),
 )
 
+THROUGHPUT_TOL = 5e-4
+BUSY_TOL = 1e-5
 _BISECT_TOL = 1e-7
 
 
@@ -80,7 +81,6 @@ class VerifiedCell:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    rows: tuple[ReferenceRow, ...]
     fits: tuple[ColumnFit, ...]
     interval: tuple[float, float] | None   # speeds consistent with everything
     speed: float | None                    # recommended speed inside it
@@ -138,15 +138,14 @@ def _with(scenario: Scenario, mu1: float, speed: float) -> Scenario:
     return replace(scenario.with_center_rate(mu1), truck_speed_kmh=speed)
 
 
-def _trucks_at(br: _Branches, row: ReferenceRow, branch: str, speed: float) -> int | None:
-    res = min_trucks(_with(br.scenario, row.mu1, speed), br.location(branch))
-    return res.trucks if res.feasible else None
+def _table_at(br: _Branches, row: ReferenceRow, branch: str, speed: float):
+    sc = _with(br.scenario, row.mu1, speed)
+    return sc, AggregatedConvolution(build_star(sc, br.location(branch)))
 
 
 def _th_day_at(br: _Branches, row: ReferenceRow, branch: str, speed: float,
                trucks: int) -> float:
-    sc = _with(br.scenario, row.mu1, speed)
-    agg = AggregatedConvolution(build_star(sc, br.location(branch)))
+    sc, agg = _table_at(br, row, branch, speed)
     return agg.warehouse_throughput(trucks) * sc.hours_per_day
 
 
@@ -179,23 +178,18 @@ def _interval(enter, leave, s_lo: float, s_hi: float) -> tuple[float, float] | N
 
 def _trucks_interval(br: _Branches, row: ReferenceRow, branch: str,
                      s_lo: float, s_hi: float) -> tuple[float, float] | None:
-    """Speeds at which the minimal fleet equals the reference count; fleet
-    size is non-increasing in speed."""
+    """Speeds at which the reference fleet N meets demand and N - 1 trucks
+    do not, so that N is the minimal fleet; fleet size falls with speed."""
     target = row.trucks[0 if branch == "weighted" else 1]
+
+    def meets(trucks: int):
+        return lambda s: meets_demand(*_table_at(br, row, branch, s), trucks)
+
     if target is None:
         # reference says infeasible; that is speed-independent (hub-bound)
-        if _trucks_at(br, row, branch, s_lo) is None \
-                and _trucks_at(br, row, branch, s_hi) is None:
-            return (s_lo, s_hi)
-        return None
-
-    def at_most(limit: int):
-        def pred(s: float) -> bool:
-            t = _trucks_at(br, row, branch, s)
-            return t is not None and t <= limit
-        return pred
-
-    return _interval(at_most(target), at_most(target - 1), s_lo, s_hi)
+        at_cap = meets(br.scenario.max_trucks)
+        return None if at_cap(s_lo) or at_cap(s_hi) else (s_lo, s_hi)
+    return _interval(meets(target), meets(target - 1), s_lo, s_hi)
 
 
 def _value_interval(value_at, target: float, tol: float,
@@ -221,44 +215,38 @@ def _nice_value(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def calibrate_speed(s_lo: float = 20.0, s_hi: float = 90.0,
-                    rows: tuple[ReferenceRow, ...] = REFERENCE_ROWS
-                    ) -> CalibrationReport:
+def calibrate_speed(s_lo: float = 20.0, s_hi: float = 90.0) -> CalibrationReport:
     """Find the speed range consistent with every reference column and
     verify the reproduction at a recommended speed inside it."""
-    branches = {key: _Branches(key) for key in {r.demands for r in rows}}
+    branches = {key: _Branches(key) for key in {r.demands for r in REFERENCE_ROWS}}
     fits: list[ColumnFit] = []
-    overall: tuple[float, float] | None = (s_lo, s_hi)
-
-    for row in rows:
+    for row in REFERENCE_ROWS:
         br = branches[row.demands]
         for bi, branch in enumerate(("weighted", "unweighted")):
             ti = _trucks_interval(br, row, branch, s_lo, s_hi)
             fits.append(ColumnFit(row.label, branch, "trucks",
                                   row.trucks[bi], ti))
-            overall = _intersect(overall, ti)
             if row.strict and row.trucks[bi] is not None:
                 n_ref = row.trucks[bi]
                 th = _value_interval(
                     lambda s: _th_day_at(br, row, branch, s, n_ref),
-                    row.throughput[bi], row.throughput_tol, s_lo, s_hi)
+                    row.throughput[bi], THROUGHPUT_TOL, s_lo, s_hi)
                 fits.append(ColumnFit(row.label, branch, "throughput",
                                       row.throughput[bi], th))
-                overall = _intersect(overall, th)
                 if br.scenario.center.servers == 1:
                     # with one loading dock, busy = TH_w(hourly) / mu_1
                     scale = row.mu1 * br.scenario.hours_per_day
                     busy = _value_interval(
                         lambda s: _th_day_at(br, row, branch, s, n_ref) / scale,
-                        row.busy[bi], row.busy_tol, s_lo, s_hi)
+                        row.busy[bi], BUSY_TOL, s_lo, s_hi)
                     fits.append(ColumnFit(row.label, branch, "busy",
                                           row.busy[bi], busy))
-                    overall = _intersect(overall, busy)
 
+    overall = reduce(_intersect, (fit.interval for fit in fits), (s_lo, s_hi))
     speed = None if overall is None else _nice_value(*overall)
     verified: list[VerifiedCell] = []
     if speed is not None:
-        for row in rows:
+        for row in REFERENCE_ROWS:
             br = branches[row.demands]
             for bi, branch in enumerate(("weighted", "unweighted")):
                 out = solve_at(_with(br.scenario, row.mu1, speed),
@@ -267,13 +255,12 @@ def calibrate_speed(s_lo: float = 20.0, s_hi: float = 90.0,
                 ok = got_trucks == row.trucks[bi]
                 if row.strict:
                     ok = ok and abs(ana.warehouse_throughput_per_day
-                                    - row.throughput[bi]) <= row.throughput_tol
-                    ok = ok and abs(ana.busy_center - row.busy[bi]) <= row.busy_tol
+                                    - row.throughput[bi]) <= THROUGHPUT_TOL
+                    ok = ok and abs(ana.busy_center - row.busy[bi]) <= BUSY_TOL
                 verified.append(VerifiedCell(
                     row.label, branch, row.trucks[bi], got_trucks,
                     row.throughput[bi], ana.warehouse_throughput_per_day,
                     row.busy[bi], ana.busy_center, ok))
 
-    return CalibrationReport(rows=tuple(rows), fits=tuple(fits),
-                             interval=overall, speed=speed,
+    return CalibrationReport(fits=tuple(fits), interval=overall, speed=speed,
                              verified=tuple(verified))

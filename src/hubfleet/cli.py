@@ -26,10 +26,11 @@ from typing import TYPE_CHECKING, NoReturn
 import click
 
 from .convolution import NumericalRangeError
-from .fleet import _center_rate_from, compare_locations, min_trucks, solve_at
+from .fleet import _center_rate_from, compare_locations, meets_demand, min_trucks, solve_at
 from .scenario import (DEFAULT_TRUCK_SPEED_KMH, Center, Scenario, ScenarioError,
                        Warehouse, load_scenario, save_scenario)
-from .star import analyze, bottleneck, build_star, throughput_vs_location
+from .star import (AggregatedConvolution, analyze, bottleneck, build_star,
+                   throughput_vs_location)
 from .weber import WeberProblem, WeberSolution, solve_weber
 
 if TYPE_CHECKING:
@@ -204,9 +205,9 @@ def cmd_solve(file: str, trucks: int | None, center: tuple[float, float] | None,
     bn = bottleneck(scenario)
 
     if trucks is not None:
-        ana = analyze(build_star(scenario, center), trucks)
-        feasible = (scenario.truck_capacity * ana.warehouse_throughput_per_day
-                    >= scenario.total_demand_per_day)
+        star = build_star(scenario, center)
+        ana = analyze(star, trucks)
+        feasible = meets_demand(scenario, AggregatedConvolution(star), trucks)
     else:
         out = solve_at(scenario, center)
         feasible, ana = out.fleet.feasible, out.analysis

@@ -1,7 +1,8 @@
 """Fleet sizing and hub placement on top of the star-network analysis.
 
-Feasibility compares deliverable truckloads per day against daily demand:
-a fleet of N trucks meets demand when
+Feasibility compares deliverable truckloads per day against daily demand;
+``meets_demand`` decides it for every caller: a fleet of N trucks meets
+demand when
 
     capacity * TH_w(N) * hours_per_day >= total demand per day.
 
@@ -53,6 +54,21 @@ class FleetResult:
 _BOUND_MARGIN = 1e-9
 
 
+def meets_demand(scenario: Scenario, agg: AggregatedConvolution, trucks: int) -> bool:
+    """Whether ``trucks`` trucks meet demand with the hub where ``agg`` has
+    it: capacity * TH_w(N) * hours_per_day >= total demand per day."""
+    if trucks < 1:
+        return False
+    th_day = agg.warehouse_throughput(trucks) * scenario.hours_per_day
+    return scenario.truck_capacity * th_day >= scenario.total_demand_per_day
+
+
+def _need(scenario: Scenario) -> float:
+    """The overall throughput TH(N) per hour that meets demand."""
+    return scenario.total_demand_per_day / (
+        scenario.truck_capacity * HUB_VISIT_RATIO * scenario.hours_per_day)
+
+
 def _fleet_bound(scenario: Scenario, star: StarNetwork) -> float:
     """No fleet below this meets demand.
 
@@ -60,9 +76,7 @@ def _fleet_bound(scenario: Scenario, star: StarNetwork) -> float:
     TH(N) <= N / (kappa + sum of the hub and dock loads): a cycle takes at
     least its travel and service demand.  A fleet that meets demand has
     TH(N) >= need, so N >= need * (kappa + sum of loads)."""
-    need = scenario.total_demand_per_day / (
-        scenario.truck_capacity * HUB_VISIT_RATIO * scenario.hours_per_day)
-    return need * (star.kappa + math.fsum(x for x, _ in station_loads(scenario)))
+    return _need(scenario) * (star.kappa + math.fsum(x for x, _ in station_loads(scenario)))
 
 
 def min_trucks(scenario: Scenario, center: Point) -> FleetResult:
@@ -75,10 +89,8 @@ def min_trucks(scenario: Scenario, center: Point) -> FleetResult:
     saturation ceiling the search is skipped entirely.
     """
     star = build_star(scenario, center)
-    cap = scenario.truck_capacity
-    demand = scenario.total_demand_per_day
-
-    if cap * bottleneck(scenario).ceiling_per_day <= demand:
+    ceiling = bottleneck(scenario).ceiling_per_day
+    if scenario.truck_capacity * ceiling <= scenario.total_demand_per_day:
         return FleetResult(trucks=None, throughput_per_day=math.nan, iterations=0,
                            infeasibility_reason="ceiling")
 
@@ -91,13 +103,13 @@ def min_trucks(scenario: Scenario, center: Point) -> FleetResult:
         first = math.ceil(low)
 
     agg = AggregatedConvolution(star)
-    hours = scenario.hours_per_day
-    for n in range(first, scenario.max_trucks + 1):
-        th_day = agg.warehouse_throughput(n) * hours
-        if cap * th_day >= demand:
+    hours, top = scenario.hours_per_day, scenario.max_trucks
+    for n in range(first, top + 1):
+        if meets_demand(scenario, agg, n):
+            th_day = agg.warehouse_throughput(n) * hours
             return FleetResult(trucks=n, throughput_per_day=th_day, iterations=n)
-    return FleetResult(trucks=None, throughput_per_day=th_day,
-                       iterations=scenario.max_trucks, infeasibility_reason="max_trucks")
+    return FleetResult(trucks=None, throughput_per_day=agg.warehouse_throughput(top) * hours,
+                       iterations=top, infeasibility_reason="max_trucks")
 
 
 def min_center_rate(scenario: Scenario, center: Point,
@@ -154,8 +166,6 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     if not probe.feasible:
         return None, probe
     top = scenario.max_trucks
-    cap, hours = scenario.truck_capacity, scenario.hours_per_day
-    demand = scenario.total_demand_per_day
     free = AggregatedConvolution(build_star(fast, center)).table(top)
 
     # Feasibility is monotone in the hub rate, so the answer is the first
@@ -163,7 +173,8 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
     # (infeasible) rate.
     # demand / (capacity * s_1 * hours) bounds the workable hub rate from below
     servers = scenario.center.servers
-    lb = demand / (cap * servers * hours)
+    lb = scenario.total_demand_per_day / (
+        scenario.truck_capacity * servers * scenario.hours_per_day)
     lb_index = lb / rate_step
     own_index = scenario.center.load_rate_per_hour / rate_step
     if not (math.isfinite(lb_index) and math.isfinite(own_index)):
@@ -181,7 +192,7 @@ def _center_rate_from(scenario: Scenario, center: Point, rate_step: float,
         log_den.append(log_den[-1] + math.log(min(i, servers)))
     at_top = [log_r[top - i] - log_den[i] for i in range(top + 1)]
     below_top = [log_r[top - 1 - i] - log_den[i] for i in range(top)]
-    log_need = math.log(demand / (cap * HUB_VISIT_RATIO * hours))
+    log_need = math.log(_need(scenario))
 
     # keyed by the rate: grid indices that round to one float share a probe,
     # so a step finer than the rate's float spacing costs no extra probes

@@ -104,5 +104,8 @@ def bad_scenarios() -> list[tuple[object, str]]:
          "truck_speed_kmh must be positive and finite"),
         (_edited(lambda d, w, c: w.update(servers=None)), "servers must be a number"),
         (_edited(lambda d, w, c: d.update(center=[])), "center must be an object"),
+        # JSON holds any integer; this one has no float
+        (_edited(lambda d, w, c: w.update(demand_per_day=10**400)),
+         "warehouse #0: demand_per_day is out of range"),
         ([], "must be a JSON object"),
     ]

@@ -653,3 +653,12 @@ def test_solve_trucks_agrees_with_min_trucks_at_the_edge(runner, path, fleet, be
     res = runner.invoke(main, ["solve", str(path), "--trucks", str(fleet - below)])
     assert res.exit_code == (2 if below else 0)
     assert f"feasible            {'no' if below else 'yes'}\n" in res.output
+
+
+@pytest.mark.parametrize("verb, center", [("solve", "1.7e308,1.7e308"),
+                                          ("fleet", "-1.7e308,1.7e308")])
+def test_a_hub_whose_distances_overflow_exits_1_with_one_line(runner, log_path, verb, center):
+    # each coordinate is finite, but the distance to a town is not
+    res = runner.invoke(main, [verb, log_path, "--center", center])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr.splitlines() == ["error: distances must be finite"]

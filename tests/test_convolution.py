@@ -247,3 +247,22 @@ def test_buzen_on_closed_network():
     t = convolve_stations(stations, eta, 2)
     assert t.population == 2
     assert t.ratio(1, 2) == pytest.approx(4.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("etas,message", [
+    ([0.5], "expected 2 visit ratios, got 1"),
+    ([0.5, 0.5, 0.5], "expected 2 visit ratios, got 3"),
+    ([0.0, 0.0], "at least one positive entry"),
+])
+def test_visit_ratios_of_the_wrong_count_or_all_zero_are_rejected(etas, message):
+    stations = (multi_server("a", 1.0), multi_server("b", 1.0))
+    with pytest.raises(ValueError, match=message):
+        convolve_stations(stations, etas, 3)
+
+
+@pytest.mark.parametrize("node", [2, -1])
+def test_a_marginal_of_a_station_not_in_the_list_is_rejected(node):
+    stations = (multi_server("a", 1.0), multi_server("b", 1.0))
+    table = convolve_stations(stations, [0.5, 0.5], 3)
+    with pytest.raises(ValueError, match=f"no station with index {node}"):
+        marginal_distribution(stations, [0.5, 0.5], table, node)

@@ -73,6 +73,7 @@ def test_des_zero_trucks(toy_star_scenario):
     (2, {"warmup_fraction": 1.0}, "warmup_fraction"),
     (2, {"warmup_fraction": -0.1}, "warmup_fraction"),
     (2, {"warmup_fraction": float("nan")}, "warmup_fraction"),
+    (2, {"travel": "uniform"}, "unknown travel distribution 'uniform'"),
 ])
 def test_des_rejects_bad_arguments(toy_star_scenario, trucks, kw, name):
     star = build_star(toy_star_scenario, (0.0, 0.0))

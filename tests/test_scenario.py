@@ -245,3 +245,9 @@ def test_scenario_from_dict_fuzz(data):
     assert isinstance(sc, Scenario)
     assert scenario_from_dict(scenario_to_dict(sc)) == sc
 
+
+
+def test_an_unknown_bundled_scenario_is_rejected():
+    from hubfleet.scenario import bundled_scenario
+    with pytest.raises(ScenarioError, match="no bundled scenario named 'nope'"):
+        bundled_scenario("nope")

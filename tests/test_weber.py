@@ -229,3 +229,14 @@ def test_random_instances_first_order_optimal():
         # at an interior point the pull vanishes; on an anchor it is
         # dominated by that anchor's weight
         assert float(np.hypot(*pull)) <= w[on].sum() + 1e-6 * w.sum()
+
+
+@pytest.mark.parametrize("anchors,weights,message", [
+    ((), (), "at least one anchor"),
+    (((0.0, 0.0), (1.0, 0.0)), (1.0,), "equal length"),
+    (((0.0, 0.0),), (1.0, 2.0), "equal length"),
+])
+def test_a_problem_without_anchors_or_with_unmatched_weights_is_rejected(anchors, weights,
+                                                                       message):
+    with pytest.raises(ValueError, match=message):
+        WeberProblem(anchors=anchors, weights=weights)
