@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .scenario import Point, Scenario
 from .star import (HUB_VISIT_RATIO, AggregatedConvolution, StarAnalysis, StarNetwork,
                    analyze, bottleneck, build_star, station_loads)
-from .weber import WeberProblem, WeberSolution, solve_weber, weber_objective
+from .weber import WeberProblem, solve_weber
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,21 +251,17 @@ def _first_fit(bad: int, k: int, fits: Callable[[int], bool], rate_step: float) 
 
 @dataclass(frozen=True, slots=True)
 class PlacementOutcome:
-    """One hub placement with its fleet answer and steady-state figures.
-
-    ``analysis`` is evaluated at the minimal feasible fleet, or at
-    ``max_trucks`` when infeasible so reports can still show the saturated
-    throughput and hub utilization.
+    """A hub point (``location``, as floats) with its fleet answer and
+    steady-state figures; a Weber solve that chose the point is
+    ``solve_weber``'s result, not the placement's.  ``analysis`` is taken
+    at the minimal feasible fleet, or at ``max_trucks`` when infeasible so
+    reports can still show the saturated throughput and hub utilization.
     """
 
     label: str
-    weber: WeberSolution
+    location: Point
     fleet: FleetResult
     analysis: StarAnalysis
-
-    @property
-    def location(self) -> Point:
-        return self.weber.location
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,19 +276,12 @@ class LocationComparison:
         return math.hypot(xw - xu, yw - yu)
 
 
-def solve_at(scenario: Scenario, center: Point, label: str = "fixed",
-             weber_solution: WeberSolution | None = None) -> PlacementOutcome:
-    """Fleet search plus full analysis at one location."""
+def solve_at(scenario: Scenario, center: Point, label: str = "fixed") -> PlacementOutcome:
+    """Fleet search plus full analysis at the hub point ``center``."""
     fleet = min_trucks(scenario, center)
     star = build_star(scenario, center)
     n_report = fleet.trucks if fleet.feasible else scenario.max_trucks
-    if weber_solution is None:
-        weber_solution = WeberSolution(
-            x=float(center[0]), y=float(center[1]),
-            objective=weber_objective(
-                WeberProblem.from_scenario(scenario, weighted=True), center),
-            iterations=0, converged=True)
-    return PlacementOutcome(label=label, weber=weber_solution, fleet=fleet,
+    return PlacementOutcome(label=label, location=star.center, fleet=fleet,
                             analysis=analyze(star, n_report))
 
 
@@ -300,6 +289,6 @@ def compare_locations(scenario: Scenario) -> LocationComparison:
     """Demand-weighted versus unweighted hub placement, solved end to end."""
     sol_w = solve_weber(WeberProblem.from_scenario(scenario, weighted=True))
     sol_u = solve_weber(WeberProblem.from_scenario(scenario, weighted=False))
-    out_w = solve_at(scenario, sol_w.location, "weighted", sol_w)
-    out_u = solve_at(scenario, sol_u.location, "unweighted", sol_u)
+    out_w = solve_at(scenario, sol_w.location, "weighted")
+    out_u = solve_at(scenario, sol_u.location, "unweighted")
     return LocationComparison(weighted=out_w, unweighted=out_u)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hubfleet.calibration import calibrate_speed
+from hubfleet.calibration import _nice_value, calibrate_speed
 from hubfleet.cli import BLOCKS, sample_instance
 from hubfleet.convolution import marginal_distribution
 from hubfleet.fleet import compare_locations, min_center_rate, min_trucks
@@ -93,6 +93,11 @@ def test_criterion_3_speed_calibration():
     _report(f"[PASS] criterion 3: consistent speed interval "
             f"[{lo:.4f}, {hi:.4f}] km/h, all {len(report.verified)} "
             f"reference cells reproduced at {report.speed:g} km/h")
+
+
+def test_nice_value_falls_back_to_the_midpoint():
+    # no rounding of the midpoint to 0-7 decimals lands in so narrow an interval
+    assert _nice_value(1.00000001, 1.00000002) == 1.000000015
 
 
 def test_criterion_4_oracle_triple_agreement():

@@ -391,6 +391,13 @@ def test_an_unwritable_output_path_exits_1_with_one_line(runner, log_path, tmp_p
     assert line.startswith("error: ") and str(out) in line
 
 
+def test_calibrate_out_writes_what_it_prints(runner, tmp_path):
+    out = tmp_path / "calibrate.txt"
+    res = runner.invoke(main, ["calibrate", "--out", str(out)])
+    assert res.exit_code == 0
+    assert out.read_bytes() == (Path(__file__).parent / "golden" / "calibrate.txt").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
 def test_help_exits_0(runner, argv):
     res = runner.invoke(main, argv)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hubfleet.convolution import (NumericalRangeError, _check_entry,
-                                  convolve_stations, infinite_server,
-                                  marginal_distribution, multi_server)
+from hubfleet.convolution import (Convolution, ConvolutionTable, NumericalRangeError,
+                                  Station, _check_entry, convolve_stations,
+                                  infinite_server, marginal_distribution, multi_server)
 from hubfleet.oracle import (_explicit_star, aggregated_stations, enumerate_product_form,
                              random_scenario)
 from hubfleet.scenario import demand_fractions
-from hubfleet.star import AggregatedConvolution, build_star
+from hubfleet.star import AggregatedConvolution, aggregated_norm_constants, build_star
 
 
 def two_node_cycle():
@@ -266,3 +267,52 @@ def test_a_marginal_of_a_station_not_in_the_list_is_rejected(node):
     table = convolve_stations(stations, [0.5, 0.5], 3)
     with pytest.raises(ValueError, match=f"no station with index {node}"):
         marginal_distribution(stations, [0.5, 0.5], table, node)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Station("a", 0.0), "rate must be positive"),
+    (lambda: Station("a", math.nan), "rate must be positive"),
+    (lambda: Station("a", 1.0, 0), "servers must be >= 1 or None"),
+    (lambda: infinite_server("l", -1.0), "mean must be non-negative"),
+], ids=["zero-rate", "nan-rate", "no-servers", "negative-mean"])
+def test_a_station_without_a_positive_rate_or_a_server_is_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_an_empty_station_serves_nobody():
+    assert multi_server("a", 2.0, 2).service_rate(0) == 0.0
+
+
+def test_a_negative_population_is_rejected_and_a_smaller_one_keeps_the_table():
+    engine = Convolution([(0.5, 1)])
+    with pytest.raises(ValueError, match="non-negative"):
+        engine.extend_to(-1)
+    engine.extend_to(5)
+    engine.extend_to(3)
+    assert engine.population == 5
+    # a lane alone builds its factors without a queueing row
+    with pytest.raises(ValueError, match="non-negative"):
+        convolve_stations((infinite_server("lane", 0.5),), [1.0], -1)
+
+
+@pytest.mark.parametrize("mant", [math.nan, math.inf])
+def test_a_non_finite_mantissa_is_rejected(mant):
+    with pytest.raises(NumericalRangeError, match="non-finite mantissa"):
+        _check_entry(1, mant, 0, 0.0)
+
+
+def test_a_vanished_entry_reads_as_minus_infinity_and_divides_nothing():
+    table = ConvolutionTable((0.5, 0.0), (1, 0), (0.0, -math.inf))
+    assert table.log_value(1) == -math.inf
+    with pytest.raises(NumericalRangeError, match="denominator is zero"):
+        table.ratio(0, 1)
+
+
+def test_an_entry_past_the_double_range_is_still_read_in_logs(towns_log):
+    # towns12-log at a walking pace: G(400) is about e^888.8, past any float
+    sc = dataclasses.replace(towns_log, truck_speed_kmh=0.05)
+    table = aggregated_norm_constants(build_star(sc, (179.756, 155.905)), 400)
+    assert table.exponent[400] == 1283
+    assert table.value(400) == math.inf
+    assert table.log_value(400) == pytest.approx(888.807, abs=1e-3)

@@ -25,6 +25,9 @@ CASES = [
     ("solve_pro", ["solve", "towns12-pro.json"], 0),
     ("solve_pro_mu1_3", ["solve", "towns12-pro.json", "--mu1", "3"], 2),
     ("solve_pro_mu1_3.38", ["solve", "towns12-pro.json", "--mu1", "3.38"], 0),
+    # a given hub: the fleet search and analysis at that point, no Weber solve
+    ("solve_pro_center_mu1_3.38", ["solve", "towns12-pro.json", "--center", "288.161,112.281",
+                                   "--mu1", "3.38"], 0),
     ("solve_log_trucks_25", ["solve", "towns12-log.json", "--trucks", "25"], 0),
     # an infeasible row still names the fleet its figures describe: the
     # fixed fleet, or max_trucks when no fleet meets demand
@@ -52,6 +55,8 @@ CASES = [
     ("fleet_multi_find_mu1",
      ["fleet", "towns12-log-multi.json", "--mu1", "1.3", "--find-mu1"], 2),
     ("calibrate", ["calibrate"], 0),
+    # a speed range that holds no reference column's interval
+    ("calibrate_20_40", ["calibrate", "--smin", "20", "--smax", "40"], 1),
     ("weber_log", ["weber", "towns12-log.json"], 0),
     ("weber_pro", ["weber", "towns12-pro.json"], 0),
     ("weber_multi", ["weber", "towns12-log-multi.json"], 0),
