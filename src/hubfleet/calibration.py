@@ -125,28 +125,15 @@ class _Branches:
 
     def __init__(self, demands: str):
         self.scenario = bundled_scenario(f"towns12-{demands}")
-        self.weighted = solve_weber(
-            WeberProblem.from_scenario(self.scenario, weighted=True)).location
-        self.unweighted = solve_weber(
-            WeberProblem.from_scenario(self.scenario, weighted=False)).location
+        self.hubs = {branch: solve_weber(WeberProblem.from_scenario(
+                         self.scenario, weighted=branch == "weighted")).location
+                     for branch in ("weighted", "unweighted")}
 
-    def location(self, branch: str):
-        return self.weighted if branch == "weighted" else self.unweighted
-
-
-def _with(scenario: Scenario, mu1: float, speed: float) -> Scenario:
-    return replace(scenario.with_center_rate(mu1), truck_speed_kmh=speed)
-
-
-def _table_at(br: _Branches, row: ReferenceRow, branch: str, speed: float):
-    sc = _with(br.scenario, row.mu1, speed)
-    return sc, AggregatedConvolution(build_star(sc, br.location(branch)))
-
-
-def _th_day_at(br: _Branches, row: ReferenceRow, branch: str, speed: float,
-               trucks: int) -> float:
-    sc, agg = _table_at(br, row, branch, speed)
-    return agg.warehouse_throughput(trucks) * sc.hours_per_day
+    def at(self, row: ReferenceRow, branch: str, speed: float
+           ) -> tuple[Scenario, AggregatedConvolution]:
+        """The scenario at the row's hub rate and ``speed``, with its table at the hub."""
+        sc = replace(self.scenario.with_center_rate(row.mu1), truck_speed_kmh=speed)
+        return sc, AggregatedConvolution(build_star(sc, self.hubs[branch]))
 
 
 def _bisect_speed(pred, lo: float, hi: float) -> float:
@@ -183,7 +170,7 @@ def _trucks_interval(br: _Branches, row: ReferenceRow, branch: str,
     target = row.trucks[0 if branch == "weighted" else 1]
 
     def meets(trucks: int):
-        return lambda s: meets_demand(*_table_at(br, row, branch, s), trucks)
+        return lambda s: meets_demand(*br.at(row, branch, s), trucks)
 
     if target is None:
         # reference says infeasible; that is speed-independent (hub-bound)
@@ -223,24 +210,18 @@ def calibrate_speed(s_lo: float = 20.0, s_hi: float = 90.0) -> CalibrationReport
     for row in REFERENCE_ROWS:
         br = branches[row.demands]
         for bi, branch in enumerate(("weighted", "unweighted")):
-            ti = _trucks_interval(br, row, branch, s_lo, s_hi)
-            fits.append(ColumnFit(row.label, branch, "trucks",
-                                  row.trucks[bi], ti))
+            fits.append(ColumnFit(row.label, branch, "trucks", row.trucks[bi],
+                                  _trucks_interval(br, row, branch, s_lo, s_hi)))
             if row.strict and row.trucks[bi] is not None:
-                n_ref = row.trucks[bi]
-                th = _value_interval(
-                    lambda s: _th_day_at(br, row, branch, s, n_ref),
-                    row.throughput[bi], THROUGHPUT_TOL, s_lo, s_hi)
-                fits.append(ColumnFit(row.label, branch, "throughput",
-                                      row.throughput[bi], th))
-                if br.scenario.center.servers == 1:
-                    # with one loading dock, busy = TH_w(hourly) / mu_1
-                    scale = row.mu1 * br.scenario.hours_per_day
-                    busy = _value_interval(
-                        lambda s: _th_day_at(br, row, branch, s, n_ref) / scale,
-                        row.busy[bi], BUSY_TOL, s_lo, s_hi)
-                    fits.append(ColumnFit(row.label, branch, "busy",
-                                          row.busy[bi], busy))
+                n = row.trucks[bi]   # both figures rise with speed at this fleet
+                for quantity, tol, figure in (
+                        ("throughput", THROUGHPUT_TOL,
+                         lambda sc, agg: agg.warehouse_throughput(n) * sc.hours_per_day),
+                        ("busy", BUSY_TOL, lambda sc, agg: agg.hub_busy(n))):
+                    ref = getattr(row, quantity)[bi]
+                    span = _value_interval(lambda s: figure(*br.at(row, branch, s)),
+                                           ref, tol, s_lo, s_hi)
+                    fits.append(ColumnFit(row.label, branch, quantity, ref, span))
 
     overall = reduce(_intersect, (fit.interval for fit in fits), (s_lo, s_hi))
     speed = None if overall is None else _nice_value(*overall)
@@ -249,8 +230,7 @@ def calibrate_speed(s_lo: float = 20.0, s_hi: float = 90.0) -> CalibrationReport
         for row in REFERENCE_ROWS:
             br = branches[row.demands]
             for bi, branch in enumerate(("weighted", "unweighted")):
-                out = solve_at(_with(br.scenario, row.mu1, speed),
-                               br.location(branch))
+                out = solve_at(br.at(row, branch, speed)[0], br.hubs[branch])
                 got_trucks, ana = out.fleet.trucks, out.analysis
                 ok = got_trucks == row.trucks[bi]
                 if row.strict:

@@ -316,8 +316,7 @@ def cmd_grid(file: str, radius: float, step: float, trucks: int | None) -> None:
     sol = solve_weber(WeberProblem.from_scenario(scenario, weighted=True))
     cx, cy = sol.location
     if trucks is None:
-        res = min_trucks(scenario, sol.location)
-        trucks = res.trucks if res.feasible else scenario.max_trucks
+        trucks = solve_at(scenario, sol.location).analysis.trucks
     k = int(math.floor(radius / step + 1e-9))
     offsets = [i * step for i in range(-k, k + 1)]
     points = [(cx + dx, cy + dy) for dy in offsets for dx in offsets]
@@ -448,7 +447,7 @@ def _evaluate_instance(idx: int, scenario: Scenario) -> ResultRow:
     demands = [wh.demand_per_day for wh in scenario.warehouses]
     return ResultRow(
         instance=idx, dist_loc=comp.distance_between,
-        demand_total=sum(demands), demand_min=min(demands),
+        demand_total=scenario.total_demand_per_day, demand_min=min(demands),
         demand_max=max(demands), trucks_weighted=w.fleet.trucks,
         trucks_unweighted=u.fleet.trucks,
         throughput_weighted=w.analysis.warehouse_throughput_per_day,
@@ -542,8 +541,8 @@ def cmd_validate(seed: int, instances: int) -> None:
 
 
 @main.command("calibrate")
-@click.option("--smin", type=float, default=20.0, show_default=True)
-@click.option("--smax", type=float, default=90.0, show_default=True)
+@click.option("--smin", type=_POSITIVE, default=20.0, show_default=True)
+@click.option("--smax", type=_POSITIVE, default=90.0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def cmd_calibrate(smin: float, smax: float, out_path: str | None) -> None:
     """Recover the truck speed consistent with the bundled reference tables."""

@@ -244,7 +244,7 @@ def test_grid_rejects_bad_step(runner, log_path):
     ("grid", ["--radius", "10", "--step", "nan"]),
     ("solve", ["--busy-decimals", "-1"]),
     ("generate", ["--block", "I", "--seed", "-1"]),
-    # a ScenarioError raised inside the verb, not by an option check
+    # speeds must be positive and finite, like a scenario's truck speed
     ("calibrate", ["--smin", "-5"]),
     # about 4e18 grid points
     ("grid", ["--radius", "1", "--step", "1e-9"]),
@@ -271,6 +271,8 @@ def test_grid_rejects_bad_step(runner, log_path):
     ("solve", ["--busy-decimals", "18"]),
     ("solve", ["--busy-decimals", "3000000000"]),
     ("generate", ["--block", "I", "--seed", "1", "--busy-decimals", "18"]),
+    ("calibrate", ["--smin", "0"]),
+    ("calibrate", ["--smax", "inf"]),
 ])
 def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
     # generate, calibrate and validate take no scenario file
@@ -282,7 +284,7 @@ def test_bad_option_exits_1_with_one_line(runner, log_path, verb, args):
     assert res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    if verb == "validate":
+    if verb in ("validate", "calibrate"):
         assert args[0] in lines[0]   # the message names the option
 
 
@@ -608,9 +610,10 @@ print(json.dumps(seen))
 
 def test_the_oracle_names_load_on_first_access():
     import hubfleet
-    from hubfleet import oracle
+    from hubfleet import calibration, oracle
     assert hubfleet.simulate is oracle.simulate
     assert hubfleet.run_validation_suite is oracle.run_validation_suite
+    assert hubfleet.calibrate_speed is calibration.calibrate_speed
     from hubfleet import CheckResult, random_scenario   # noqa: F401
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         hubfleet.no_such_name

@@ -132,6 +132,12 @@ def test_engine_properties(seed, docks, hub_servers, trucks):
         assert th >= ths[-1] * (1.0 - 1e-14)
     ana = analyze(star, trucks)
     assert 0.0 <= ana.busy_center <= 1.0
+    if hub_servers == 1:
+        # Little's law at a one-server hub: busy = hub throughput / mu_1, and
+        # the hub sees a quarter of all visits, as many as the warehouses
+        load_rate = sc.center.load_rate_per_hour
+        assert math.isclose(ana.busy_center, ana.warehouse_throughput / load_rate,
+                            rel_tol=1e-12)
     for marginal in _marginals(star, trucks):
         assert np.all(marginal >= 0.0)
         assert float(marginal.sum()) == pytest.approx(1.0, abs=1e-10)

@@ -149,6 +149,16 @@ def test_des_user_travel_distribution(toy_star_scenario):
     assert est.travel == "callable"
 
 
+@pytest.mark.parametrize("travel", ["exponential", "deterministic"])
+def test_des_rejects_a_horizon_with_no_measured_time(toy_star_scenario, travel):
+    # with the hub on the only warehouse both lanes take no time, so the one
+    # event after the warm-up ends at the warm-up's last instant
+    star = build_star(toy_star_scenario, (1.0, 0.0))
+    with pytest.raises(ValueError, match="horizon too short for the requested warm-up"):
+        simulate(star, 1, horizon_events=2, replications=1, warmup_fraction=0.5,
+                 travel=travel)
+
+
 def test_des_little_law_closure():
     rng = np.random.default_rng(29)
     sc = random_scenario(rng, 3, radius_range=(0.5, 2.0))
