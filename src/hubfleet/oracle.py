@@ -24,6 +24,8 @@ Plus random instance generation and the validation suite behind the
 from __future__ import annotations
 
 import math
+import os
+import signal
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -277,6 +279,15 @@ def simulate(star: StarNetwork, trucks: int, *,
     ``travel(rng, mean)`` is called once per trip with the shared generator.
     Events at one instant, ruled out by continuous service times, go by
     arrival time, then station.  Equal seeds give bit-identical results.
+
+    A replication's draws depend on its keys alone, so it gives the same
+    bits in any process.  With two or more replications and a named
+    ``travel``, they are dealt round-robin to this process and to one
+    worker for each further CPU it may use (``os.sched_getaffinity``), up
+    to one per replication; the workers are forked on first need and live
+    as long as this process.  A callable ``travel``, a single replication,
+    one usable CPU, a platform without ``fork`` or a daemonic process keeps
+    every replication in this process.
     """
     if trucks < 0:
         raise ValueError(f"trucks must be non-negative, got {trucks}")
@@ -313,78 +324,14 @@ def simulate(star: StarNetwork, trucks: int, *,
         mean_time[2 + 3 * i] = 1.0 / w.unload_rate_per_hour
         mean_time[1 + 3 * i] = mean_time[3 + 3 * i] = lane
     bounds = np.cumsum(demand_fractions(s))[:-1]
-
-    warm_count = int(warmup_fraction * horizon_events)
-
-    def rng(*key: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    setup = (seed, trucks, travel, servers, after, mean_time, bounds,
+             int(warmup_fraction * horizon_events), horizon_events)
 
     th_w = np.zeros(replications)
     soj_mean = np.zeros((replications, n_st))
     th_station = np.zeros((replications, n_st))
-
-    for rep in range(replications):
-        route = chain.from_iterable(
-            (1 + 3 * bounds.searchsorted(u, "right")).tolist()
-            for u in map(rng(rep, 0).random, repeat(_BLOCK))).__next__
-        travel_rng = rng(rep, 2)
-
-        draw = []
-        for st in range(n_st):
-            mean = mean_time[st]
-            if servers[st]:
-                draw.append(_stream(partial(rng(rep, 1, st).exponential, mean, _BLOCK)))
-            elif travel == "exponential" and mean > 0:
-                draw.append(_stream(partial(travel_rng.exponential, mean, _BLOCK)))
-            elif isinstance(travel, str):  # deterministic, or a zero-length lane
-                draw.append(repeat(mean).__next__)
-            else:
-                draw.append(map(float, starmap(travel, repeat((travel_rng, mean)))).__next__)
-
-        free = [max(servers[0] - trucks, 0)] + servers[1:]
-        queues = [deque() for _ in range(n_st)]
-        # every truck starts at the hub at time 0, the first ones in service;
-        # a heap entry is (time, arrival, station), arrival being the time the
-        # truck reached the station, as a queue holds for each waiting truck;
-        # a queued truck waits behind one in service, so the heap never empties
-        heap = [(draw[0](), 0.0, 0) for _ in range(servers[0] - free[0])]
-        heapify(heap)
-        queues[0].extend(repeat(0.0, trucks - len(heap)))
-
-        # the warm-up events, then the measured ones, each pass counting
-        # from zero; the window opens at the last warm-up event
-        t = 0.0
-        for events in (warm_count, horizon_events - warm_count):
-            t_warm = t
-            completions = [0] * n_st
-            soj_sum = [0.0] * n_st
-            for _ in repeat(None, events):
-                t, since, st = heap[0]
-                completions[st] += 1
-                soj_sum[st] += t - since
-                if servers[st]:
-                    # a server frees up: start the next queued truck, then
-                    # the departing truck takes a lane
-                    q = queues[st]
-                    if q:
-                        heapreplace(heap, (t + draw[st](), q.popleft(), st))
-                        push = heappush
-                    else:
-                        free[st] += 1
-                        push = heapreplace
-                    nxt = after[st] if st else route()
-                    push(heap, (t + draw[nxt](), t, nxt))
-                else:
-                    # a lane ends at a dock (out) or at the hub (back)
-                    nxt = after[st]
-                    if free[nxt]:
-                        free[nxt] -= 1
-                        heapreplace(heap, (t + draw[nxt](), t, nxt))
-                    else:
-                        heappop(heap)
-                        queues[nxt].append(t)
-
-        window = t - t_warm
+    for rep, (completions, soj_sum, window) in enumerate(
+            _replications(setup, replications)):
         if window <= 0:
             raise ValueError("horizon too short for the requested warm-up")
         done = np.array(completions, dtype=np.int64)
@@ -402,6 +349,173 @@ def simulate(star: StarNetwork, trucks: int, *,
         station_throughput=th_station.mean(axis=0),
         replications=replications, horizon_events=horizon_events,
         travel=travel_label)
+
+
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _replication(rep: int, seed: int, trucks: int, travel: str | Callable,
+                 servers: list[int], after: list[int], mean_time: list[float],
+                 bounds: np.ndarray, warm_count: int, horizon_events: int
+                 ) -> tuple[list[int], list[float], float]:
+    """Run replication ``rep`` of ``simulate``: each station's completions and
+    summed sojourn times in the measured window, and the window's length."""
+    n_st = len(servers)
+    route = chain.from_iterable(
+        (1 + 3 * bounds.searchsorted(u, "right")).tolist()
+        for u in map(_rng(seed, rep, 0).random, repeat(_BLOCK))).__next__
+    travel_rng = _rng(seed, rep, 2)
+
+    draw = []
+    for st in range(n_st):
+        mean = mean_time[st]
+        if servers[st]:
+            draw.append(_stream(partial(_rng(seed, rep, 1, st).exponential, mean, _BLOCK)))
+        elif travel == "exponential" and mean > 0:
+            draw.append(_stream(partial(travel_rng.exponential, mean, _BLOCK)))
+        elif isinstance(travel, str):  # deterministic, or a zero-length lane
+            draw.append(repeat(mean).__next__)
+        else:
+            draw.append(map(float, starmap(travel, repeat((travel_rng, mean)))).__next__)
+
+    free = [max(servers[0] - trucks, 0)] + servers[1:]
+    queues = [deque() for _ in range(n_st)]
+    # every truck starts at the hub at time 0, the first ones in service;
+    # a heap entry is (time, arrival, station), arrival being the time the
+    # truck reached the station, as a queue holds for each waiting truck;
+    # a queued truck waits behind one in service, so the heap never empties
+    heap = [(draw[0](), 0.0, 0) for _ in range(servers[0] - free[0])]
+    heapify(heap)
+    queues[0].extend(repeat(0.0, trucks - len(heap)))
+
+    # the warm-up events, then the measured ones, each pass counting
+    # from zero; the window opens at the last warm-up event
+    t = 0.0
+    for events in (warm_count, horizon_events - warm_count):
+        t_warm = t
+        completions = [0] * n_st
+        soj_sum = [0.0] * n_st
+        for _ in repeat(None, events):
+            t, since, st = heap[0]
+            completions[st] += 1
+            soj_sum[st] += t - since
+            if servers[st]:
+                # a server frees up: start the next queued truck, then
+                # the departing truck takes a lane
+                q = queues[st]
+                if q:
+                    heapreplace(heap, (t + draw[st](), q.popleft(), st))
+                    push = heappush
+                else:
+                    free[st] += 1
+                    push = heapreplace
+                nxt = after[st] if st else route()
+                push(heap, (t + draw[nxt](), t, nxt))
+            else:
+                # a lane ends at a dock (out) or at the hub (back)
+                nxt = after[st]
+                if free[nxt]:
+                    free[nxt] -= 1
+                    heapreplace(heap, (t + draw[nxt](), t, nxt))
+                else:
+                    heappop(heap)
+                    queues[nxt].append(t)
+    return completions, soj_sum, t - t_warm
+
+
+# (process, caller's end of its pipe) of each replication worker, forked by
+# the process _owner
+_workers: list = []
+_owner = None
+
+
+def _replications(setup: tuple, count: int) -> list:
+    """``_replication(rep, *setup)`` for every rep below ``count``, in rep
+    order.  Rep r runs on participant r mod (1 + workers): this process is
+    participant 0, and worker i participant i."""
+    conns = _worker_conns(count) if isinstance(setup[2], str) else []
+    if not conns:
+        return [_replication(rep, *setup) for rep in range(count)]
+    share = 1 + len(conns)
+    out = [None] * count
+    try:
+        for i, conn in enumerate(conns, 1):
+            conn.send((setup, range(i, count, share)))
+        out[::share] = [_replication(rep, *setup) for rep in range(0, count, share)]
+        for i, conn in enumerate(conns, 1):
+            # spin, not block: a caller that sleeps here runs the work that
+            # follows it slower
+            while not conn.poll(0):
+                pass
+            out[i::share] = conn.recv()
+    except (EOFError, OSError):
+        # a worker died, or its share raised: run every replication here
+        _stop_workers()
+        return [_replication(rep, *setup) for rep in range(count)]
+    except BaseException:
+        # a reply left unread would answer the next call
+        _stop_workers()
+        raise
+    return out
+
+
+def _worker_conns(replications: int) -> list:
+    """Connections to the workers for ``replications`` replications: one for
+    each CPU this process may use beyond its own, at most one for each
+    replication beyond the first, and none without ``fork``.  A forked copy
+    of the process that owns the workers starts its own."""
+    global _owner
+    affinity = getattr(os, "sched_getaffinity", None)
+    want = min(len(affinity(0)) if affinity else 1, replications) - 1
+    if want < 1:
+        return []
+    if _owner != os.getpid():
+        for _, conn in _workers:
+            conn.close()
+        _workers.clear()
+        _owner = os.getpid()
+    if len(_workers) < want:
+        import multiprocessing
+        # a daemonic process, such as a multiprocessing.Pool worker, may
+        # not start children
+        if (multiprocessing.current_process().daemon
+                or "fork" not in multiprocessing.get_all_start_methods()):
+            return []
+        ctx = multiprocessing.get_context("fork")
+        while len(_workers) < want:
+            mine, theirs = ctx.Pipe()
+            proc = ctx.Process(target=_serve, daemon=True,
+                               args=(theirs, [conn for _, conn in _workers] + [mine]))
+            proc.start()
+            theirs.close()
+            _workers.append((proc, mine))
+    return [conn for _, conn in _workers[:want]]
+
+
+def _stop_workers() -> None:
+    while _workers:
+        proc, conn = _workers.pop()
+        conn.close()
+        proc.terminate()
+        proc.join()
+
+
+def _serve(conn, callers_ends: list) -> None:
+    """A worker's loop: reply to each ``(setup, reps)`` request with the
+    replications' results.  The worker holds no caller's end of a pipe, so
+    it sees EOF, and exits, when its caller closes its end or dies; an
+    exception ends it too, and the caller then runs the whole call itself.
+    Ctrl-C reaches the caller alone."""
+    for end in callers_ends:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            setup, reps = conn.recv()
+        except EOFError:
+            return
+        conn.send([_replication(rep, *setup) for rep in reps])
 
 
 # ---------------------------------------------------------------------------

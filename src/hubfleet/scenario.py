@@ -11,7 +11,7 @@ import importlib.resources
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 Point = tuple[float, float]
@@ -89,6 +89,8 @@ class Scenario:
     truck_capacity: float = 1.0
     hours_per_day: float = 24.0
     max_trucks: int = 100
+    # summed once here, in warehouse order; ``replace`` sums it anew
+    total_demand_per_day: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not len(self.warehouses) >= 1:
@@ -104,15 +106,13 @@ class Scenario:
             raise ScenarioError("hours_per_day must be positive and finite")
         if not (isinstance(self.max_trucks, int) and self.max_trucks >= 1):
             raise ScenarioError("max_trucks must be a positive integer")
+        object.__setattr__(self, "total_demand_per_day",
+                           sum(w.demand_per_day for w in self.warehouses))
 
     @property
     def num_stations(self) -> int:
         """J: the hub plus all warehouses."""
         return 1 + len(self.warehouses)
-
-    @property
-    def total_demand_per_day(self) -> float:
-        return sum(w.demand_per_day for w in self.warehouses)
 
     @property
     def warehouse_positions(self) -> tuple[Point, ...]:

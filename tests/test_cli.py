@@ -571,7 +571,7 @@ import hubfleet
 calibration = {{"import hubfleet": "hubfleet.calibration" in sys.modules}}
 from click.testing import CliRunner
 import hubfleet.cli
-heavy = ("numpy", "hubfleet.oracle", "concurrent.futures.process")
+heavy = ("numpy", "hubfleet.oracle", "concurrent.futures.process", "multiprocessing")
 def loaded():
     return [m for m in heavy if m in sys.modules]
 seen = {{"import": loaded(), "calibration": calibration}}
@@ -604,7 +604,8 @@ print(json.dumps(seen))
                                    "grid": False, "calibrate": True}
     # generate draws with numpy, and imports the pool only to use it
     assert seen["generate"] == ["numpy"]
-    assert seen["generate jobs 2"] == ["numpy", "concurrent.futures.process"]
+    assert seen["generate jobs 2"] == ["numpy", "concurrent.futures.process",
+                                       "multiprocessing"]
     assert seen["same rows"]
 
 

@@ -10,11 +10,17 @@ zero length, so a departure's next event falls at the instant that made
 it).  Any change to the event loop or to the order in which draws are
 taken from the generators fails here.
 
+Each case runs twice: as ``simulate`` deals its replications to this
+process and its workers, and with ``os.sched_getaffinity`` reporting one
+CPU, which keeps every replication in this process.  Both must give the
+recorded bits.
+
 Run ``python tests/test_golden_des.py`` to re-record the file after a
 deliberate change to the draw streams.
 """
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -88,10 +94,18 @@ def _run(name: str) -> dict:
     return _record(simulate(star, trucks, **kw))
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_des_matches_golden(name):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert _run(name) == golden[name]
+def _matches_golden(name: str) -> bool:
+    return _run(name) == json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+
+
+@pytest.mark.parametrize("name, one_cpu", [
+    *(pytest.param(name, False, id=name) for name in CASES),
+    *(pytest.param(name, True, id=f"{name}-one_cpu") for name in CASES),
+])
+def test_des_matches_golden(name, one_cpu, monkeypatch):
+    if one_cpu:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _matches_golden(name)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,11 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +20,8 @@ from hubfleet.scenario import (Center, Scenario, Warehouse, demand_fractions,
                                load_scenario)
 from hubfleet.star import AggregatedConvolution, build_star
 from hubfleet.weber import WeberProblem, solve_weber
+from test_cli import _src_env
+from test_golden_des import _matches_golden
 
 
 def test_enumeration_two_station_frozen():
@@ -149,14 +157,22 @@ def test_des_user_travel_distribution(toy_star_scenario):
     assert est.travel == "callable"
 
 
-@pytest.mark.parametrize("travel", ["exponential", "deterministic"])
-def test_des_rejects_a_horizon_with_no_measured_time(toy_star_scenario, travel):
+@pytest.mark.parametrize("travel, replications", [
+    pytest.param("exponential", 1, id="exponential"),
+    pytest.param("deterministic", 1, id="deterministic"),
+    pytest.param("exponential", 2, id="exponential-2_replications"),
+    pytest.param("deterministic", 2, id="deterministic-2_replications"),
+])
+def test_des_rejects_a_horizon_with_no_measured_time(toy_star_scenario, travel,
+                                                     replications):
     # with the hub on the only warehouse both lanes take no time, so the one
     # event after the warm-up ends at the warm-up's last instant
     star = build_star(toy_star_scenario, (1.0, 0.0))
     with pytest.raises(ValueError, match="horizon too short for the requested warm-up"):
-        simulate(star, 1, horizon_events=2, replications=1, warmup_fraction=0.5,
-                 travel=travel)
+        simulate(star, 1, horizon_events=2, replications=replications,
+                 warmup_fraction=0.5, travel=travel)
+    # no reply to the failed call is left for the next one to read
+    assert _matches_golden("towns_exponential")
 
 
 def test_des_little_law_closure():
@@ -212,6 +228,92 @@ def test_des_routes_the_top_uniform_to_the_last_warehouse(monkeypatch):
                    replications=1, seed=1)
     assert np.all(est.station_throughput[1:7] == 0.0)
     assert np.all(est.station_throughput[7:] > 0.0)
+
+
+
+# a child interpreter runs a 2-replication simulate, prints its worker's pid
+# and then waits for stdin to close
+_SIMULATE_AND_PRINT_THE_WORKER = """
+import sys
+from hubfleet import oracle
+from hubfleet.scenario import bundled_scenario
+from hubfleet.star import build_star
+star = build_star(bundled_scenario("towns12-log"), (180.0, 156.0))
+oracle.simulate(star, 19, horizon_events=2_000, replications=2)
+print(oracle._workers[0][0].pid, flush=True)
+sys.stdin.read()
+"""
+
+_needs_a_worker = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
+    or not Path("/proc/self/stat").exists(),
+    reason="needs two usable CPUs and /proc")
+
+
+def _gone(pid: int) -> bool:
+    """No process ``pid`` runs: none exists, or only its exit status is left."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+@_needs_a_worker
+def test_des_worker_exits_with_its_caller():
+    out = subprocess.run([sys.executable, "-c", _SIMULATE_AND_PRINT_THE_WORKER],
+                         env=_src_env(), input="", capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert _gone(int(out.stdout))
+
+
+@_needs_a_worker
+def test_des_worker_exits_when_its_caller_is_killed():
+    child = subprocess.Popen([sys.executable, "-c", _SIMULATE_AND_PRINT_THE_WORKER],
+                             env=_src_env(), stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        pid = int(child.stdout.readline())
+        assert not _gone(pid)
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+        child.stdin.close()
+        child.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while not _gone(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone(pid)
+
+
+@_needs_a_worker
+def test_des_runs_a_dead_workers_share_in_process():
+    assert _matches_golden("towns_exponential")
+    worker = oracle._workers[0][0]
+    worker.kill()
+    worker.join()
+    assert _matches_golden("towns_deterministic")
+    # and the next call forks a new worker
+    assert _matches_golden("towns_exponential")
+    assert oracle._workers[0][0].is_alive()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork")
+def test_des_in_forked_children_of_a_caller_with_a_worker():
+    # this process's worker serves this process alone: the children of a fork
+    # pool, running at the same time, each start their own worker or, as
+    # daemonic multiprocessing.Pool workers, which may not start children,
+    # keep their replications in process
+    assert _matches_golden("towns_exponential")
+    names = ["towns_exponential", "towns_deterministic", "multi_server_star",
+             "hub_on_a_warehouse"] * 2
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(2, mp_context=ctx) as pool:
+        assert all(pool.map(_matches_golden, names))
+    with ctx.Pool(2) as pool:
+        assert all(pool.map(_matches_golden, names))
+    assert _matches_golden("towns_deterministic")
 
 
 def test_validation_suite_passes():

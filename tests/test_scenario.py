@@ -49,6 +49,24 @@ def test_demand_fractions_random_instances():
         assert abs(sum(demand_fractions(sc)) - 1.0) <= 1e-12
 
 
+
+def test_total_demand_is_summed_once_in_warehouse_order(towns_log):
+    # demands whose sum depends on the order it is taken in
+    sc = Scenario(warehouses=tuple(_warehouse(id=2 + i, demand_per_day=d)
+                                   for i, d in enumerate((1e16, 1.0, 1.0))),
+                  center=Center(1, 1.0), truck_speed_kmh=1.0)
+    assert sc.total_demand_per_day == (1e16 + 1.0) + 1.0 == 1e16
+    assert sc.total_demand_per_day != 1e16 + (1.0 + 1.0)
+    # a derived figure, left out of the repr
+    assert "total_demand_per_day" not in repr(towns_log)
+    fewer = replace(towns_log, warehouses=towns_log.warehouses[:3])
+    assert fewer.total_demand_per_day == sum(w.demand_per_day for w in fewer.warehouses)
+    assert replace(fewer, warehouses=towns_log.warehouses).total_demand_per_day == 66.0
+    with pytest.raises(TypeError):
+        Scenario(warehouses=towns_log.warehouses, center=towns_log.center,
+                 truck_speed_kmh=50.0, total_demand_per_day=1.0)
+
+
 def test_zero_demand_rejected():
     with pytest.raises(ScenarioError, match="demand must be positive"):
         _warehouse(demand_per_day=0.0)
