@@ -7,15 +7,14 @@ multi-server stations, travel lanes as infinite servers), evaluate
 throughput by convolution of normalization constants, and grow the fleet
 until daily demand is covered.
 
-The oracles (``simulate``, ``run_validation_suite``, ...) need numpy, so
-``hubfleet.oracle`` is imported on first access to one of their names, and
-``hubfleet.calibration`` on first access to ``calibrate_speed``, which only
+The oracles (``simulate``, ``run_validation_suite``, ...) and the station
+lists they build (``Station``, ``convolve_stations``, ...) live in
+``hubfleet.oracle``, which needs numpy, so it is imported on first access
+to one of their names, and ``hubfleet.calibration`` on first access to ``calibrate_speed``, which only
 the ``calibrate`` verb uses.
 """
 
-from .convolution import (ConvolutionTable, NumericalRangeError, Station,
-                          convolve_stations, infinite_server,
-                          marginal_distribution, multi_server)
+from .convolution import ConvolutionTable, NumericalRangeError
 from .fleet import (FleetResult, LocationComparison, PlacementOutcome,
                     compare_locations, min_center_rate, min_trucks, solve_at)
 from .scenario import (DEFAULT_TRUCK_SPEED_KMH, Center, Point, Scenario,
@@ -29,9 +28,10 @@ from .weber import WeberProblem, WeberSolution, solve_weber, weber_objective
 __version__ = "0.1.0"
 
 _ORACLE_NAMES = frozenset((
-    "CheckResult", "CtmcResult", "DesEstimate", "EnumerationResult",
-    "ctmc_throughput", "enumerate_product_form", "random_scenario",
-    "run_validation_suite", "simulate"))
+    "CheckResult", "CtmcResult", "DesEstimate", "EnumerationResult", "Station",
+    "convolve_stations", "ctmc_throughput", "enumerate_product_form",
+    "infinite_server", "marginal_distribution", "multi_server",
+    "random_scenario", "run_validation_suite", "simulate"))
 
 
 def __getattr__(name: str):

@@ -5,12 +5,11 @@ infeasible, and 1 on invalid input or failed validation.  Invalid input is
 anything click rejects (a bad option value, an unknown verb or option, a
 missing argument), a file that cannot be read or does not hold a valid
 scenario, and an output path that cannot be written; each ends with one
-``error:`` line on stderr.  Set HUBFLEET_JOBS to evaluate generated
-instances in parallel; output is identical either way.
+``error:`` line on stderr.
 
-numpy, the oracles and the process pool are imported by the verbs that use
-them (``generate`` and ``validate``), and the calibration by ``calibrate``,
-so the other verbs start without them.
+numpy and the oracles are imported by the verbs that use them
+(``generate`` and ``validate``), and the calibration by ``calibrate``, so
+the other verbs start without them.
 """
 
 from __future__ import annotations
@@ -50,9 +49,7 @@ _MAX_TRUCKS = 100_000
 # the most instances generate takes: it holds every instance, about 2.7 KB
 # each, before it solves any, so a count of tens of millions would run out
 # of memory before the first row; block I at the limit peaks near 71 MB and
-# takes about 10 s.  With HUBFLEET_JOBS > 1 it starts at most one worker
-# process per CPU (os.cpu_count()), whatever the variable asks for: each
-# worker is a whole interpreter, and more of them than CPUs only queue
+# takes about 10 s
 _MAX_COUNT = 10_000
 # the most places --busy-decimals prints: a double carries at most 17
 # significant digits, which 17 places show for a busy share from 0.1 up;
@@ -474,14 +471,8 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
                  busy_decimals: int) -> None:
     """Generate random instances and solve each one both ways.
 
-    The same seed always produces byte-identical output; HUBFLEET_JOBS > 1
-    parallelizes the solves without changing it.
+    The same seed always produces byte-identical output.
     """
-    jobs_text = os.environ.get("HUBFLEET_JOBS", "1")
-    try:
-        jobs = int(jobs_text)
-    except ValueError:
-        _fail(f"HUBFLEET_JOBS must be an integer, got {jobs_text!r}")
     block = BLOCKS[block_name]
     import numpy as np
     rng = np.random.default_rng(seed)
@@ -493,13 +484,7 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
             save_scenario(sc, os.path.join(
                 outdir, f"block{block_name}_seed{seed}_{i:03d}.json"))
 
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        workers = min(jobs, count, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_instance, range(count), scenarios))
-    else:
-        rows = [_evaluate_instance(i, sc) for i, sc in enumerate(scenarios)]
+    rows = [_evaluate_instance(i, sc) for i, sc in enumerate(scenarios)]
 
     click.echo(f"block {block_name}: demands from {block.demand_choices}, "
                f"hub rate {mu1 if mu1 is not None else block.mu1}/hour, "
@@ -509,11 +494,10 @@ def cmd_generate(block_name: str, count: int, seed: int, mu1: float | None,
     feasible = [r for r in rows if r.trucks_weighted is not None]
     click.echo("")
     click.echo(f"instances            {count}")
-    if rows:
-        click.echo(f"dist between hubs    min {min(r.dist_loc for r in rows):.3f} "
-                   f"max {max(r.dist_loc for r in rows):.3f}")
-        click.echo(f"total demand         min {min(r.demand_total for r in rows):.0f} "
-                   f"max {max(r.demand_total for r in rows):.0f}")
+    click.echo(f"dist between hubs    min {min(r.dist_loc for r in rows):.3f} "
+               f"max {max(r.dist_loc for r in rows):.3f}")
+    click.echo(f"total demand         min {min(r.demand_total for r in rows):.0f} "
+               f"max {max(r.demand_total for r in rows):.0f}")
     click.echo(f"feasible (weighted)  {len(feasible)}")
     click.echo(f"infeasible           {count - len(feasible)}")
     if csv_path:

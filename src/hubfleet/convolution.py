@@ -1,7 +1,8 @@
-"""Normalization constants of closed product-form station sets.
+"""Normalization constants of closed product-form networks.
 
-Normalization constants G(m) are computed by one engine: ``Convolution``
-folds the queueing stations into a table R by linear-time recursions
+Normalization constants G(m) are computed by one engine over (load,
+servers) pairs and the pooled lane load kappa: ``Convolution`` folds the
+queueing stations into a table R by linear-time recursions
 (Buzen's for single servers), and ``LaneLast`` folds the infinite-server
 stations, pooled into one Poisson lane, in last.  Every table is kept in
 two redundant forms:
@@ -19,9 +20,8 @@ it; disagreement or any non-finite intermediate raises
 certified negligible, so that R and the lane factors are built only as
 far as the sums read them.
 ``shared_lane_last`` hands one lane-last table, and its engine or every
-row of it but the last, on from request to request.  An explicit station
-list's table, and a station's factors for its queue-length marginal, come
-from the same engine (``_table``).
+row of it but the last, on from request to request.  The explicit station
+lists of the oracles are turned into these inputs in ``hubfleet.oracle``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable
 
 _LN2 = math.log(2.0)
 _CROSS_CHECK_TOL = 1e-9
@@ -48,53 +45,6 @@ _BLOCK = 64
 
 class NumericalRangeError(ArithmeticError):
     """A normalization quantity left the trustworthy numeric range."""
-
-
-@dataclass(frozen=True)
-class Station:
-    """One service station of a closed network.
-
-    ``servers`` is an integer for FCFS multi-server exponential stations and
-    ``None`` for an infinite-server station, where ``rate`` is 1/mean and the
-    effective rate with n customers is ``n * rate``.
-    """
-
-    name: str
-    rate: float = 1.0
-    servers: int | None = 1
-
-    def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ValueError(f"station {self.name}: rate must be positive")
-        if self.servers is not None and self.servers < 1:
-            raise ValueError(f"station {self.name}: servers must be >= 1 or None")
-
-    def service_rate(self, n: int) -> float:
-        if n <= 0:
-            return 0.0
-        if self.servers is None:
-            return self.rate * n
-        return self.rate * min(n, self.servers)
-
-    @property
-    def is_infinite_server(self) -> bool:
-        return self.servers is None
-
-
-def multi_server(name: str, rate: float, servers: int = 1) -> Station:
-    return Station(name=name, rate=rate, servers=servers)
-
-
-def infinite_server(name: str, mean: float) -> Station:
-    """Infinite-server station with the given mean holding time.
-
-    A zero mean is allowed (e.g. a travel leg of zero length); the station
-    then never holds customers.
-    """
-    if mean < 0:
-        raise ValueError(f"station {name}: mean must be non-negative")
-    rate = math.inf if mean == 0 else 1.0 / mean
-    return Station(name=name, rate=rate, servers=None)
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +619,6 @@ class ConvolutionTable:
         return math.ldexp(q, self.exponent[m_num] - self.exponent[m_den])
 
 
-def _as_eta_array(eta: Sequence[float], count: int) -> list[float]:
-    etas = [float(e) for e in eta]
-    if len(etas) != count:
-        raise ValueError(f"expected {count} visit ratios, got {len(etas)}")
-    if not all(math.isfinite(e) for e in etas):
-        raise ValueError("visit ratios must be finite")
-    if any(e < 0 for e in etas) or not any(e > 0 for e in etas):
-        raise ValueError("visit ratios must be non-negative with at least one positive entry")
-    return etas
-
-
 def _check_entry(m: int, mant: float, exp2: int, log: float) -> None:
     """G(m) is positive and finite, and its two forms agree."""
     if not math.isfinite(mant):
@@ -694,73 +633,10 @@ def _check_entry(m: int, mant: float, exp2: int, log: float) -> None:
             f"{m}: {ladder_log!r} vs {log!r}")
 
 
-def _pooled(stations: Sequence[Station], etas: Sequence[float]
-            ) -> tuple[float, list[tuple[float, int]]]:
-    """kappa, the summed load of the infinite-server stations, and
-    (load, servers) of the others in list order, less those of zero load:
-    they hold nobody and leave every G as it is."""
-    kappa, loads = 0.0, []
-    for st, e in zip(stations, etas):
-        if st.is_infinite_server:
-            kappa += 0.0 if math.isinf(st.rate) else e / st.rate
-        else:
-            loads.append((e / st.rate, st.servers))
-    return kappa, [(x, servers) for x, servers in loads if x]
-
-
-def _table(stations: Sequence[Station], etas: Sequence[float],
-           population: int) -> ConvolutionTable:
-    """G(0..population) of a station list: the queueing stations fold in
-    list order and the pooled lane folds in last (``LaneLast``).  Lanes
-    alone give their factors kappa^m / m!, unchecked: R would be the empty
-    network's row, which ``extend_to`` rejects past 0."""
-    kappa, loads = _pooled(stations, etas)
-    if loads:
-        return LaneLast(kappa, Convolution(loads)).table(population)
-    if population < 0:
-        raise ValueError("population must be non-negative")
-    lane = _PooledLane(kappa)
-    lane.build(None, population)
-    return ConvolutionTable(tuple(lane.mant), tuple(lane.exp), tuple(lane.log))
-
-
-def convolve_stations(stations: Sequence[Station], eta: Sequence[float],
-                      population: int) -> ConvolutionTable:
-    """Convolution over an explicit station list (no routing needed), from
-    ``_table``, with every entry checked."""
-    table = _table(stations, _as_eta_array(eta, len(stations)), population)
-    for m, entry in enumerate(zip(table.mantissa, table.exponent, table.log_values)):
-        _check_entry(m, *entry)
-    return table
-
-
-def marginal_distribution(stations: Sequence[Station], eta: Sequence[float],
-                          table: ConvolutionTable, node: int) -> np.ndarray:
-    """Stationary distribution of the queue length at one station.
-
-    P(n_node = k) = g_node(k) * G_without_node(N - k) / G(N), where the
-    station's factors g_node and the complement's constants are the tables
-    of their own station lists, from the engine that builds G (``_table``);
-    the result sums to 1 up to numerical round-off.
-    """
-    import numpy as np   # here, so that the verbs start without numpy
-
-    etas = _as_eta_array(eta, len(stations))
-    n = table.population
-    if not 0 <= node < len(stations):
-        raise ValueError(f"no station with index {node}")
-    tm, te = table.mantissa, table.exponent
-    g = _table([stations[node]], [etas[node]], n)
-    rest = [i for i in range(len(stations)) if i != node]
-    comp = _table([stations[i] for i in rest], [etas[i] for i in rest], n)
-    gm, ge, cm, ce = g.mantissa, g.exponent, comp.mantissa, comp.exponent
-    probs = np.zeros(n + 1)
-    for k in range(n + 1):
-        num = gm[k] * cm[n - k]
-        if num != 0.0:
-            probs[k] = math.ldexp(num / tm[n], ge[k] + ce[n - k] - te[n])
-    total = float(probs.sum())
-    if not math.isfinite(total) or abs(total - 1.0) > 1e-10:
-        raise NumericalRangeError(f"marginal distribution sums to {total!r}")
-    probs.flags.writeable = False
-    return probs
+def __getattr__(name: str):
+    # the station-list API lives in hubfleet.oracle; perfbench's tracer
+    # looks these two names up on this module
+    if name in ("convolve_stations", "marginal_distribution"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,14 +8,16 @@ hub, then per warehouse an outbound lane, the dock and a return lane,
 * exact CTMC steady state from the generator matrix,
 * a discrete-event simulation of the star network.
 
-They share only the model's inputs with the analytic path: ``Station``
-(whose ``service_rate`` only they call), and the scenario and hub location
-of a ``StarNetwork``, from which they compute lane travel times, demand
-shares and visit ratios themselves.  They share none of its arithmetic: no
-lane pooling, no fold order, no ladder or log forms and no cross-check.
-``aggregated_stations`` lists the pooled J+1 station form as stations, for
-``convolve_stations`` and ``marginal_distribution``, which read its table
-and each station's factors from the analytic path's engine.
+They share only the model's inputs with the analytic path: the scenario
+and hub location of a ``StarNetwork``, from which they compute lane travel
+times, demand shares and visit ratios themselves.  They share none of its
+arithmetic: no lane pooling, no fold order, no ladder or log forms and no
+cross-check.
+
+Station lists (``Station``) live here, as only the oracles and the tests
+build them.  ``convolve_stations`` and ``marginal_distribution`` read a
+list's table and each station's factors from the analytic path's engine,
+and ``aggregated_stations`` lists the pooled J+1 station form for them.
 
 Plus random instance generation and the validation suite behind the
 ``validate`` CLI verb.
@@ -35,7 +37,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import convolution as conv
+from .convolution import (Convolution, ConvolutionTable, LaneLast, NumericalRangeError,
+                          _check_entry, _PooledLane)
 from .scenario import Center, Scenario, Warehouse, demand_fractions
 from .star import (HUB_VISIT_RATIO, AggregatedConvolution, StarNetwork,
                    aggregated_norm_constants, bottleneck, build_star)
@@ -43,6 +46,134 @@ from .weber import WeberProblem, solve_weber
 
 _ENUM_STATE_LIMIT = 1_000_000
 _CTMC_STATE_LIMIT = 3_000
+
+
+@dataclass(frozen=True)
+class Station:
+    """One service station of a closed network.
+
+    ``servers`` is an integer for FCFS multi-server exponential stations and
+    ``None`` for an infinite-server station, where ``rate`` is 1/mean and the
+    effective rate with n customers is ``n * rate``.
+    """
+
+    name: str
+    rate: float = 1.0
+    servers: int | None = 1
+
+    def __post_init__(self) -> None:
+        if not self.rate > 0:
+            raise ValueError(f"station {self.name}: rate must be positive")
+        if self.servers is not None and self.servers < 1:
+            raise ValueError(f"station {self.name}: servers must be >= 1 or None")
+
+    def service_rate(self, n: int) -> float:
+        if n <= 0:
+            return 0.0
+        if self.servers is None:
+            return self.rate * n
+        return self.rate * min(n, self.servers)
+
+    @property
+    def is_infinite_server(self) -> bool:
+        return self.servers is None
+
+
+def multi_server(name: str, rate: float, servers: int = 1) -> Station:
+    return Station(name=name, rate=rate, servers=servers)
+
+
+def infinite_server(name: str, mean: float) -> Station:
+    """Infinite-server station with the given mean holding time.
+
+    A zero mean is allowed (e.g. a travel leg of zero length); the station
+    then never holds customers.
+    """
+    if mean < 0:
+        raise ValueError(f"station {name}: mean must be non-negative")
+    rate = math.inf if mean == 0 else 1.0 / mean
+    return Station(name=name, rate=rate, servers=None)
+
+
+def _as_eta_array(eta: Sequence[float], count: int) -> list[float]:
+    etas = [float(e) for e in eta]
+    if len(etas) != count:
+        raise ValueError(f"expected {count} visit ratios, got {len(etas)}")
+    if not all(math.isfinite(e) for e in etas):
+        raise ValueError("visit ratios must be finite")
+    if any(e < 0 for e in etas) or not any(e > 0 for e in etas):
+        raise ValueError("visit ratios must be non-negative with at least one positive entry")
+    return etas
+
+
+def _pooled(stations: Sequence[Station], etas: Sequence[float]
+            ) -> tuple[float, list[tuple[float, int]]]:
+    """kappa, the summed load of the infinite-server stations, and
+    (load, servers) of the others in list order, less those of zero load:
+    they hold nobody and leave every G as it is."""
+    kappa, loads = 0.0, []
+    for st, e in zip(stations, etas):
+        if st.is_infinite_server:
+            kappa += 0.0 if math.isinf(st.rate) else e / st.rate
+        else:
+            loads.append((e / st.rate, st.servers))
+    return kappa, [(x, servers) for x, servers in loads if x]
+
+
+def _table(stations: Sequence[Station], etas: Sequence[float],
+           population: int) -> ConvolutionTable:
+    """G(0..population) of a station list: the queueing stations fold in
+    list order and the pooled lane folds in last (``LaneLast``).  Lanes
+    alone give their factors kappa^m / m!, unchecked: R would be the empty
+    network's row, which ``extend_to`` rejects past 0."""
+    kappa, loads = _pooled(stations, etas)
+    if loads:
+        return LaneLast(kappa, Convolution(loads)).table(population)
+    if population < 0:
+        raise ValueError("population must be non-negative")
+    lane = _PooledLane(kappa)
+    lane.build(None, population)
+    return ConvolutionTable(tuple(lane.mant), tuple(lane.exp), tuple(lane.log))
+
+
+def convolve_stations(stations: Sequence[Station], eta: Sequence[float],
+                      population: int) -> ConvolutionTable:
+    """Convolution over an explicit station list (no routing needed), from
+    ``_table``, with every entry checked."""
+    table = _table(stations, _as_eta_array(eta, len(stations)), population)
+    for m, entry in enumerate(zip(table.mantissa, table.exponent, table.log_values)):
+        _check_entry(m, *entry)
+    return table
+
+
+def marginal_distribution(stations: Sequence[Station], eta: Sequence[float],
+                          table: ConvolutionTable, node: int) -> np.ndarray:
+    """Stationary distribution of the queue length at one station.
+
+    P(n_node = k) = g_node(k) * G_without_node(N - k) / G(N), where the
+    station's factors g_node and the complement's constants are the tables
+    of their own station lists, from the engine that builds G (``_table``);
+    the result sums to 1 up to numerical round-off.
+    """
+    etas = _as_eta_array(eta, len(stations))
+    n = table.population
+    if not 0 <= node < len(stations):
+        raise ValueError(f"no station with index {node}")
+    tm, te = table.mantissa, table.exponent
+    g = _table([stations[node]], [etas[node]], n)
+    rest = [i for i in range(len(stations)) if i != node]
+    comp = _table([stations[i] for i in rest], [etas[i] for i in rest], n)
+    gm, ge, cm, ce = g.mantissa, g.exponent, comp.mantissa, comp.exponent
+    probs = np.zeros(n + 1)
+    for k in range(n + 1):
+        num = gm[k] * cm[n - k]
+        if num != 0.0:
+            probs[k] = math.ldexp(num / tm[n], ge[k] + ce[n - k] - te[n])
+    total = float(probs.sum())
+    if not math.isfinite(total) or abs(total - 1.0) > 1e-10:
+        raise NumericalRangeError(f"marginal distribution sums to {total!r}")
+    probs.flags.writeable = False
+    return probs
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -68,18 +199,18 @@ def _lane_hours(star: StarNetwork) -> list[float]:
 
 
 def _explicit_star(star: StarNetwork
-                   ) -> tuple[tuple[conv.Station, ...], np.ndarray, np.ndarray]:
+                   ) -> tuple[tuple[Station, ...], np.ndarray, np.ndarray]:
     """Stations, routing matrix and visit ratios of the star before lane
     pooling: hub 0, then warehouse i's outbound lane 1+3i, dock 2+3i and
     return lane 3+3i.  The hub has visit ratio 1/4 and each leg of
     warehouse i rho_i / 4."""
     s = star.scenario
     k = len(s.warehouses)
-    stations = [conv.multi_server("center", s.center.load_rate_per_hour, s.center.servers)]
+    stations = [multi_server("center", s.center.load_rate_per_hour, s.center.servers)]
     for w, mean in zip(s.warehouses, _lane_hours(star)):
-        stations += [conv.infinite_server(f"lane_out_{w.id}", mean),
-                     conv.multi_server(f"warehouse_{w.id}", w.unload_rate_per_hour, w.servers),
-                     conv.infinite_server(f"lane_back_{w.id}", mean)]
+        stations += [infinite_server(f"lane_out_{w.id}", mean),
+                     multi_server(f"warehouse_{w.id}", w.unload_rate_per_hour, w.servers),
+                     infinite_server(f"lane_back_{w.id}", mean)]
     routing = np.zeros((1 + 3 * k, 1 + 3 * k))
     eta = np.empty(1 + 3 * k)
     eta[0] = HUB_VISIT_RATIO
@@ -91,24 +222,24 @@ def _explicit_star(star: StarNetwork
     return tuple(stations), routing, eta
 
 
-def aggregated_stations(star: StarNetwork) -> tuple[tuple[conv.Station, ...], list[float]]:
+def aggregated_stations(star: StarNetwork) -> tuple[tuple[Station, ...], list[float]]:
     """Hub, warehouse docks and the pooled lane station, with visit ratios:
     the J+1 station form that ``AggregatedConvolution`` folds, for
     ``convolve_stations`` and ``marginal_distribution``.  The pooled lane
     has visit ratio 1/2 and mean holding time 2 kappa."""
     s = star.scenario
-    stations = [conv.multi_server("center", s.center.load_rate_per_hour,
+    stations = [multi_server("center", s.center.load_rate_per_hour,
                                   s.center.servers)]
     stations += [
-        conv.multi_server(f"warehouse_{w.id}", w.unload_rate_per_hour, w.servers)
+        multi_server(f"warehouse_{w.id}", w.unload_rate_per_hour, w.servers)
         for w in s.warehouses
     ]
-    stations.append(conv.infinite_server("lanes", 2.0 * star.kappa))
+    stations.append(infinite_server("lanes", 2.0 * star.kappa))
     eta = [HUB_VISIT_RATIO, *(rho * HUB_VISIT_RATIO for rho in demand_fractions(s)), 0.5]
     return tuple(stations), eta
 
 
-def _plain_factors(stations: Sequence[conv.Station], eta: np.ndarray,
+def _plain_factors(stations: Sequence[Station], eta: np.ndarray,
                    n_max: int) -> np.ndarray:
     """g_j(n) in plain floats; fine for the small nets oracles handle."""
     g = np.zeros((len(stations), n_max + 1))
@@ -135,7 +266,7 @@ class EnumerationResult:
         return out
 
 
-def enumerate_product_form(stations: Sequence[conv.Station], eta: Sequence[float],
+def enumerate_product_form(stations: Sequence[Station], eta: Sequence[float],
                            population: int) -> EnumerationResult:
     """Exact normalization constant and state probabilities by enumerating
     every state of a small closed network."""
@@ -156,7 +287,7 @@ def enumerate_product_form(stations: Sequence[conv.Station], eta: Sequence[float
     weights = np.asarray(weights)
     total = float(weights.sum())
     if not (total > 0 and math.isfinite(total)):
-        raise conv.NumericalRangeError(f"enumerated normalization constant is {total!r}")
+        raise NumericalRangeError(f"enumerated normalization constant is {total!r}")
     return EnumerationResult(states=tuple(states), probabilities=weights / total,
                              norm_constant=total, state_count=count)
 
@@ -169,7 +300,7 @@ class CtmcResult:
     residual: float
 
 
-def ctmc_throughput(stations: Sequence[conv.Station], routing: np.ndarray,
+def ctmc_throughput(stations: Sequence[Station], routing: np.ndarray,
                     population: int) -> CtmcResult:
     """Steady state of the explicit Markov chain, solved from the generator.
 
@@ -211,7 +342,7 @@ def ctmc_throughput(stations: Sequence[conv.Station], routing: np.ndarray,
     pi = np.linalg.solve(a, b)
     residual = float(np.max(np.abs(pi @ q)))
     if residual >= 1e-10 or np.any(pi < -1e-12):
-        raise conv.NumericalRangeError(f"CTMC solve residual {residual:.3e}")
+        raise NumericalRangeError(f"CTMC solve residual {residual:.3e}")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
 
@@ -575,7 +706,7 @@ def run_validation_suite(seed: int = 0, *, instances: int = 4,
             star = build_star(sc, (0.0, 0.0))
             n = int(rng.integers(1, 5))   # 1 to 4 trucks
             stations, _, eta = _explicit_star(star)
-            table = conv.convolve_stations(stations, eta, n)
+            table = convolve_stations(stations, eta, n)
             enum = enumerate_product_form(stations, eta, n)
             rel = abs(table.value(n) - enum.norm_constant) / enum.norm_constant
             worst = max(worst, rel)
@@ -681,7 +812,7 @@ def run_validation_suite(seed: int = 0, *, instances: int = 4,
         sc = random_scenario(rng, 2, rate_range=(0.5, 1.0))
         star = build_star(sc, (0.0, 0.0))
         # every entry is cross-checked as it is built; a disagreement raises
-        conv.convolve_stations(*aggregated_stations(star), 60)
+        convolve_stations(*aggregated_stations(star), 60)
         return "log-domain and extended-range paths agree"
 
     results.append(_check("log/linear convolution agreement", range_check))

@@ -12,10 +12,10 @@ import pytest
 
 from hubfleet.calibration import _nice_value, calibrate_speed
 from hubfleet.cli import BLOCKS, sample_instance
-from hubfleet.convolution import marginal_distribution
 from hubfleet.fleet import compare_locations, min_center_rate, min_trucks
 from hubfleet.oracle import (_explicit_star, aggregated_stations, ctmc_throughput,
-                             enumerate_product_form, random_scenario, simulate)
+                             enumerate_product_form, marginal_distribution,
+                             random_scenario, simulate)
 from hubfleet.star import (AggregatedConvolution, aggregated_norm_constants,
                            analyze, bottleneck, build_star)
 from hubfleet.weber import WeberProblem, solve_weber

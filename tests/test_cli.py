@@ -1,4 +1,3 @@
-import concurrent.futures
 import functools
 import json
 import math
@@ -433,51 +432,6 @@ def test_generate_deterministic(runner):
     assert other.output != first.output
 
 
-def test_generate_parallel_identical(runner, monkeypatch):
-    args = ["generate", "--block", "I", "--count", "4", "--seed", "21"]
-    serial = runner.invoke(main, args)
-    monkeypatch.setenv("HUBFLEET_JOBS", "2")
-    parallel = runner.invoke(main, args)
-    assert parallel.output == serial.output
-    monkeypatch.setenv("HUBFLEET_JOBS", "abc")
-    res = runner.invoke(main, args)
-    assert res.exit_code == 1
-    assert res.stdout == ""
-    assert res.stderr.splitlines() == ["error: HUBFLEET_JOBS must be an integer, got 'abc'"]
-
-
-def test_generate_starts_at_most_one_worker_per_cpu(runner, monkeypatch):
-    # a stand-in pool records its size and maps in this process, so that
-    # no worker process starts
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    args = ["generate", "--block", "I", "--count", "4", "--seed", "21"]
-    serial = runner.invoke(main, args)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setenv("HUBFLEET_JOBS", "10000")
-    outputs = []
-    for cpus in (3, None):   # None: the CPU count is unknown
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        outputs.append(runner.invoke(main, args))
-    assert sizes == [3, 1]
-    for res in outputs:
-        assert res.exit_code == serial.exit_code == 0
-        assert res.stdout == serial.stdout
-
-
 def test_generate_csv_and_outdir(runner, tmp_path):
     out = tmp_path / "rows.csv"
     res = runner.invoke(main, ["generate", "--block", "II", "--count", "2",
@@ -563,7 +517,7 @@ def test_cli_import_leaves_scipy_out():
 
 def test_pure_python_verbs_leave_numpy_and_the_oracles_out(log_path):
     # solve, fleet, weber, grid and calibrate compute in plain Python; numpy
-    # alone is most of a cold start-up, and the process pool 15-25 ms more.
+    # alone is most of a cold start-up, and a process pool 15-25 ms more.
     # Only calibrate needs the calibration, 8-12 ms of import.
     code = f"""
 import json, sys
@@ -585,13 +539,10 @@ for argv in (["solve", {log_path!r}], ["solve", {log_path!r}, "--compare"],
     assert res.exit_code in (0, 2), (argv, res.output)
     seen[argv[0]] = loaded()
     calibration[argv[0]] = "hubfleet.calibration" in sys.modules
-args = ["generate", "--block", "I", "--count", "3", "--seed", "21"]
-serial = runner.invoke(hubfleet.cli.main, args)
+res = runner.invoke(hubfleet.cli.main, ["generate", "--block", "I", "--count", "3",
+                                         "--seed", "21"])
+assert res.exit_code == 0, res.output
 seen["generate"] = loaded()
-parallel = runner.invoke(hubfleet.cli.main, args, env={{"HUBFLEET_JOBS": "2"}})
-seen["generate jobs 2"] = loaded()
-seen["same rows"] = parallel.exit_code == serial.exit_code == 0 \
-    and parallel.output == serial.output
 print(json.dumps(seen))
 """
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
@@ -602,11 +553,8 @@ print(json.dumps(seen))
     assert seen["calibration"] == {"import hubfleet": False, "import hubfleet.cli": False,
                                    "solve": False, "fleet": False, "weber": False,
                                    "grid": False, "calibrate": True}
-    # generate draws with numpy, and imports the pool only to use it
+    # generate draws with numpy
     assert seen["generate"] == ["numpy"]
-    assert seen["generate jobs 2"] == ["numpy", "concurrent.futures.process",
-                                       "multiprocessing"]
-    assert seen["same rows"]
 
 
 def test_the_oracle_names_load_on_first_access():
@@ -616,6 +564,13 @@ def test_the_oracle_names_load_on_first_access():
     assert hubfleet.run_validation_suite is oracle.run_validation_suite
     assert hubfleet.calibrate_speed is calibration.calibrate_speed
     from hubfleet import CheckResult, random_scenario   # noqa: F401
+    # the explicit station-list API lives in the oracles, and the engine
+    # module answers for the two names that perfbench's tracer patches there
+    for name in ("Station", "multi_server", "infinite_server", "convolve_stations",
+                 "marginal_distribution"):
+        assert getattr(hubfleet, name) is getattr(oracle, name)
+    assert hubfleet.convolution.convolve_stations is oracle.convolve_stations
+    assert hubfleet.convolution.marginal_distribution is oracle.marginal_distribution
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         hubfleet.no_such_name
 
@@ -657,9 +612,9 @@ def test_fleet_find_mu1_prints_a_tiny_step_rate_in_at_most_repr_digits(runner, p
 ], ids=["log", "pro", "multi"])
 @pytest.mark.parametrize("below", [0, 1])
 def test_solve_trucks_agrees_with_min_trucks_at_the_edge(runner, path, fleet, below):
-    # solve --trucks decides feasibility with its own test of capacity x
-    # throughput against demand; at min_trucks' fleet it must say yes, and
-    # one truck below it no
+    # solve --trucks decides feasibility by fleet.meets_demand, the rule
+    # min_trucks asks; at min_trucks' fleet it must say yes, and one truck
+    # below it no
     assert f"fleet size          {fleet}\n" in runner.invoke(main, ["solve", str(path)]).output
     res = runner.invoke(main, ["solve", str(path), "--trucks", str(fleet - below)])
     assert res.exit_code == (2 if below else 0)

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubfleet.convolution import (Convolution, ConvolutionTable, NumericalRangeError,
-                                  Station, _check_entry, convolve_stations,
-                                  infinite_server, marginal_distribution, multi_server)
-from hubfleet.oracle import (_explicit_star, aggregated_stations, enumerate_product_form,
-                             random_scenario)
+                                  _check_entry)
+from hubfleet.oracle import (Station, _explicit_star, aggregated_stations,
+                             convolve_stations, enumerate_product_form, infinite_server,
+                             marginal_distribution, multi_server, random_scenario)
 from hubfleet.scenario import demand_fractions
 from hubfleet.star import AggregatedConvolution, aggregated_norm_constants, build_star
 

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hubfleet.convolution import marginal_distribution
 from hubfleet.oracle import (_explicit_star, aggregated_stations, ctmc_throughput,
-                             enumerate_product_form, random_scenario)
+                             enumerate_product_form, marginal_distribution,
+                             random_scenario)
 from hubfleet.scenario import Center, demand_fractions
 from hubfleet.star import (AggregatedConvolution, aggregated_norm_constants,
                            analyze, build_star)

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from hubfleet import convolution as conv
-from hubfleet.convolution import convolve_stations, multi_server
 from hubfleet import oracle
-from hubfleet.oracle import (_explicit_star, ctmc_throughput, enumerate_product_form,
-                             random_scenario, run_validation_suite, simulate)
+from hubfleet.oracle import (_explicit_star, convolve_stations, ctmc_throughput,
+                             enumerate_product_form, multi_server, random_scenario,
+                             run_validation_suite, simulate)
 from hubfleet.scenario import (Center, Scenario, Warehouse, demand_fractions,
                                load_scenario)
 from hubfleet.star import AggregatedConvolution, build_star

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hubfleet.convolution import convolve_stations, marginal_distribution
-from hubfleet.oracle import (_explicit_star, aggregated_stations,
-                             enumerate_product_form, random_scenario)
+from hubfleet.oracle import (_explicit_star, aggregated_stations, convolve_stations,
+                             enumerate_product_form, marginal_distribution,
+                             random_scenario)
 from hubfleet.scenario import Center, Scenario, Warehouse, demand_fractions
 from hubfleet.star import (AggregatedConvolution, StarNetwork, aggregated_norm_constants,
                            analyze, bottleneck, build_star, throughput_vs_location)
