@@ -6,7 +6,9 @@ most its own weight (up to rounding).  The first anchor that passes is the
 answer.  Otherwise the optimum lies off every anchor and plain Weiszfeld
 iteration finds it from the weighted centroid; an iterate that lands on an
 anchor, now known to be non-optimal, steps off along the pull instead of
-dividing by a zero distance.
+dividing by a zero distance.  One pass over the anchors (``_pass``) gives
+the sums that Kuhn's test, each step and the stop test read, so a step costs
+one pass.
 """
 
 from __future__ import annotations
@@ -80,19 +82,22 @@ def _objective(anchors: tuple[Anchor, ...], x: float, y: float) -> float:
 
 
 def weber_objective(problem: WeberProblem, x: Point) -> float:
-    """Sum of weighted distances from x to the anchors."""
+    """Sum of weighted distances from x to the anchors: W(x), the objective
+    that result (i) minimizes over hub points.  Public so that a hub found
+    elsewhere (a grid point, a fleet-map point) can be scored on it."""
     anchors = tuple((ax, ay, w) for (ax, ay), w in zip(problem.anchors, problem.weights))
     return _objective(anchors, x[0], x[1])
 
 
-def _pull(anchors: tuple[Anchor, ...], x: float, y: float
-          ) -> tuple[float, float, float]:
-    """Summed unit-direction pull toward the anchors away from (x, y).
+def _pass(anchors: tuple[Anchor, ...], x: float, y: float
+          ) -> tuple[float, float, float, float]:
+    """One pass over the anchors at (x, y).
 
-    Returns (rx, ry, w_here): the pull of anchors not coincident with the
-    point, and the total weight sitting exactly on it.
+    Returns (w_here, rx, ry, den): the weight within ``_SNAP`` of the point,
+    the pull r = sum w/d * (a - x) of the other anchors, and sum w/d over
+    them.  Kuhn's test, the Weiszfeld step and the stop test all read these.
     """
-    rx = ry = w_here = 0.0
+    w_here = rx = ry = den = 0.0
     for ax, ay, w in anchors:
         dx, dy = ax - x, ay - y
         d = math.hypot(dx, dy)
@@ -102,18 +107,8 @@ def _pull(anchors: tuple[Anchor, ...], x: float, y: float
             s = w / d
             rx += s * dx
             ry += s * dy
-    return rx, ry, w_here
-
-
-def _optimality_residual(anchors: tuple[Anchor, ...], x: float, y: float,
-                         total_weight: float) -> float:
-    """Scaled first-order residual; zero at the optimum.
-
-    Away from anchors this is the gradient norm over the total weight; on an
-    anchor it is the excess of the remaining pull over the anchor's weight.
-    """
-    rx, ry, w_here = _pull(anchors, x, y)
-    return max(0.0, math.hypot(rx, ry) - w_here) / total_weight
+            den += s
+    return w_here, rx, ry, den
 
 
 def solve_weber(problem: WeberProblem, max_iter: int = 10000) -> WeberSolution:
@@ -124,47 +119,36 @@ def solve_weber(problem: WeberProblem, max_iter: int = 10000) -> WeberSolution:
     segment of optima ends on anchors, that is the first such endpoint.  The
     test is not a step: ``max_iter`` counts Weiszfeld steps only.  Iteration
     converges when a step moves less than ``_TOL`` relative and the
-    first-order residual is below ``10 * _TOL``.  The returned objective
-    never exceeds the objective at the starting point (the weighted
-    centroid).
+    first-order residual at the new iterate is below ``10 * _TOL``.  The
+    returned objective never exceeds the objective at the starting point
+    (the weighted centroid).
     """
     anchors = tuple((float(ax), float(ay), float(w))
                     for (ax, ay), w in zip(problem.anchors, problem.weights))
 
+    # (|r| - w_here) / total is the scaled first-order residual, at most 0
+    # at the optimum: off the anchors the gradient norm, on one the excess of
+    # the others' pull over its weight
     total = sum(w for _, _, w in anchors)
     for k, (ax, ay, _) in enumerate(anchors):
-        if _optimality_residual(anchors, ax, ay, total) <= _ROUNDING:
+        w_here, rx, ry, _ = _pass(anchors, ax, ay)
+        if (math.hypot(rx, ry) - w_here) / total <= _ROUNDING:
             return WeberSolution(ax, ay, _objective(anchors, ax, ay), 0, True,
                                  at_anchor=k)
 
     x = sum(w * ax for ax, _, w in anchors) / total
     y = sum(w * ay for _, ay, w in anchors) / total
-
+    w_here, rx, ry, den = _pass(anchors, x, y)
+    r = math.hypot(rx, ry)
     for it in range(1, max_iter + 1):
-        # one pass: the weight at the iterate and the Weiszfeld map over the
-        # anchors away from it
-        w_here = num_x = num_y = den = 0.0
-        for ax, ay, w in anchors:
-            d = math.hypot(ax - x, ay - y)
-            if d <= _SNAP:
-                w_here += w
-            else:
-                s = w / d
-                num_x += s * ax
-                num_y += s * ay
-                den += s
-        if w_here > 0.0:
-            # on a non-optimal anchor (or stack): step off along the pull
-            rx, ry, _ = _pull(anchors, x, y)
-            beta = min(1.0, w_here / math.hypot(rx, ry))
-            x_new = (1.0 - beta) * (num_x / den) + beta * x
-            y_new = (1.0 - beta) * (num_y / den) + beta * y
-        else:
-            x_new, y_new = num_x / den, num_y / den
-
-        move = math.hypot(x_new - x, y_new - y)
-        x, y = x_new, y_new
-        if move <= _TOL * (1.0 + math.hypot(x, y)) \
-                and _optimality_residual(anchors, x, y, total) <= 10.0 * _TOL:
+        # the Weiszfeld map is x + r/den; on a non-optimal anchor (or stack)
+        # the step off it is shorter by beta = w_here/|r| (Ostresh 1978)
+        beta = min(1.0, w_here / r) if w_here > 0.0 else 0.0
+        dx, dy = (1.0 - beta) * rx / den, (1.0 - beta) * ry / den
+        x, y = x + dx, y + dy
+        w_here, rx, ry, den = _pass(anchors, x, y)
+        r = math.hypot(rx, ry)
+        if math.hypot(dx, dy) <= _TOL * (1.0 + math.hypot(x, y)) \
+                and (r - w_here) / total <= 10.0 * _TOL:
             return WeberSolution(x, y, _objective(anchors, x, y), it, True)
     return WeberSolution(x, y, _objective(anchors, x, y), max_iter, False)

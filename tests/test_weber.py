@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hubfleet import weber
 from hubfleet.weber import WeberProblem, solve_weber, weber_objective
 
 
@@ -229,6 +230,38 @@ def test_random_instances_first_order_optimal():
         # at an interior point the pull vanishes; on an anchor it is
         # dominated by that anchor's weight
         assert float(np.hypot(*pull)) <= w[on].sum() + 1e-6 * w.sum()
+        if sol.at_anchor is None:
+            # the stop test read the residual at the point it returned
+            residual = float(np.hypot(*pull)) - w[on].sum()
+            assert residual <= 10 * weber._TOL * w.sum() * (1 + 1e-6)
+
+
+def test_each_step_costs_one_pass_over_the_anchors(monkeypatch, towns_pro):
+    calls = []
+    one_pass = weber._pass
+
+    def counted(*args):
+        calls.append(args)
+        return one_pass(*args)
+
+    monkeypatch.setattr(weber, "_pass", counted)
+    # an answer at anchor k: Kuhn's test runs at anchors 0..k
+    tied = WeberProblem(anchors=((3.0, 3.0), (1.0, 1.0), (1.0, 0.0), (2.0, 2.0)),
+                        weights=(1.0, 1.0, 1.0, 1.0))
+    assert solve_weber(tied).at_anchor == 3
+    assert len(calls) == 3 + 1
+    # off every anchor: J tests, the start, then one pass per step that
+    # both sets the next step and decides the stop
+    problem = WeberProblem.from_scenario(towns_pro, weighted=True)
+    n = len(problem.anchors)
+    calls.clear()
+    sol = solve_weber(problem)
+    assert sol.converged and sol.at_anchor is None
+    assert len(calls) == n + sol.iterations + 1
+    calls.clear()
+    cut = solve_weber(problem, max_iter=3)
+    assert not cut.converged and cut.iterations == 3
+    assert len(calls) == n + 4
 
 
 @pytest.mark.parametrize("anchors,weights,message", [
